@@ -1,7 +1,7 @@
 #include "batch/batch_problem.hpp"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 
 namespace dtm {
 
@@ -21,57 +21,142 @@ Time BatchResult::exec_of(TxnId id) const {
   return it->exec;
 }
 
+void exec_in_problem_order(const BatchProblem& p, const BatchResult& r,
+                           std::vector<Time>& out) {
+  // One sort of the assignments by id, then a binary search per row.
+  static thread_local std::vector<Assignment> by_id;
+  by_id.assign(r.assignments.begin(), r.assignments.end());
+  std::stable_sort(by_id.begin(), by_id.end(),
+                   [](const Assignment& a, const Assignment& b) {
+                     return a.txn < b.txn;
+                   });
+  out.resize(p.txns.size());
+  for (std::size_t i = 0; i < p.txns.size(); ++i) {
+    const TxnId id = p.txns[i].id;
+    // Last among equal ids: a later assignment overrides an earlier one.
+    const auto it = std::upper_bound(
+        by_id.begin(), by_id.end(), id,
+        [](TxnId v, const Assignment& a) { return v < a.txn; });
+    DTM_CHECK(it != by_id.begin() && std::prev(it)->txn == id,
+              "txn " << id << " not assigned");
+    out[i] = std::prev(it)->exec;
+  }
+}
+
+void order_by_exec(const BatchProblem& p, std::span<const Time> exec,
+                   std::vector<std::size_t>& out) {
+  DTM_REQUIRE(exec.size() == p.txns.size(),
+              "exec has " << exec.size() << " rows for " << p.txns.size()
+                          << " txns");
+  struct Key {
+    Time exec;
+    TxnId id;
+    std::size_t index;
+  };
+  static thread_local std::vector<Key> keys;
+  keys.resize(exec.size());
+  for (std::size_t i = 0; i < exec.size(); ++i)
+    keys[i] = {exec[i], p.txns[i].id, i};
+  // (exec, id, index) is a total order, so an unstable sort yields exactly
+  // the stable (exec, id) order.
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.exec != b.exec) return a.exec < b.exec;
+    if (a.id != b.id) return a.id < b.id;
+    return a.index < b.index;
+  });
+  out.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) out[i] = keys[i].index;
+}
+
 void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   DTM_CHECK(r.assignments.size() == p.txns.size(),
             "batch result has " << r.assignments.size() << " assignments for "
                                 << p.txns.size() << " txns");
-  std::map<TxnId, Time> exec;
+  // Sorted flat scratch tables, reused per thread: every batch algorithm
+  // validates its output, so this runs under every F_A estimate.
+  struct Scratch {
+    std::vector<Assignment> exec;  ///< sorted by txn id
+    std::vector<BatchObject> cur;  ///< per-object chain cursor, by id
+    struct User {
+      ObjId obj;
+      Time exec;
+      TxnId id;
+      NodeId node;
+    };
+    std::vector<User> users;  ///< sorted by (object, exec, id)
+  };
+  static thread_local Scratch s;
+
+  s.exec.clear();
   for (const auto& a : r.assignments) {
     DTM_CHECK(a.exec >= p.now,
               "txn " << a.txn << " scheduled at " << a.exec << " < now "
                      << p.now);
-    DTM_CHECK(exec.emplace(a.txn, a.exec).second,
-              "duplicate assignment for txn " << a.txn);
+    s.exec.push_back(a);
   }
+  std::sort(s.exec.begin(), s.exec.end(),
+            [](const Assignment& a, const Assignment& b) {
+              return a.txn < b.txn;
+            });
+  for (std::size_t i = 1; i < s.exec.size(); ++i)
+    DTM_CHECK(s.exec[i - 1].txn != s.exec[i].txn,
+              "duplicate assignment for txn " << s.exec[i].txn);
+
+  // Per-object chain feasibility from the availability point (a repeated
+  // object id keeps its last row).
+  s.cur.assign(p.objects.begin(), p.objects.end());
+  std::stable_sort(s.cur.begin(), s.cur.end(),
+                   [](const BatchObject& a, const BatchObject& b) {
+                     return a.id < b.id;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < s.cur.size(); ++i) {
+    if (kept > 0 && s.cur[kept - 1].id == s.cur[i].id)
+      s.cur[kept - 1] = s.cur[i];
+    else
+      s.cur[kept++] = s.cur[i];
+  }
+  s.cur.resize(kept);
+
+  // One row per (transaction, object) use, sorted by object and then
+  // execution order: each object's chain is one contiguous run.
   Time max_exec = p.now;
-
-  // Per-object chain feasibility from the availability point.
-  struct Cursor {
-    NodeId node;
-    Time free_at;
-    bool from_txn;
-  };
-  std::map<ObjId, Cursor> cur;
-  for (const auto& o : p.objects)
-    cur[o.id] = {o.node, o.ready, o.from_txn};
-
-  struct User {
-    Time exec;
-    TxnId id;
-    NodeId node;
-  };
-  std::map<ObjId, std::vector<User>> users;
+  s.users.clear();
   for (const auto& t : p.txns) {
-    const auto it = exec.find(t.id);
-    DTM_CHECK(it != exec.end(), "txn " << t.id << " not assigned");
-    max_exec = std::max(max_exec, it->second);
+    const auto it = std::lower_bound(
+        s.exec.begin(), s.exec.end(), t.id,
+        [](const Assignment& a, TxnId v) { return a.txn < v; });
+    DTM_CHECK(it != s.exec.end() && it->txn == t.id,
+              "txn " << t.id << " not assigned");
+    max_exec = std::max(max_exec, it->exec);
     for (const ObjId o : t.objects)
-      users[o].push_back({it->second, t.id, t.node});
+      s.users.push_back({o, it->exec, t.id, t.node});
   }
-  for (auto& [obj, list] : users) {
-    const auto cit = cur.find(obj);
-    DTM_CHECK(cit != cur.end(), "object " << obj << " not in problem");
-    std::sort(list.begin(), list.end(), [](const User& a, const User& b) {
-      return a.exec < b.exec || (a.exec == b.exec && a.id < b.id);
-    });
-    Cursor c = cit->second;
-    for (const auto& u : list) {
-      Time needed = c.free_at + p.travel(c.node, u.node);
-      if (c.from_txn) needed = std::max(needed, c.free_at + 1);
+  std::sort(s.users.begin(), s.users.end(),
+            [](const Scratch::User& a, const Scratch::User& b) {
+              if (a.obj != b.obj) return a.obj < b.obj;
+              if (a.exec != b.exec) return a.exec < b.exec;
+              return a.id < b.id;
+            });
+  auto cit = s.cur.begin();
+  for (std::size_t i = 0; i < s.users.size();) {
+    const ObjId obj = s.users[i].obj;
+    while (cit != s.cur.end() && cit->id < obj) ++cit;
+    DTM_CHECK(cit != s.cur.end() && cit->id == obj,
+              "object " << obj << " not in problem");
+    NodeId node = cit->node;
+    Time free_at = cit->ready;
+    bool from_txn = cit->from_txn;
+    for (; i < s.users.size() && s.users[i].obj == obj; ++i) {
+      const auto& u = s.users[i];
+      Time needed = free_at + p.travel(node, u.node);
+      if (from_txn) needed = std::max(needed, free_at + 1);
       DTM_CHECK(u.exec >= needed,
                 "object " << obj << ": txn " << u.id << " at " << u.exec
                           << " unreachable before " << needed);
-      c = {u.node, u.exec, true};
+      node = u.node;
+      free_at = u.exec;
+      from_txn = true;
     }
   }
   DTM_CHECK(r.makespan == max_exec - p.now,

@@ -8,6 +8,7 @@
 // object availability, so A appends the new schedule after them.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -93,6 +94,18 @@ struct BatchResult {
 /// Verifies that `r` is feasible for `p` (object chains from availability,
 /// all txns assigned, exec >= now) and that makespan matches. Throws
 /// CheckError on violation — batch algorithms call this before returning.
+/// Map-free: sorted flat scratch tables, reused across calls per thread.
 void check_batch_result(const BatchProblem& p, const BatchResult& r);
+
+/// `r`'s execution time of every p.txns[i], index-aligned into `out` (the
+/// last assignment wins for a repeated id). Throws CheckError if a
+/// transaction is unassigned.
+void exec_in_problem_order(const BatchProblem& p, const BatchResult& r,
+                           std::vector<Time>& out);
+
+/// Indices into p.txns ordered by (exec[i], txn id): the execution order of
+/// a schedule given index-aligned execution times.
+void order_by_exec(const BatchProblem& p, std::span<const Time> exec,
+                   std::vector<std::size_t>& out);
 
 }  // namespace dtm

@@ -1,8 +1,9 @@
 #include "batch/batch_scheduler.hpp"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 #include <numeric>
+#include <optional>
 
 #include "batch/soa_problem.hpp"
 
@@ -133,18 +134,65 @@ std::vector<std::size_t> identity_order(std::size_t n) {
 }
 
 /// Sorts transaction indices by a key functor (stable, ties by txn id).
+/// Each key is computed once, then (key, id, index) rows are sorted: a
+/// total order, so the unstable sort reproduces the stable one exactly.
 template <typename KeyFn>
 std::vector<std::size_t> order_by_key(const BatchProblem& p, KeyFn key) {
-  auto order = identity_order(p.txns.size());
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const auto ka = key(p.txns[a]);
-                     const auto kb = key(p.txns[b]);
-                     if (ka != kb) return ka < kb;
-                     return p.txns[a].id < p.txns[b].id;
-                   });
+  using Key = decltype(key(p.txns[0]));
+  struct Row {
+    Key key;
+    TxnId id;
+    std::size_t index;
+  };
+  static thread_local std::vector<Row> rows;
+  rows.clear();
+  rows.reserve(p.txns.size());
+  for (std::size_t i = 0; i < p.txns.size(); ++i)
+    rows.push_back({key(p.txns[i]), p.txns[i].id, i});
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.key != b.key) return a.key < b.key;
+    if (a.id != b.id) return a.id < b.id;
+    return a.index < b.index;
+  });
+  std::vector<std::size_t> order(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) order[i] = rows[i].index;
   return order;
 }
+
+/// Random ranks for the groups the transactions fall into (cliques, rays):
+/// the distinct group ids in ascending order are shuffled with `rng`, and a
+/// group's rank is its position in the shuffle. Reusable: assign() keeps
+/// the buffers' capacity.
+class ShuffledRanks {
+ public:
+  template <typename GroupFn>
+  void assign(const BatchProblem& p, Rng& rng, GroupFn group) {
+    groups_.clear();
+    for (const auto& t : p.txns)
+      if (const auto g = group(t)) groups_.push_back(*g);
+    std::sort(groups_.begin(), groups_.end());
+    groups_.erase(std::unique(groups_.begin(), groups_.end()), groups_.end());
+    // Shuffling positions draws exactly what shuffling the ids would:
+    // perm_[i] is the index of the group the shuffle puts at position i.
+    perm_.resize(groups_.size());
+    std::iota(perm_.begin(), perm_.end(), 0);
+    rng.shuffle(perm_);
+    rank_.resize(groups_.size());
+    for (std::size_t i = 0; i < perm_.size(); ++i)
+      rank_[perm_[i]] = static_cast<NodeId>(i);
+  }
+
+  [[nodiscard]] NodeId rank(NodeId g) const {
+    return rank_[static_cast<std::size_t>(
+        std::lower_bound(groups_.begin(), groups_.end(), g) -
+        groups_.begin())];
+  }
+
+ private:
+  std::vector<NodeId> groups_;     ///< distinct group ids, ascending
+  std::vector<std::size_t> perm_;  ///< shuffled group indices
+  std::vector<NodeId> rank_;       ///< rank per entry of groups_
+};
 
 }  // namespace
 
@@ -163,12 +211,18 @@ std::unique_ptr<BatchScheduler> make_clique_batch() {
       "clique-load", [](const BatchProblem& p, Rng&) {
         // Heaviest transactions (sum of their objects' user counts) first:
         // hot objects start their chains immediately instead of idling.
-        std::map<ObjId, std::int64_t> load;
+        // An object's load is the length of its run in the sorted list of
+        // every (transaction, object) use.
+        std::vector<ObjId> uses;
         for (const auto& t : p.txns)
-          for (const ObjId o : t.objects) ++load[o];
+          uses.insert(uses.end(), t.objects.begin(), t.objects.end());
+        std::sort(uses.begin(), uses.end());
         return order_by_key(p, [&](const BatchTxn& t) {
           std::int64_t w = 0;
-          for (const ObjId o : t.objects) w += load[o];
+          for (const ObjId o : t.objects) {
+            const auto [lo, hi] = std::equal_range(uses.begin(), uses.end(), o);
+            w += hi - lo;
+          }
           return -w;
         });
       });
@@ -181,16 +235,12 @@ std::unique_ptr<BatchScheduler> make_cluster_batch(NodeId beta) {
         // Random permutation of cliques (the randomized step of [SPAA'17]);
         // within a clique the bridge node (member 0) goes first so inter-
         // clique transfers leave as early as possible.
-        std::map<NodeId, NodeId> clique_rank;
-        for (const auto& t : p.txns) clique_rank.emplace(t.node / beta, 0);
-        std::vector<NodeId> cliques;
-        cliques.reserve(clique_rank.size());
-        for (const auto& [c, _] : clique_rank) cliques.push_back(c);
-        rng.shuffle(cliques);
-        for (std::size_t i = 0; i < cliques.size(); ++i)
-          clique_rank[cliques[i]] = static_cast<NodeId>(i);
+        static thread_local ShuffledRanks cliques;
+        cliques.assign(p, rng, [&](const BatchTxn& t) {
+          return std::optional<NodeId>(t.node / beta);
+        });
         return order_by_key(p, [&](const BatchTxn& t) {
-          return std::pair(clique_rank[t.node / beta], t.node % beta);
+          return std::pair(cliques.rank(t.node / beta), t.node % beta);
         });
       },
       /*is_randomized=*/true);
@@ -202,18 +252,14 @@ std::unique_ptr<BatchScheduler> make_star_batch(NodeId beta) {
       [beta](const BatchProblem& p, Rng& rng) {
         // Center first; then rays in random order, each walked center-
         // outward — objects funnel through the hub once per ray.
-        std::map<NodeId, NodeId> ray_rank;
-        for (const auto& t : p.txns)
-          if (t.node != 0) ray_rank.emplace((t.node - 1) / beta, 0);
-        std::vector<NodeId> rays;
-        rays.reserve(ray_rank.size());
-        for (const auto& [r, _] : ray_rank) rays.push_back(r);
-        rng.shuffle(rays);
-        for (std::size_t i = 0; i < rays.size(); ++i)
-          ray_rank[rays[i]] = static_cast<NodeId>(i);
+        static thread_local ShuffledRanks rays;
+        rays.assign(p, rng, [&](const BatchTxn& t) {
+          return t.node != 0 ? std::optional<NodeId>((t.node - 1) / beta)
+                             : std::nullopt;
+        });
         return order_by_key(p, [&](const BatchTxn& t) {
           if (t.node == 0) return std::pair<NodeId, NodeId>(-1, 0);
-          return std::pair(ray_rank[(t.node - 1) / beta],
+          return std::pair(rays.rank((t.node - 1) / beta),
                            (t.node - 1) % beta);
         });
       },
@@ -226,10 +272,10 @@ std::unique_ptr<BatchScheduler> make_grid_snake_batch(
       "grid-snake", [extents](const BatchProblem& p, Rng&) {
         // Boustrophedon: row-major, alternating direction per row, so that
         // consecutive transactions are adjacent in the grid.
+        std::vector<NodeId> c(extents.size());
         return order_by_key(p, [&](const BatchTxn& t) {
           NodeId id = t.node;
           // Decode row-major coordinates, then snake-fold the last axis.
-          std::vector<NodeId> c(extents.size());
           for (std::size_t d = extents.size(); d-- > 0;) {
             c[d] = id % extents[d];
             id /= extents[d];
@@ -302,25 +348,32 @@ class SequentialBatch final : public BatchScheduler {
  public:
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng&) const override {
-    struct Cursor {
-      NodeId node;
-      Time free_at;
-      bool from_txn;
+    // Flat cursor table sorted by object id (a repeated id keeps its last
+    // row, as an assignment into a map would).
+    std::vector<BatchObject> cur(p.objects.begin(), p.objects.end());
+    std::stable_sort(cur.begin(), cur.end(),
+                     [](const BatchObject& a, const BatchObject& b) {
+                       return a.id < b.id;
+                     });
+    const auto find = [&](ObjId o) -> BatchObject& {
+      const auto it = std::upper_bound(
+          cur.begin(), cur.end(), o,
+          [](ObjId v, const BatchObject& c) { return v < c.id; });
+      DTM_CHECK(it != cur.begin() && std::prev(it)->id == o,
+                "object " << o << " missing from problem");
+      return *std::prev(it);
     };
-    std::map<ObjId, Cursor> cur;
-    for (const auto& o : p.objects)
-      cur[o.id] = {o.node, o.ready, o.from_txn};
     BatchResult r;
     Time prev = p.now;
     for (const auto& t : p.txns) {
       Time e = prev;
       for (const ObjId o : t.objects) {
-        const Cursor& c = cur.at(o);
-        Time arrive = c.free_at + p.travel(c.node, t.node);
-        if (c.from_txn) arrive = std::max(arrive, c.free_at + 1);
+        const BatchObject& c = find(o);
+        Time arrive = c.ready + p.travel(c.node, t.node);
+        if (c.from_txn) arrive = std::max(arrive, c.ready + 1);
         e = std::max(e, arrive);
       }
-      for (const ObjId o : t.objects) cur[o] = {t.node, e, true};
+      for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
       r.assignments.push_back({t.id, e});
       r.makespan = std::max(r.makespan, e - p.now);
       prev = e + 1;  // full serialization: nobody overlaps

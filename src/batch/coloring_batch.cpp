@@ -27,7 +27,11 @@ class ColoringBatch final : public BatchScheduler {
  public:
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng&) const override {
-    if (p.math == BatchMathMode::kScalar) return schedule_scalar(p);
+    if (p.math == BatchMathMode::kScalar) {
+      BatchResult r = schedule_scalar(p);
+      check_batch_result(p, r);
+      return r;
+    }
     static thread_local BatchProblemSoA soa_scratch;
     const BatchProblemSoA* s = p.soa.get();
     if (s == nullptr || !s->matches(p)) {
@@ -137,7 +141,6 @@ class ColoringBatch final : public BatchScheduler {
       r.assignments[i] = {p.txns[i].id, p.now + s.color[i]};
       r.makespan = std::max(r.makespan, s.color[i]);
     }
-    check_batch_result(p, r);
     return r;
   }
 

@@ -16,7 +16,6 @@
 //     same schedule — the scalar path would compute it and revert. kVerify
 //     still evaluates and asserts the makespan is indeed unchanged.
 #include <algorithm>
-#include <numeric>
 
 #include "batch/batch_scheduler.hpp"
 #include "batch/soa_problem.hpp"
@@ -66,15 +65,10 @@ class LocalSearchBatch final : public BatchScheduler {
     // on low-diameter graphs.
     const auto seed_algo = make_coloring_batch();
     const BatchResult seed = seed_algo->schedule(p, rng);
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const Time ea = seed.exec_of(p.txns[a].id);
-                       const Time eb = seed.exec_of(p.txns[b].id);
-                       if (ea != eb) return ea < eb;
-                       return p.txns[a].id < p.txns[b].id;
-                     });
+    std::vector<Time> seed_exec;
+    exec_in_problem_order(p, seed, seed_exec);
+    std::vector<std::size_t> order;
+    order_by_exec(p, seed_exec, order);
 
     BatchResult best = eval(order, /*validate=*/true);
     // First-improvement adjacent-and-random swaps. Adjacent swaps fix

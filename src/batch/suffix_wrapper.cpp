@@ -1,46 +1,58 @@
 #include "batch/suffix_wrapper.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace dtm {
 
 namespace {
 
-/// Indices into p.txns ordered by assigned execution time (ties by id).
-std::vector<std::size_t> exec_order(const BatchProblem& p,
-                                    const BatchResult& r) {
-  std::map<TxnId, Time> exec;
-  for (const auto& a : r.assignments) exec[a.txn] = a.exec;
-  std::vector<std::size_t> order(p.txns.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const Time ea = exec.at(p.txns[a].id);
-                     const Time eb = exec.at(p.txns[b].id);
-                     if (ea != eb) return ea < eb;
-                     return p.txns[a].id < p.txns[b].id;
+/// p.objects sorted by id, a repeated id keeping its last row: the
+/// availability before any transaction of the schedule has run.
+void sorted_availability(const BatchProblem& p, std::vector<BatchObject>& out) {
+  out.assign(p.objects.begin(), p.objects.end());
+  std::stable_sort(out.begin(), out.end(),
+                   [](const BatchObject& a, const BatchObject& b) {
+                     return a.id < b.id;
                    });
-  return order;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (kept > 0 && out[kept - 1].id == out[i].id)
+      out[kept - 1] = out[i];
+    else
+      out[kept++] = out[i];
+  }
+  out.resize(kept);
+}
+
+/// Runs transaction `t` (executing at `exec`) on the sorted availability
+/// table: each of its objects is now free at t's node from `exec` on.
+void run_on(const BatchTxn& t, Time exec, std::vector<BatchObject>& avail) {
+  for (const ObjId o : t.objects) {
+    const auto it = std::lower_bound(
+        avail.begin(), avail.end(), o,
+        [](const BatchObject& a, ObjId b) { return a.id < b; });
+    const BatchObject row{o, t.node, exec, true};
+    if (it != avail.end() && it->id == o)
+      *it = row;
+    else
+      avail.insert(it, row);
+  }
 }
 
 }  // namespace
 
 std::vector<BatchObject> SuffixWrapper::availability_after_prefix(
     const BatchProblem& p, const BatchResult& r, std::size_t prefix_len) {
-  const auto order = exec_order(p, r);
+  std::vector<Time> exec;
+  exec_in_problem_order(p, r, exec);
+  std::vector<std::size_t> order;
+  order_by_exec(p, exec, order);
   DTM_REQUIRE(prefix_len <= order.size(), "prefix " << prefix_len);
-  std::map<ObjId, BatchObject> avail;
-  for (const auto& o : p.objects) avail[o.id] = o;
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    const BatchTxn& t = p.txns[order[i]];
-    const Time e = r.exec_of(t.id);
-    for (const ObjId o : t.objects) avail[o] = {o, t.node, e, true};
-  }
-  std::vector<BatchObject> out;
-  out.reserve(avail.size());
-  for (const auto& [_, o] : avail) out.push_back(o);
-  return out;
+  std::vector<BatchObject> avail;
+  sorted_availability(p, avail);
+  for (std::size_t i = 0; i < prefix_len; ++i)
+    run_on(p.txns[order[i]], exec[order[i]], avail);
+  return avail;
 }
 
 BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
@@ -51,38 +63,51 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
                             ? opts_.max_inner_calls
                             : static_cast<std::int32_t>(4 * n + 8);
 
+  // Per pass: execution times aligned with p.txns, the execution order,
+  // each suffix's span, and the availability after the prefix, advanced by
+  // one transaction per suffix start.
+  std::vector<Time> exec;
+  std::vector<std::size_t> order;
+  std::vector<Time> suffix_span(n + 1);
+  std::vector<BatchObject> avail;
+  std::vector<Time> redo_exec;
+  BatchProblem sub;
+  sub.oracle = p.oracle;
+  sub.latency_factor = p.latency_factor;
+  sub.now = p.now;
+  // Suffix re-runs stay on the caller's math path (content differs, so any
+  // prebuilt SoA view of p does NOT carry over — sub.soa stays unset and
+  // the inner algorithm builds its own).
+  sub.math = p.math;
+
   bool changed = true;
   while (changed && budget > 0) {
     changed = false;
-    const auto order = exec_order(p, cur);
+    exec_in_problem_order(p, cur, exec);
+    order_by_exec(p, exec, order);
+    suffix_span[n] = 0;
+    for (std::size_t i = n; i-- > 0;)
+      suffix_span[i] = std::max(suffix_span[i + 1], exec[order[i]] - p.now);
+    sorted_availability(p, avail);
     // Longest proper suffix first, as in the paper.
     for (std::size_t start = 1; start < n && budget > 0; ++start) {
-      BatchProblem sub;
-      sub.oracle = p.oracle;
-      sub.latency_factor = p.latency_factor;
-      sub.now = p.now;
-      // Suffix re-runs stay on the caller's math path (content differs, so
-      // any prebuilt SoA view of p does NOT carry over — sub.soa stays
-      // unset and the inner algorithm builds its own).
-      sub.math = p.math;
-      sub.objects = availability_after_prefix(p, cur, start);
+      run_on(p.txns[order[start - 1]], exec[order[start - 1]], avail);
+      sub.objects = avail;
+      sub.txns.resize(n - start);
       for (std::size_t i = start; i < n; ++i)
-        sub.txns.push_back(p.txns[order[i]]);
+        sub.txns[i - start] = p.txns[order[i]];
       --budget;
       const BatchResult redo = inner_->schedule(sub, rng);
-      Time span = 0;
-      for (std::size_t i = start; i < n; ++i)
-        span = std::max(span, cur.exec_of(p.txns[order[i]].id) - p.now);
-      if (redo.makespan < span) {
+      if (redo.makespan < suffix_span[start]) {
         // Adopt the tighter suffix schedule; prefix stays untouched.
-        std::map<TxnId, Time> exec;
-        for (const auto& a : cur.assignments) exec[a.txn] = a.exec;
-        for (const auto& a : redo.assignments) exec[a.txn] = a.exec;
+        exec_in_problem_order(sub, redo, redo_exec);
+        for (std::size_t i = start; i < n; ++i)
+          exec[order[i]] = redo_exec[i - start];
         cur.assignments.clear();
         cur.makespan = 0;
-        for (const auto& t : p.txns) {
-          cur.assignments.push_back({t.id, exec.at(t.id)});
-          cur.makespan = std::max(cur.makespan, exec.at(t.id) - p.now);
+        for (std::size_t i = 0; i < n; ++i) {
+          cur.assignments.push_back({p.txns[i].id, exec[i]});
+          cur.makespan = std::max(cur.makespan, exec[i] - p.now);
         }
         check_batch_result(p, cur);
         changed = true;

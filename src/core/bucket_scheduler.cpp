@@ -60,7 +60,7 @@ std::vector<Assignment> BucketScheduler::on_step(
     core_.on_inserted(
         view, static_cast<BucketInsertionCore::BucketId>(level), t, extra);
     max_level_used_ = std::max(max_level_used_, level);
-    trace_index_[t.id] = traces_.size();
+    trace_index_.insert_or_assign(t.id, traces_.size());
     traces_.push_back({t.id, now, level, kNoTime, kNoTime});
   }
 
@@ -81,7 +81,9 @@ std::vector<Assignment> BucketScheduler::on_step(
       for (const auto& a : r.assignments) {
         out.push_back(a);
         extra.set(a.txn, a.exec);
-        auto& tr = traces_[trace_index_.at(a.txn)];
+        const std::size_t* row = trace_index_.find(a.txn);
+        DTM_REQUIRE(row != nullptr, "no trace for txn " << a.txn);
+        auto& tr = traces_[*row];
         tr.scheduled = now;
         tr.exec = a.exec;
       }

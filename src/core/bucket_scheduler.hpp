@@ -15,7 +15,6 @@
 // scan, selectable via BucketOptions::fastpath.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "batch/bucket_insertion.hpp"
 #include "batch/suffix_wrapper.hpp"
 #include "core/scheduler.hpp"
+#include "util/flat_map.hpp"
 
 namespace dtm {
 
@@ -107,7 +107,7 @@ class BucketScheduler final : public OnlineScheduler {
   BucketInsertionCore core_;
 
   std::vector<std::vector<TxnId>> buckets_;
-  std::map<TxnId, std::size_t> trace_index_;
+  FlatMap<TxnId, std::size_t> trace_index_;
   std::vector<TxnTrace> traces_;
   std::int32_t max_level_used_ = -1;
 };

@@ -1,7 +1,7 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 #include <sstream>
 
 namespace dtm {
@@ -10,11 +10,20 @@ ValidationError validate_schedule(const std::vector<ScheduledTxn>& scheduled,
                                   const std::vector<ObjectOrigin>& origins,
                                   const DistanceOracle& oracle,
                                   std::int64_t latency_factor) {
-  std::map<ObjId, ObjectOrigin> origin_of;
-  for (const auto& o : origins) origin_of[o.id] = o;
+  // Origins sorted by object id; a repeated id keeps its last entry.
+  std::vector<ObjectOrigin> origin_of(origins.begin(), origins.end());
+  std::stable_sort(origin_of.begin(), origin_of.end(),
+                   [](const ObjectOrigin& a, const ObjectOrigin& b) {
+                     return a.id < b.id;
+                   });
 
-  // Per-object user lists, sorted by execution time.
-  std::map<ObjId, std::vector<const ScheduledTxn*>> users;
+  // One (object, txn) row per access, sorted by object and then execution
+  // time: each object's user chain is one contiguous run.
+  struct Use {
+    ObjId obj;
+    const ScheduledTxn* s;
+  };
+  std::vector<Use> uses;
   for (const auto& s : scheduled) {
     if (s.exec == kNoTime) {
       std::ostringstream os;
@@ -27,26 +36,30 @@ ValidationError validate_schedule(const std::vector<ScheduledTxn>& scheduled,
          << " before its generation time " << s.txn.gen_time;
       return os.str();
     }
-    for (const auto& a : s.txn.accesses) users[a.obj].push_back(&s);
+    for (const auto& a : s.txn.accesses) uses.push_back({a.obj, &s});
   }
+  std::sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
+    if (a.obj != b.obj) return a.obj < b.obj;
+    if (a.s->exec != b.s->exec) return a.s->exec < b.s->exec;
+    return a.s->txn.id < b.s->txn.id;
+  });
 
-  for (auto& [obj, list] : users) {
-    const auto it = origin_of.find(obj);
-    if (it == origin_of.end()) {
+  for (std::size_t i = 0; i < uses.size();) {
+    const ObjId obj = uses[i].obj;
+    const auto it = std::upper_bound(
+        origin_of.begin(), origin_of.end(), obj,
+        [](ObjId v, const ObjectOrigin& o) { return v < o.id; });
+    if (it == origin_of.begin() || std::prev(it)->id != obj) {
       std::ostringstream os;
       os << "object " << obj << " is used but has no origin";
       return os.str();
     }
-    std::sort(list.begin(), list.end(),
-              [](const ScheduledTxn* a, const ScheduledTxn* b) {
-                return a->exec < b->exec ||
-                       (a->exec == b->exec && a->txn.id < b->txn.id);
-              });
     // Origin -> first user: pure travel (the object is free at creation).
-    NodeId pos = it->second.node;
-    Time free_at = it->second.created;
+    NodeId pos = std::prev(it)->node;
+    Time free_at = std::prev(it)->created;
     bool from_txn = false;
-    for (const ScheduledTxn* s : list) {
+    for (; i < uses.size() && uses[i].obj == obj; ++i) {
+      const ScheduledTxn* s = uses[i].s;
       const Weight d = oracle.dist(pos, s->txn.node);
       Time needed = free_at + latency_factor * d;
       // Between two distinct commits of the same object at least one step

@@ -34,6 +34,10 @@ class SystemView {
   /// distributed half-speed setting).
   [[nodiscard]] virtual std::int64_t latency_factor() const = 0;
 
+  /// The object's live record. The reference stays valid, and keeps
+  /// reflecting the object's current state, for the view's lifetime (the
+  /// engine's object set is fixed at construction), so schedulers may hold
+  /// it across steps instead of looking the object up again.
   [[nodiscard]] virtual const ObjectState& object(ObjId o) const = 0;
   [[nodiscard]] virtual const Transaction& txn(TxnId t) const = 0;
 

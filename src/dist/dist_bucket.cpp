@@ -61,6 +61,14 @@ void DistributedBucketScheduler::ensure_levels(const SystemView& view) {
     levels = ceil_log2_i64(std::max<std::int64_t>(horizon, 2)) + 6;
   }
   num_levels_ = levels + 1;
+  pending_.assign(static_cast<std::size_t>(num_levels_), {});
+}
+
+DistributedBucketScheduler::TxnTrace& DistributedBucketScheduler::trace(
+    TxnId txn) {
+  const std::size_t* row = trace_index_.find(txn);
+  DTM_REQUIRE(row != nullptr, "no trace for txn " << txn);
+  return traces_[*row];
 }
 
 std::vector<Assignment> DistributedBucketScheduler::on_step(
@@ -70,11 +78,11 @@ std::vector<Assignment> DistributedBucketScheduler::on_step(
   std::vector<Assignment> out;
   ExtraAssignments extra;
 
-  if (opts_.message_level_discovery) track_objects(view);
+  if (opts_.message_level_discovery) trails_.observe_watched(now);
 
   // 1. New transactions start discovery (Algorithm 3 lines 2-6).
   for (const Transaction& t : arrivals) {
-    trace_index_[t.id] = traces_.size();
+    trace_index_.insert_or_assign(t.id, traces_.size());
     traces_.push_back({t.id, now, kNoTime, {}, -1, kNoTime});
     if (opts_.message_level_discovery)
       start_probe_discovery(view, t);
@@ -93,7 +101,7 @@ std::vector<Assignment> DistributedBucketScheduler::on_step(
   while (!reports_.empty() && reports_.top().when <= now) {
     const PendingReport rep = reports_.top();
     reports_.pop();
-    auto& tr = traces_[trace_index_.at(rep.txn)];
+    const TxnTrace& tr = trace(rep.txn);
     if (tr.reported != kNoTime) {
       ++stats_.dup_reports;
       continue;
@@ -125,7 +133,7 @@ void DistributedBucketScheduler::start_analytic_discovery(
   const Time now = view.now();
   Weight x = 0;        // furthest object (distance bound)
   Time probe_rtt = 0;  // chase + reply, max over objects
-  std::set<TxnId> seen;
+  SmallVector<TxnId, 16> seen;
   Weight conflict_dist = 0;
   for (const auto& acc : t.accesses) {
     // Pure-distance bound to the object's current position (factor 1).
@@ -136,7 +144,10 @@ void DistributedBucketScheduler::start_analytic_discovery(
     ++stats_.probes;
     analytic_distance_ += 4 * xd;
     for (const TxnId uid : view.live_users_of(acc.obj)) {
-      if (uid == t.id || !seen.insert(uid).second) continue;
+      if (uid == t.id ||
+          std::find(seen.begin(), seen.end(), uid) != seen.end())
+        continue;
+      seen.push_back(uid);
       conflict_dist = std::max(
           conflict_dist, view.oracle().dist(view.txn(uid).node, t.node));
     }
@@ -149,36 +160,45 @@ void DistributedBucketScheduler::start_analytic_discovery(
   const Time report_at = now + probe_rtt + to_leader;
   ++stats_.reports;
   analytic_distance_ += to_leader;
-  traces_[trace_index_.at(t.id)].home = home;
+  trace(t.id).home = home;
   reports_.push({report_at, t.id, home});
-}
-
-void DistributedBucketScheduler::track_objects(const SystemView& view) {
-  for (const ObjId o : tracked_) trails_.observe(view.object(o), view.now());
 }
 
 void DistributedBucketScheduler::start_probe_discovery(
     const SystemView& view, const Transaction& t) {
-  const Time now = view.now();
-  Discovery d;
+  std::int32_t slot;
+  if (free_discovery_slots_.empty()) {
+    slot = static_cast<std::int32_t>(discovery_slots_.size());
+    discovery_slots_.emplace_back();
+  } else {
+    slot = free_discovery_slots_.back();
+    free_discovery_slots_.pop_back();
+  }
+  Discovery& d = discovery_slots_[static_cast<std::size_t>(slot)];
   d.node = t.node;
-  d.started = now;
+  d.started = view.now();
+  d.awaiting.clear();
+  d.y = 0;
+  d.epoch.clear();
   for (const auto& acc : t.accesses) {
-    if (tracked_.insert(acc.obj).second) {
-      // First sight of this object: its current resting place (or inbound
-      // node) becomes the trail root every requester is assumed to know.
-      const ObjectState& os = view.object(acc.obj);
-      trails_.register_object(acc.obj,
-                              os.in_transit() ? os.dest() : os.at());
-      trails_.observe(os, now);
-    }
+    // First sight of an object: its current resting place (or inbound
+    // node) becomes the trail root every requester is assumed to know, and
+    // the directory keeps the engine's record for the per-step mirror.
+    (void)trails_.track(view.object(acc.obj));
     if (d.awaits(acc.obj)) continue;
     d.awaiting.push_back(acc.obj);
     ++stats_.probes;
     d.epoch.emplace_back(acc.obj, 0);
     send_probe(view, t.id, t.node, acc.obj, 0);
   }
-  discovering_[t.id] = std::move(d);
+  discovering_.insert_or_assign(t.id, slot);
+}
+
+DistributedBucketScheduler::Discovery*
+DistributedBucketScheduler::discovery(TxnId txn) {
+  const std::int32_t* slot = discovering_.find(txn);
+  return slot != nullptr ? &discovery_slots_[static_cast<std::size_t>(*slot)]
+                         : nullptr;
 }
 
 void DistributedBucketScheduler::send_probe(const SystemView& view, TxnId txn,
@@ -228,9 +248,9 @@ void DistributedBucketScheduler::service_timeouts(const SystemView& view) {
   while (!probe_timeouts_.empty() && probe_timeouts_.top().deadline <= now) {
     const ProbeTimeout pt = probe_timeouts_.top();
     probe_timeouts_.pop();
-    const auto it = discovering_.find(pt.txn);
-    if (it == discovering_.end()) continue;
-    Discovery& d = it->second;
+    Discovery* dp = discovery(pt.txn);
+    if (dp == nullptr) continue;
+    Discovery& d = *dp;
     if (!d.awaits(pt.obj)) continue;
     std::int32_t* ep = d.epoch_of(pt.obj);
     DTM_CHECK(ep != nullptr, "awaited object " << pt.obj << " has no epoch");
@@ -246,7 +266,7 @@ void DistributedBucketScheduler::service_timeouts(const SystemView& view) {
          report_retries_.top().deadline <= now) {
     const ReportRetry rr = report_retries_.top();
     report_retries_.pop();
-    const auto& tr = traces_[trace_index_.at(rr.txn)];
+    const TxnTrace& tr = trace(rr.txn);
     if (tr.reported != kNoTime) continue;
     ++stats_.report_retries;
     const std::int32_t attempt = rr.attempt + 1;
@@ -316,11 +336,11 @@ void DistributedBucketScheduler::pump_messages(const SystemView& view,
         // multiple epochs racing) are counted and dropped. Any epoch's
         // reply is an acceptable answer — it carries a genuine position
         // observation — so the first to arrive wins.
-        const auto it = discovering_.find(reply->requester);
-        if (it == discovering_.end() || !it->second.awaits(reply->object)) {
+        Discovery* dp = discovery(reply->requester);
+        if (dp == nullptr || !dp->awaits(reply->object)) {
           ++stats_.dup_replies;
         } else {
-          Discovery& d = it->second;
+          Discovery& d = *dp;
           d.y = std::max(d.y, view.oracle().dist(d.node, reply->object_node));
           for (const auto& [uid, unode] : reply->users)
             d.y = std::max(d.y, view.oracle().dist(d.node, unode));
@@ -334,7 +354,7 @@ void DistributedBucketScheduler::pump_messages(const SystemView& view,
       } else if (const auto* report = std::get_if<ReportMsg>(&m.payload)) {
         // Delivered at the leader: queue for insertion this step (the
         // drain in on_step discards it if the txn is already placed).
-        const auto& tr = traces_[trace_index_.at(report->txn)];
+        const TxnTrace& tr = trace(report->txn);
         if (tr.reported != kNoTime) {
           ++stats_.dup_reports;
           continue;
@@ -348,13 +368,16 @@ void DistributedBucketScheduler::pump_messages(const SystemView& view,
 void DistributedBucketScheduler::finish_discovery(const SystemView& view,
                                                   TxnId txn) {
   const Time now = view.now();
-  const auto node = discovering_.extract(txn);
-  DTM_REQUIRE(!node.empty(), "finish_discovery for unknown txn " << txn);
-  const Discovery& d = node.mapped();
+  const std::int32_t* slot = discovering_.find(txn);
+  DTM_REQUIRE(slot != nullptr, "finish_discovery for unknown txn " << txn);
+  const std::int32_t s = *slot;
+  discovering_.erase(txn);
+  free_discovery_slots_.push_back(s);
+  const Discovery& d = discovery_slots_[static_cast<std::size_t>(s)];
   const std::int32_t layer = cover_.lowest_layer_covering(d.y);
   const ClusterRef home = cover_.home_cluster(d.node, layer);
   const NodeId leader = cover_.cluster(home).leader;
-  traces_[trace_index_.at(txn)].home = home;
+  trace(txn).home = home;
   ++stats_.reports;
   bus_->send(d.node, leader, now, ReportMsg{txn, 0});
   if (resilient_)
@@ -364,21 +387,22 @@ void DistributedBucketScheduler::finish_discovery(const SystemView& view,
 void DistributedBucketScheduler::handle_report(const SystemView& view,
                                                const PendingReport& rep,
                                                const ExtraAssignments& extra) {
-  BucketKey base{rep.home, -1};
-  const std::int32_t level = choose_level(view, base, rep.txn, extra);
-  base.level = level;
-  auto& bucket = partial_buckets_[base];
+  const std::int32_t h = home_index(rep.home);
+  const std::int32_t level = choose_level(view, h, rep.txn, extra);
+  std::vector<std::int32_t>& pending =
+      pending_[static_cast<std::size_t>(level)];
 
   if (opts_.check_sublayer_disjointness) {
     // Corollary 1: within one sub-layer (and level), conflicting
-    // transactions land in the same partial bucket.
+    // transactions land in the same partial bucket. Only this level's
+    // nonempty buckets can hold a conflicting member.
     const Transaction& t = view.txn(rep.txn);
-    for (const auto& [key, members] : partial_buckets_) {
-      if (key.level != level || key.home == rep.home) continue;
-      if (key.home.layer != rep.home.layer ||
-          key.home.sublayer != rep.home.sublayer)
+    for (const std::int32_t other_home : pending) {
+      const ClusterRef& key = homes_[static_cast<std::size_t>(other_home)].home;
+      if (key == rep.home || key.layer != rep.home.layer ||
+          key.sublayer != rep.home.sublayer)
         continue;
-      for (const TxnId other : members)
+      for (const TxnId other : bucket(other_home, level).members)
         DTM_CHECK(!t.conflicts_with(view.txn(other)),
                   "Corollary 1 violated: txns " << t.id << " and " << other
                                                 << " conflict across partial "
@@ -386,34 +410,46 @@ void DistributedBucketScheduler::handle_report(const SystemView& view,
     }
   }
 
-  bucket.push_back(rep.txn);
-  core_.on_inserted(view, bucket_id(base), view.txn(rep.txn), extra);
+  PartialBucket& b = bucket(h, level);
+  if (b.members.empty()) pending.push_back(h);
+  b.members.push_back(rep.txn);
+  core_.on_inserted(view, b.id, view.txn(rep.txn), extra);
   max_level_used_ = std::max(max_level_used_, level);
-  auto& tr = traces_[trace_index_.at(rep.txn)];
+  TxnTrace& tr = trace(rep.txn);
   tr.reported = rep.when;
   tr.level = level;
 }
 
-BucketInsertionCore::BucketId DistributedBucketScheduler::bucket_id(
-    const BucketKey& key) {
-  const auto [it, fresh] = bucket_ids_.try_emplace(
-      key, static_cast<BucketInsertionCore::BucketId>(bucket_ids_.size()));
-  (void)fresh;
-  return it->second;
+std::int32_t DistributedBucketScheduler::home_index(const ClusterRef& home) {
+  const auto it = std::lower_bound(
+      home_index_.begin(), home_index_.end(), home,
+      [](const std::pair<ClusterRef, std::int32_t>& a, const ClusterRef& b) {
+        return a.first < b;
+      });
+  if (it != home_index_.end() && it->first == home) return it->second;
+  const auto h = static_cast<std::int32_t>(homes_.size());
+  homes_.push_back({home, std::vector<PartialBucket>(
+                              static_cast<std::size_t>(num_levels_))});
+  home_index_.insert(it, {home, h});
+  return h;
+}
+
+DistributedBucketScheduler::PartialBucket& DistributedBucketScheduler::bucket(
+    std::int32_t home, std::int32_t level) {
+  PartialBucket& b = homes_[static_cast<std::size_t>(home)]
+                         .levels[static_cast<std::size_t>(level)];
+  if (b.id == PartialBucket::kNoId) b.id = next_bucket_id_++;
+  return b;
 }
 
 std::int32_t DistributedBucketScheduler::choose_level(
-    const SystemView& view, const BucketKey& base, TxnId txn,
+    const SystemView& view, std::int32_t home, TxnId txn,
     const ExtraAssignments& extra) {
   return core_.choose_level(
       view, view.txn(txn), num_levels_ - 1,
       [&](std::int32_t i) {
-        BucketKey key = base;
-        key.level = i;
-        BucketInsertionCore::LevelView lv{bucket_id(key), {}};
-        const auto it = partial_buckets_.find(key);
-        if (it != partial_buckets_.end()) lv.members = it->second;
-        return lv;
+        const PartialBucket& b = bucket(home, i);
+        return BucketInsertionCore::LevelView{b.id, b.members};
       },
       extra);
 }
@@ -422,21 +458,28 @@ void DistributedBucketScheduler::activate(const SystemView& view,
                                           std::int32_t level,
                                           ExtraAssignments& extra,
                                           std::vector<Assignment>& out) {
-  // Collect this level's nonempty partial buckets in height order (the
-  // lexicographic serialization of Lemma 8).
-  std::vector<BucketKey> keys;
-  for (const auto& [key, members] : partial_buckets_)
-    if (key.level == level && !members.empty()) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  std::vector<std::int32_t>& pending =
+      pending_[static_cast<std::size_t>(level)];
+  if (pending.empty()) return;
+  // This level's nonempty partial buckets in home order (the lexicographic
+  // serialization of Lemma 8).
+  activation_order_.assign(pending.begin(), pending.end());
+  pending.clear();
+  std::sort(activation_order_.begin(), activation_order_.end(),
+            [&](std::int32_t a, std::int32_t b) {
+              return homes_[static_cast<std::size_t>(a)].home <
+                     homes_[static_cast<std::size_t>(b)].home;
+            });
 
   const Time now = view.now();
-  for (const BucketKey& key : keys) {
-    auto& members = partial_buckets_.at(key);
-    const CoverCluster& cluster = cover_.cluster(key.home);
-    const auto id = bucket_id(key);
+  for (const std::int32_t h : activation_order_) {
+    PartialBucket& b = bucket(h, level);
+    const CoverCluster& cluster =
+        cover_.cluster(homes_[static_cast<std::size_t>(h)].home);
     // Gather shift below must not touch the cached problem, so the
     // activation works on a copy.
-    activation_scratch_ = core_.activation_problem(view, id, members, extra);
+    activation_scratch_ =
+        core_.activation_problem(view, b.id, b.members, extra);
     BatchProblem& p = activation_scratch_;
     // Leader gather round: object commitments cannot be consumed before the
     // leader has collected state and redistributed decisions inside the
@@ -463,11 +506,16 @@ void DistributedBucketScheduler::activate(const SystemView& view,
       const Assignment final{asg.txn, asg.exec + shift};
       out.push_back(final);
       extra.set(final.txn, final.exec);
-      auto& tr = traces_[trace_index_.at(final.txn)];
-      tr.exec = final.exec;
+      trace(final.txn).exec = final.exec;
+      // The engine reroutes this txn's objects when it applies the
+      // assignment and again when the txn commits at final.exec: the only
+      // events that move a resting object.
+      if (opts_.message_level_discovery)
+        for (const auto& acc : view.txn(final.txn).accesses)
+          trails_.watch(acc.obj, final.exec);
     }
-    members.clear();
-    core_.on_drained(id);
+    b.members.clear();
+    core_.on_drained(b.id);
     core_.note_world_change();
   }
 }
@@ -489,10 +537,9 @@ Time DistributedBucketScheduler::next_event_hint(Time now) const {
     if (!probe_timeouts_.empty()) merge(probe_timeouts_.top().deadline);
     if (!report_retries_.empty()) merge(report_retries_.top().deadline);
   }
-  for (const auto& [key, members] : partial_buckets_) {
-    if (members.empty()) continue;
-    const Time period =
-        key.level < 63 ? (Time{1} << key.level) : (Time{1} << 62);
+  for (std::size_t level = 0; level < pending_.size(); ++level) {
+    if (pending_[level].empty()) continue;
+    const Time period = level < 63 ? (Time{1} << level) : (Time{1} << 62);
     const Time base = std::max<Time>(now, 1);
     const Time fire = ((base + period - 1) / period) * period;
     next = next == kNoTime ? fire : std::min(next, fire);

@@ -24,10 +24,8 @@
 // protocol would have delivered to it by that time.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "batch/batch_scheduler.hpp"
@@ -38,6 +36,7 @@
 #include "dist/tracking.hpp"
 #include "net/sparse_cover.hpp"
 #include "net/topology.hpp"
+#include "util/flat_map.hpp"
 #include "util/small_vector.hpp"
 
 namespace dtm {
@@ -146,6 +145,8 @@ class DistributedBucketScheduler final : public OnlineScheduler {
   [[nodiscard]] const BucketInsertionCore& insertion_core() const {
     return core_;
   }
+  /// The discovery layer's object trails (message mode).
+  [[nodiscard]] const ObjectTrailDirectory& trails() const { return trails_; }
 
   /// Trace of where each transaction landed, for the Lemma 7/8 experiments.
   struct TxnTrace {
@@ -168,18 +169,28 @@ class DistributedBucketScheduler final : public OnlineScheduler {
     }
   };
 
-  /// Key of a partial i-bucket: cluster + level.
-  struct BucketKey {
+  /// One partial i-bucket. `id` is the insertion core's handle, assigned
+  /// densely on first use (first probe of the bucket).
+  struct PartialBucket {
+    static constexpr BucketInsertionCore::BucketId kNoId = ~0ULL;
+    BucketInsertionCore::BucketId id = kNoId;
+    std::vector<TxnId> members;
+  };
+  /// The partial buckets of one home cluster, one per level.
+  struct HomeBuckets {
     ClusterRef home;
-    std::int32_t level = -1;
-    auto operator<=>(const BucketKey&) const = default;
+    std::vector<PartialBucket> levels;
   };
 
   void ensure_levels(const SystemView& view);
-  /// Stable dense id for a partial bucket (the insertion core's handle).
-  BucketInsertionCore::BucketId bucket_id(const BucketKey& key);
-  std::int32_t choose_level(const SystemView& view, const BucketKey& base,
+  /// Dense index into homes_ of `home`'s buckets, created on first use.
+  std::int32_t home_index(const ClusterRef& home);
+  /// `home`'s bucket at `level`, its core id assigned if still unset.
+  PartialBucket& bucket(std::int32_t home, std::int32_t level);
+  std::int32_t choose_level(const SystemView& view, std::int32_t home,
                             TxnId txn, const ExtraAssignments& extra);
+  /// traces_ row of `txn`.
+  TxnTrace& trace(TxnId txn);
   void handle_report(const SystemView& view, const PendingReport& rep,
                      const ExtraAssignments& extra);
   void activate(const SystemView& view, std::int32_t level,
@@ -189,7 +200,6 @@ class DistributedBucketScheduler final : public OnlineScheduler {
   void start_analytic_discovery(const SystemView& view, const Transaction& t);
 
   // -- message-level discovery --
-  void track_objects(const SystemView& view);
   void start_probe_discovery(const SystemView& view, const Transaction& t);
   void pump_messages(const SystemView& view, const ExtraAssignments& extra);
   void finish_discovery(const SystemView& view, TxnId txn);
@@ -238,6 +248,8 @@ class DistributedBucketScheduler final : public OnlineScheduler {
       return nullptr;
     }
   };
+  /// The live discovery of `txn`, or nullptr once it has finished.
+  [[nodiscard]] Discovery* discovery(TxnId txn);
 
   /// Armed when a probe is sent; fires a re-probe if the reply has not
   /// retired (txn, obj) by `deadline`. Stale entries (epoch superseded or
@@ -271,7 +283,6 @@ class DistributedBucketScheduler final : public OnlineScheduler {
   std::unique_ptr<SuffixWrapper> wrapped_;
   DistBucketOptions opts_;
   BucketInsertionCore core_;
-  std::map<BucketKey, BucketInsertionCore::BucketId> bucket_ids_;
   BatchProblem activation_scratch_;  ///< gather-shifted activation copy
 
   std::int32_t num_levels_ = 0;
@@ -282,9 +293,15 @@ class DistributedBucketScheduler final : public OnlineScheduler {
       probe_timeouts_;
   std::priority_queue<ReportRetry, std::vector<ReportRetry>, std::greater<>>
       report_retries_;
+  /// Every object a discovery has touched. The per-step pass reads only
+  /// those in transit or watched after an assignment (activate()).
   ObjectTrailDirectory trails_;
-  std::set<ObjId> tracked_;
-  std::map<TxnId, Discovery> discovering_;
+  /// Live discoveries: txn -> slot in discovery_slots_. Finished slots go
+  /// to the free list and are reused, so the pool is as large as the peak
+  /// number of concurrent discoveries.
+  FlatMap<TxnId, std::int32_t> discovering_;
+  std::vector<Discovery> discovery_slots_;
+  std::vector<std::int32_t> free_discovery_slots_;
   /// Persistent pump_messages scratch: drain_into clears it but keeps its
   /// capacity, so the steady-state send → drain loop allocates nothing
   /// (the DTM_ALLOC_TRACK pins assert this).
@@ -295,8 +312,17 @@ class DistributedBucketScheduler final : public OnlineScheduler {
   std::priority_queue<PendingReport, std::vector<PendingReport>,
                       std::greater<>>
       reports_;
-  std::map<BucketKey, std::vector<TxnId>> partial_buckets_;
-  std::map<TxnId, std::size_t> trace_index_;
+  /// Partial buckets by home cluster: homes_ is append-only (stable
+  /// indices), home_index_ maps each home to its index, sorted by home.
+  std::vector<HomeBuckets> homes_;
+  std::vector<std::pair<ClusterRef, std::int32_t>> home_index_;
+  /// Per level, the homes whose bucket at that level is nonempty: an
+  /// activation and the next-event hint touch only these, never the
+  /// (ever-growing) set of buckets that were used once.
+  std::vector<std::vector<std::int32_t>> pending_;
+  BucketInsertionCore::BucketId next_bucket_id_ = 0;
+  std::vector<std::int32_t> activation_order_;  ///< activate() scratch
+  FlatMap<TxnId, std::size_t> trace_index_;
   std::vector<TxnTrace> traces_;
   DistStats stats_;
   std::int64_t analytic_distance_ = 0;  ///< non-bus charges (notify, 4x)

@@ -1,65 +1,140 @@
 #include "dist/tracking.hpp"
 
+#include <algorithm>
+
 namespace dtm {
 
-void ObjectTrailDirectory::register_object(ObjId id, NodeId birth) {
-  Trail t;
+std::int32_t ObjectTrailDirectory::find(ObjId id) const {
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), id,
+      [](const std::pair<ObjId, std::int32_t>& a, ObjId b) {
+        return a.first < b;
+      });
+  return it != index_.end() && it->first == id ? it->second : -1;
+}
+
+const ObjectTrailDirectory::Trail& ObjectTrailDirectory::trail(
+    ObjId id) const {
+  const std::int32_t slot = find(id);
+  DTM_REQUIRE(slot >= 0, "unknown object " << id);
+  return trails_[static_cast<std::size_t>(slot)];
+}
+
+ObjectTrailDirectory::Trail& ObjectTrailDirectory::add(ObjId id,
+                                                       NodeId birth) {
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), id,
+      [](const std::pair<ObjId, std::int32_t>& a, ObjId b) {
+        return a.first < b;
+      });
+  DTM_CHECK(it == index_.end() || it->first != id,
+            "object " << id << " registered twice");
+  index_.insert(it, {id, static_cast<std::int32_t>(trails_.size())});
+  Trail& t = trails_.emplace_back();
   t.birth = birth;
   t.terminus = birth;
-  const bool inserted = trails_.emplace(id, std::move(t)).second;
-  DTM_CHECK(inserted, "object " << id << " registered twice");
+  return t;
+}
+
+void ObjectTrailDirectory::register_object(ObjId id, NodeId birth) {
+  (void)add(id, birth);
+}
+
+bool ObjectTrailDirectory::track(const ObjectState& obj) {
+  if (contains(obj.id())) return false;
+  Trail& t = add(obj.id(), obj.in_transit() ? obj.dest() : obj.at());
+  t.state = &obj;
+  t.observe(obj);
+  if (obj.in_transit())
+    enlist(static_cast<std::int32_t>(trails_.size()) - 1);
+  return true;
+}
+
+void ObjectTrailDirectory::enlist(std::int32_t slot) {
+  Trail& t = trails_[static_cast<std::size_t>(slot)];
+  if (t.watched) return;
+  t.watched = true;
+  watched_.push_back(slot);
+}
+
+void ObjectTrailDirectory::watch(ObjId id, Time until) {
+  const std::int32_t slot = find(id);
+  DTM_REQUIRE(slot >= 0 && trails_[static_cast<std::size_t>(slot)].state,
+              "watch of untracked object " << id);
+  Trail& t = trails_[static_cast<std::size_t>(slot)];
+  t.watch_until = std::max(t.watch_until, until);
+  enlist(slot);
 }
 
 NodeId ObjectTrailDirectory::birth_node(ObjId id) const {
-  const auto it = trails_.find(id);
-  DTM_REQUIRE(it != trails_.end(), "unknown object " << id);
-  return it->second.birth;
+  return trail(id).birth;
 }
 
 void ObjectTrailDirectory::observe(const ObjectState& obj, Time /*now*/) {
-  const auto it = trails_.find(obj.id());
-  DTM_REQUIRE(it != trails_.end(), "unknown object " << obj.id());
-  Trail& t = it->second;
+  const std::int32_t slot = find(obj.id());
+  DTM_REQUIRE(slot >= 0, "unknown object " << obj.id());
+  trails_[static_cast<std::size_t>(slot)].observe(obj);
+}
+
+void ObjectTrailDirectory::observe_watched(Time now) {
+  std::size_t kept = 0;
+  for (const std::int32_t slot : watched_) {
+    Trail& t = trails_[static_cast<std::size_t>(slot)];
+    t.observe(*t.state);
+    if (t.state->in_transit() || t.watch_until >= now)
+      watched_[kept++] = slot;
+    else
+      t.watched = false;
+  }
+  watched_.resize(kept);
+}
+
+void ObjectTrailDirectory::Trail::observe(const ObjectState& obj) {
   if (obj.in_transit()) {
     const NodeId from = obj.leg_from();
     const NodeId to = obj.dest();
-    if (!t.was_in_transit || t.leg_from != from || t.leg_to != to ||
-        t.leg_depart != obj.depart_time()) {
+    if (!was_in_transit || leg_from != from || leg_to != to ||
+        leg_depart != obj.depart_time()) {
       // New leg: the departure node keeps a forwarding pointer stamped with
       // the true departure time (a probe arriving earlier sees the object
       // as still present, which physically it is).
-      t.pointer[from] = {to, obj.depart_time()};
-      t.leg_from = from;
-      t.leg_to = to;
-      t.leg_depart = obj.depart_time();
-      t.was_in_transit = true;
-      t.terminus = to;
+      const auto it = std::lower_bound(
+          pointers.begin(), pointers.end(), from,
+          [](const Pointer& p, NodeId n) { return p.node < n; });
+      if (it != pointers.end() && it->node == from)
+        *it = {from, to, obj.depart_time()};
+      else
+        pointers.insert(it, {from, to, obj.depart_time()});
+      leg_from = from;
+      leg_to = to;
+      leg_depart = obj.depart_time();
+      was_in_transit = true;
+      terminus = to;
     }
   } else {
-    t.was_in_transit = false;
-    t.terminus = obj.at();
+    was_in_transit = false;
+    terminus = obj.at();
   }
 }
 
 ObjectTrailDirectory::TrailHop ObjectTrailDirectory::lookup(
     ObjId id, NodeId node, Time now, Time min_depart) const {
-  const auto it = trails_.find(id);
-  DTM_REQUIRE(it != trails_.end(), "unknown object " << id);
-  const auto pit = it->second.pointer.find(node);
+  const Trail& t = trail(id);
+  const auto it = std::lower_bound(
+      t.pointers.begin(), t.pointers.end(), node,
+      [](const Pointer& p, NodeId n) { return p.node < n; });
   TrailHop hop;
-  if (pit != it->second.pointer.end() && pit->second.second <= now &&
-      (min_depart == kNoTime || pit->second.second >= min_depart)) {
+  if (it != t.pointers.end() && it->node == node && it->time <= now &&
+      (min_depart == kNoTime || it->time >= min_depart)) {
     hop.departed = true;
-    hop.next = pit->second.first;
-    hop.depart_time = pit->second.second;
+    hop.next = it->next;
+    hop.depart_time = it->time;
   }
   return hop;
 }
 
 NodeId ObjectTrailDirectory::current_terminus(ObjId id) const {
-  const auto it = trails_.find(id);
-  DTM_REQUIRE(it != trails_.end(), "unknown object " << id);
-  return it->second.terminus;
+  return trail(id).terminus;
 }
 
 }  // namespace dtm

@@ -8,9 +8,20 @@
 // hop). The directory is a *distributed* data structure in the model; the
 // simulation stores it centrally but every lookup is made by a probe that
 // physically visits the node, so information only flows at network speed.
+//
+// Storage is flat: trails live in one dense vector (a sorted id index finds
+// them for the per-message queries), and each trail's pointers are a small
+// node-sorted vector. Objects registered through track() also hold a
+// reference to the engine's live ObjectState, and the per-step mirror pass
+// (observe_watched) reads only the objects that can have changed since the
+// last pass: those in transit, and those the caller has announced may start
+// moving (watch). An object at rest with no announced motion cannot change
+// state, so skipping it leaves every trail exactly as a pass over all
+// objects would — at a cost proportional to the objects in motion.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/object_state.hpp"
@@ -24,12 +35,36 @@ class ObjectTrailDirectory {
   /// know birth nodes (static global knowledge, as in the paper).
   void register_object(ObjId id, NodeId birth);
 
+  /// Starts tracking the engine's live record `obj`: registers it with its
+  /// current resting place (or inbound node) as the birth node, observes it
+  /// once, and keeps the reference for observe_watched(). The record must
+  /// outlive the directory (SystemView::object references do for the run).
+  /// Returns false, and does nothing, if the object is already registered.
+  bool track(const ObjectState& obj);
+
+  /// Announces that tracked object `id` may leave its resting place (or be
+  /// redirected) at any step up to and including `until` — in the engine,
+  /// when a transaction using it is assigned or commits. observe_watched()
+  /// keeps observing it until a pass after `until` finds it at rest.
+  void watch(ObjId id, Time until);
+
+  [[nodiscard]] bool contains(ObjId id) const { return find(id) >= 0; }
+
   [[nodiscard]] NodeId birth_node(ObjId id) const;
 
   /// Mirrors the engine's object state into the trail: call once per
   /// observed step per object; departures are recorded at the node the
   /// object left with the exact departure time read off the leg.
   void observe(const ObjectState& obj, Time now);
+
+  /// observe() at step `now` for every tracked object that can have
+  /// changed: those in transit at the previous pass and those watched,
+  /// each read through its held reference. Objects found at rest whose
+  /// watch has expired (until < now) leave the pass until watched again.
+  void observe_watched(Time now);
+
+  /// Objects the next observe_watched() pass will read.
+  [[nodiscard]] std::size_t num_watched() const { return watched_.size(); }
 
   /// What a probe physically standing at `node` at time `now` learns about
   /// the object: either "departed toward X at time T" (follow the trail,
@@ -50,13 +85,20 @@ class ObjectTrailDirectory {
   [[nodiscard]] NodeId current_terminus(ObjId id) const;
 
  private:
+  /// A forwarding pointer: the object left `node` toward `next` at `time`.
+  struct Pointer {
+    NodeId node = kNoNode;
+    NodeId next = kNoNode;
+    Time time = kNoTime;
+  };
+
   struct Trail {
     NodeId birth = kNoNode;
-    /// Per node, the most recent departure (node -> (next, time)). A node
-    /// can be revisited; the latest pointer wins, and a probe arriving
-    /// before the recorded departure treats the object as still here —
-    /// exactly the physical semantics.
-    std::map<NodeId, std::pair<NodeId, Time>> pointer;
+    /// Per node, the most recent departure, sorted by node. A node can be
+    /// revisited; the latest pointer wins, and a probe arriving before the
+    /// recorded departure treats the object as still here — exactly the
+    /// physical semantics.
+    std::vector<Pointer> pointers;
     NodeId terminus = kNoNode;
     // Last observed leg, to detect changes. The departure time is part of
     // the signature: with event-driven observation an object can settle and
@@ -66,8 +108,30 @@ class ObjectTrailDirectory {
     NodeId leg_from = kNoNode;
     NodeId leg_to = kNoNode;
     Time leg_depart = kNoTime;
+    /// The engine record, when registered through track().
+    const ObjectState* state = nullptr;
+    /// Last step at which the object may start moving (see watch());
+    /// kNoTime (negative) when never watched.
+    Time watch_until = kNoTime;
+    bool watched = false;  ///< listed in watched_
+
+    void observe(const ObjectState& obj);
   };
-  std::map<ObjId, Trail> trails_;
+
+  /// Dense slot of `id`, or -1.
+  [[nodiscard]] std::int32_t find(ObjId id) const;
+  /// The trail of `id`; hard error if the object is unknown.
+  [[nodiscard]] const Trail& trail(ObjId id) const;
+  Trail& add(ObjId id, NodeId birth);
+
+  /// Keeps the trail in slot `slot` in the observe_watched() pass.
+  void enlist(std::int32_t slot);
+
+  std::vector<Trail> trails_;
+  /// (object id, slot) sorted by id.
+  std::vector<std::pair<ObjId, std::int32_t>> index_;
+  /// Slots of the tracked objects the next pass reads.
+  std::vector<std::int32_t> watched_;
 };
 
 }  // namespace dtm

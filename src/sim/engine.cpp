@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace dtm {
 
@@ -149,19 +148,19 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
   // them, and the engine flags the other.
   std::vector<Commit> commits;
   commits.reserve(due_scratch_.size());
-  std::vector<ObjId> released;
-  std::set<ObjId> consumed_this_step;
+  released_scratch_.clear();
   for (const TxnId id : due_scratch_) {
     const auto lit = live.find(id);
     const TxnStore::LiveTxn& lt = lit->second;
     for (const auto& acc : lt.txn.accesses) {
+      TxnStore::ObjEntry& e = store_.obj_entry(acc.obj);
       // One commit per object per step: even two transactions on the same
       // node must serialize on a shared object (the model's conflict
       // semantics; matches validate_schedule's tie rule).
-      DTM_CHECK(consumed_this_step.insert(acc.obj).second,
+      DTM_CHECK(e.committed_at != now,
                 "object " << acc.obj << " used by two transactions at step "
                           << now << " (txn " << id << ")");
-      TxnStore::ObjEntry& e = store_.obj_entry(acc.obj);
+      e.committed_at = now;
       e.state.settle(now);
       DTM_CHECK(!e.state.in_transit() && e.state.at() == lt.txn.node,
                 "txn " << id << " executing at step " << now << " on node "
@@ -171,13 +170,13 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
                                : " (resting at node " +
                                      std::to_string(e.state.at()) + ")"));
       e.state.set_last_txn(id);
-      released.push_back(acc.obj);
+      released_scratch_.push_back(acc.obj);
     }
     commits.push_back({id, lt.txn.node, lt.txn.gen_time, lt.exec});
     store_.commit(lit, lt.exec);
   }
   // Forward released objects to their next scheduled user.
-  transport_->reroute_many(released, now);
+  transport_->reroute_many(released_scratch_, now);
   clock_.tick();
   if (shadow_) {
     const std::vector<Commit> twin = shadow_->finish_step();

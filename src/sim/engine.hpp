@@ -153,6 +153,7 @@ class SyncEngine final : public SystemView {
 
   std::vector<TxnId> due_scratch_;
   std::vector<ObjId> reroute_scratch_;
+  std::vector<ObjId> released_scratch_;
 };
 
 }  // namespace dtm

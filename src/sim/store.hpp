@@ -49,6 +49,9 @@ class TxnStore {
     TxnId best_user = kNoTxn;
     Time best_exec = kNoTime;
     NodeId best_node = kNoNode;
+    /// Last step a transaction committed on this object (the engine's
+    /// one-commit-per-object-per-step check).
+    Time committed_at = kNoTime;
   };
 
   TxnStore(std::vector<ObjectOrigin> origins, const DistanceOracle& oracle);

@@ -1,0 +1,454 @@
+// Equivalence of the flat (map-free) batch validation/ordering kernels, the
+// flat schedule validator, the held-reference trail directory and the
+// engine's per-step commit check against their map-based references
+// (tests/oracle/map_kernels.hpp), on randomized inputs.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+
+#include "batch/suffix_wrapper.hpp"
+#include "dist/dist_bucket.hpp"
+#include "dist/tracking.hpp"
+#include "net/topology.hpp"
+#include "oracle/map_kernels.hpp"
+#include "sim/engine.hpp"
+#include "sim/runner.hpp"
+#include "test_helpers.hpp"
+#include "util/flat_map.hpp"
+
+namespace dtm {
+namespace {
+
+/// Random batch problem: shuffled distinct txn ids, 1-3 distinct objects
+/// per txn, availability in [now, now + 5], and (when `repeat_objects`) a
+/// few repeated object rows whose last copy is the one that counts.
+BatchProblem random_problem(const Network& net, Rng& rng, int txns,
+                            int objects, bool repeat_objects = false) {
+  BatchProblem p;
+  p.oracle = net.oracle.get();
+  p.latency_factor = rng.uniform_int(1, 2);
+  p.now = rng.uniform_int(0, 20);
+  const auto node = [&] {
+    return static_cast<NodeId>(rng.uniform_int(0, net.num_nodes() - 1));
+  };
+  for (ObjId o = 0; o < objects; ++o)
+    p.objects.push_back(
+        {o * 3 + 1, node(), p.now + rng.uniform_int(0, 5), rng.bernoulli(0.5)});
+  if (repeat_objects)
+    for (int i = 0; i < 2; ++i) {
+      BatchObject dup = p.objects[static_cast<std::size_t>(
+          rng.uniform_int(0, objects - 1))];
+      dup.node = node();
+      dup.ready = p.now + rng.uniform_int(0, 5);
+      p.objects.push_back(dup);
+    }
+  rng.shuffle(p.objects);
+  std::vector<TxnId> ids;
+  for (int i = 0; i < txns; ++i) ids.push_back(100 + 7 * i);
+  rng.shuffle(ids);
+  for (const TxnId id : ids) {
+    const auto k = static_cast<std::int32_t>(
+        rng.uniform_int(1, std::min(3, objects)));
+    BatchTxn t{id, node(), {}};
+    for (const std::int32_t j : rng.sample_distinct(objects, k))
+      t.objects.push_back(j * 3 + 1);
+    p.txns.push_back(std::move(t));
+  }
+  return p;
+}
+
+bool accepts(const std::function<void()>& check) {
+  try {
+    check();
+    return true;
+  } catch (const CheckError&) {
+    return false;
+  }
+}
+
+void expect_same_result(const BatchResult& a, const BatchResult& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  ASSERT_EQ(a.assignments.size(), b.assignments.size());
+  for (std::size_t i = 0; i < a.assignments.size(); ++i) {
+    EXPECT_EQ(a.assignments[i].txn, b.assignments[i].txn) << "row " << i;
+    EXPECT_EQ(a.assignments[i].exec, b.assignments[i].exec) << "row " << i;
+  }
+}
+
+TEST(MapFreeKernels, FlatMapBehavesAsASortedMap) {
+  FlatMap<TxnId, int> m;
+  EXPECT_TRUE(m.empty());
+  m.insert_or_assign(5, 50);
+  m.insert_or_assign(9, 90);
+  m.insert_or_assign(1, 10);  // out of order: inserted in place
+  m.insert_or_assign(5, 55);  // overwrite
+  EXPECT_EQ(m.size(), 3u);
+  ASSERT_NE(m.find(5), nullptr);
+  EXPECT_EQ(*m.find(5), 55);
+  EXPECT_EQ(*m.find(1), 10);
+  EXPECT_EQ(m.find(4), nullptr);
+  EXPECT_TRUE(m.erase(1));
+  EXPECT_FALSE(m.erase(1));
+  EXPECT_EQ(m.find(1), nullptr);
+  EXPECT_EQ(*m.find(9), 90);
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(MapFreeKernels, CheckBatchResultAgreesWithMapReference) {
+  const Network net = make_line(12);
+  Rng rng(41);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    BatchProblem p = random_problem(net, rng, 1 + trial % 9, 1 + trial % 5,
+                                    trial % 3 == 0);
+    std::vector<std::size_t> order(p.txns.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    rng.shuffle(order);
+    BatchResult r = chain_evaluate_scalar(p, order, /*validate=*/false);
+    rng.shuffle(r.assignments);
+    switch (trial % 7) {
+      case 1:  // one txn earlier: usually infeasible
+        r.assignments[0].exec -= rng.uniform_int(1, 3);
+        break;
+      case 2:  // duplicate id
+        if (r.assignments.size() > 1)
+          r.assignments[1].txn = r.assignments[0].txn;
+        break;
+      case 3:
+        ++r.makespan;
+        break;
+      case 4:  // an object the problem does not know
+        p.objects.erase(p.objects.begin());
+        break;
+      case 5:  // one txn later: feasible unless the makespan moves
+        r.assignments[0].exec += rng.uniform_int(0, 2);
+        break;
+      default:
+        break;
+    }
+    const bool ref = accepts([&] { oracle::check_batch_result(p, r); });
+    const bool flat = accepts([&] { check_batch_result(p, r); });
+    EXPECT_EQ(ref, flat) << "trial " << trial;
+    (ref ? accepted : rejected) += 1;
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(accepted, 50);
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(MapFreeKernels, ExecOrderMatchesStableSortOverMap) {
+  const Network net = make_line(10);
+  Rng rng(7);
+  for (int trial = 0; trial < 100; ++trial) {
+    const BatchProblem p = random_problem(net, rng, 1 + trial % 11, 4);
+    std::vector<std::size_t> order(p.txns.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    rng.shuffle(order);
+    BatchResult r = chain_evaluate_scalar(p, order, /*validate=*/false);
+    for (auto& a : r.assignments) a.exec = p.now + rng.uniform_int(0, 3);
+    rng.shuffle(r.assignments);
+    std::vector<Time> exec;
+    exec_in_problem_order(p, r, exec);
+    for (std::size_t i = 0; i < p.txns.size(); ++i)
+      EXPECT_EQ(exec[i], r.exec_of(p.txns[i].id));
+    std::vector<std::size_t> flat;
+    order_by_exec(p, exec, flat);
+    EXPECT_EQ(flat, oracle::exec_order(p, r)) << "trial " << trial;
+  }
+  const Network tiny = make_line(3);
+  BatchProblem p = random_problem(tiny, rng, 2, 1);
+  BatchResult r;
+  r.assignments = {{p.txns[0].id, p.now}};
+  std::vector<Time> exec;
+  EXPECT_THROW(exec_in_problem_order(p, r, exec), CheckError);
+}
+
+TEST(MapFreeKernels, OrderPoliciesMatchMapReferences) {
+  struct Case {
+    Network net;
+    std::unique_ptr<BatchScheduler> flat;
+    std::unique_ptr<BatchScheduler> ref;
+  };
+  std::vector<Case> cases;
+  cases.push_back({make_cluster(4, 3, 5), make_cluster_batch(3),
+                   oracle::make_cluster_batch(3)});
+  cases.push_back({make_star(4, 3), make_star_batch(3),
+                   oracle::make_star_batch(3)});
+  cases.push_back({make_clique(9), make_clique_batch(),
+                   oracle::make_clique_batch()});
+  Rng draw(19);
+  for (const Case& c : cases) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const BatchProblem p =
+          random_problem(c.net, draw, 1 + trial % 12, 2 + trial % 6);
+      const auto seed = static_cast<std::uint64_t>(trial) * 977 + 3;
+      Rng a(seed);
+      Rng b(seed);
+      expect_same_result(c.flat->schedule(p, a), c.ref->schedule(p, b));
+      // The same number of draws was consumed.
+      EXPECT_EQ(a.uniform_int(0, 1 << 30), b.uniform_int(0, 1 << 30));
+    }
+  }
+}
+
+TEST(MapFreeKernels, SuffixWrapperMatchesPrefixReplayReference) {
+  const Network net = make_cluster(3, 4, 6);
+  std::vector<std::shared_ptr<const BatchScheduler>> inners = {
+      make_tsp_batch(), make_sequential_batch(), make_cluster_batch(4),
+      make_line_batch(), make_coloring_batch()};
+  Rng draw(5);
+  for (const auto& inner : inners) {
+    const SuffixWrapper flat(inner);
+    const oracle::SuffixWrapper ref(inner);
+    for (int trial = 0; trial < 40; ++trial) {
+      const BatchProblem p =
+          random_problem(net, draw, 1 + trial % 10, 2 + trial % 4);
+      Rng a(trial + 1);
+      Rng b(trial + 1);
+      const BatchResult r = flat.schedule(p, a);
+      expect_same_result(r, ref.schedule(p, b));
+      for (std::size_t k = 0; k <= p.txns.size(); ++k) {
+        const auto got = SuffixWrapper::availability_after_prefix(p, r, k);
+        const auto want = oracle::availability_after_prefix(p, r, k);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id);
+          EXPECT_EQ(got[i].node, want[i].node);
+          EXPECT_EQ(got[i].ready, want[i].ready);
+          EXPECT_EQ(got[i].from_txn, want[i].from_txn);
+        }
+      }
+    }
+  }
+}
+
+TEST(MapFreeKernels, ValidateScheduleMatchesMapReference) {
+  const Network net = make_line(9);
+  Rng rng(23);
+  int valid = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<ObjectOrigin> origins;
+    const int objects = 1 + trial % 5;
+    for (ObjId o = 0; o < objects; ++o)
+      origins.push_back({o, static_cast<NodeId>(rng.uniform_int(0, 8)), 0});
+    if (trial % 5 == 0) origins.push_back({0, 4, 0});  // repeated origin
+    rng.shuffle(origins);
+    std::vector<ScheduledTxn> sched;
+    Time t = 0;
+    const int txns = 1 + trial % 8;
+    for (TxnId id = 0; id < txns; ++id) {
+      // Mostly far apart (feasible), sometimes crowded (infeasible).
+      t += trial % 2 == 0 ? 40 : rng.uniform_int(0, 3);
+      std::vector<ObjId> objs;
+      for (const auto o : rng.sample_distinct(objects + (trial % 7 == 0),
+                                              std::min(2, objects)))
+        objs.push_back(o);
+      ScheduledTxn s{testing::txn(txns - id, static_cast<NodeId>(
+                                                 rng.uniform_int(0, 8)),
+                                  0, objs),
+                     t};
+      if (trial % 11 == 0 && id == 0) s.exec = kNoTime;
+      sched.push_back(s);
+    }
+    rng.shuffle(sched);
+    const ValidationError ref =
+        oracle::validate_schedule(sched, origins, *net.oracle, 2);
+    const ValidationError flat =
+        validate_schedule(sched, origins, *net.oracle, 2);
+    EXPECT_EQ(ref, flat) << "trial " << trial;
+    valid += !ref.has_value();
+  }
+  EXPECT_GT(valid, 50);
+  EXPECT_LT(valid, 250);
+}
+
+TEST(MapFreeKernels, HeldReferenceTrailsMatchMapReference) {
+  const Network net = make_line(16);
+  Rng rng(31);
+  constexpr int kObjects = 6;
+  std::vector<ObjectState> objs;
+  for (ObjId o = 0; o < kObjects; ++o)
+    objs.emplace_back(o * 5, static_cast<NodeId>(rng.uniform_int(0, 15)), 0);
+  ObjectTrailDirectory dir;
+  oracle::TrailDirectory ref;
+  for (Time now = 0; now < 400; ++now) {
+    for (ObjectState& os : objs) {
+      if (os.in_transit()) os.settle(now);
+      if (rng.bernoulli(0.15)) {
+        // Announced motion (as the scheduler announces each assignment),
+        // sometimes well ahead of the step it happens at.
+        if (dir.contains(os.id()) && rng.bernoulli(0.2))
+          dir.watch(os.id(), now + rng.uniform_int(0, 6));
+        if (dir.contains(os.id())) dir.watch(os.id(), now);
+        os.route_to(static_cast<NodeId>(rng.uniform_int(0, 15)), now,
+                    *net.oracle, 2);
+      } else if (os.in_transit() && rng.bernoulli(0.05)) {
+        os.delay_arrival(rng.uniform_int(1, 3));
+      }
+    }
+    // Objects join the directories over time; steps are observed only
+    // sometimes (event-driven run loops skip steps).
+    for (ObjectState& os : objs)
+      if (now == os.id() * 10 && dir.track(os)) {
+        ref.register_object(os.id(),
+                            os.in_transit() ? os.dest() : os.at());
+        ref.observe(os);
+      }
+    if (rng.bernoulli(0.6)) {
+      dir.observe_watched(now);
+      for (const ObjectState& os : objs)
+        if (dir.contains(os.id())) ref.observe(os);
+      // Only objects in motion or under a live watch stay in the pass.
+      std::size_t moving = 0;
+      for (const ObjectState& os : objs)
+        moving += dir.contains(os.id()) && os.in_transit();
+      EXPECT_GE(dir.num_watched(), moving);
+    }
+    for (const ObjectState& os : objs) {
+      if (!dir.contains(os.id())) continue;
+      EXPECT_FALSE(dir.track(os));  // registered once
+      EXPECT_EQ(dir.birth_node(os.id()), ref.birth_node(os.id()));
+      EXPECT_EQ(dir.current_terminus(os.id()), ref.current_terminus(os.id()));
+      for (NodeId node = 0; node < 16; ++node) {
+        const Time min_depart =
+            rng.bernoulli(0.5) ? kNoTime : rng.uniform_int(0, now + 1);
+        const auto hop = dir.lookup(os.id(), node, now, min_depart);
+        const auto [departed, next, when] =
+            ref.lookup(os.id(), node, now, min_depart);
+        EXPECT_EQ(hop.departed, departed);
+        if (departed) {
+          EXPECT_EQ(hop.next, next);
+          EXPECT_EQ(hop.depart_time, when);
+        }
+      }
+    }
+  }
+  for (const ObjectState& os : objs) EXPECT_TRUE(dir.contains(os.id()));
+}
+
+/// Runs the distributed scheduler while mirroring EVERY object it tracks
+/// into the map-based reference at every step; after each step the
+/// scheduler's watched mirror must answer every query identically.
+class FullMirrorCheck final : public OnlineScheduler {
+ public:
+  FullMirrorCheck(DistributedBucketScheduler& inner,
+                  std::vector<ObjectOrigin> origins)
+      : inner_(inner), origins_(std::move(origins)) {}
+
+  [[nodiscard]] std::vector<Assignment> on_step(
+      const SystemView& view, std::span<const Transaction> arrivals) override {
+    for (const ObjId o : registered_) ref_.observe(view.object(o));
+    std::vector<Assignment> out = inner_.on_step(view, arrivals);
+    const ObjectTrailDirectory& dir = inner_.trails();
+    for (const ObjectOrigin& o : origins_) {
+      if (!dir.contains(o.id) ||
+          std::find(registered_.begin(), registered_.end(), o.id) !=
+              registered_.end())
+        continue;
+      ref_.register_object(o.id, dir.birth_node(o.id));
+      ref_.observe(view.object(o.id));
+      registered_.push_back(o.id);
+    }
+    for (const ObjId o : registered_) {
+      EXPECT_EQ(dir.current_terminus(o), ref_.current_terminus(o));
+      for (NodeId node = 0; node < view.oracle().num_nodes(); ++node) {
+        const auto hop = dir.lookup(o, node, view.now(), kNoTime);
+        const auto [departed, next, when] =
+            ref_.lookup(o, node, view.now(), kNoTime);
+        EXPECT_EQ(hop.departed, departed) << "object " << o << " node " << node
+                                          << " step " << view.now();
+        if (departed) {
+          EXPECT_EQ(hop.next, next);
+          EXPECT_EQ(hop.depart_time, when);
+        }
+      }
+    }
+    watched_sum_ += dir.num_watched();
+    tracked_sum_ += registered_.size();
+    return out;
+  }
+  [[nodiscard]] Time next_event_hint(Time now) const override {
+    return inner_.next_event_hint(now);
+  }
+  [[nodiscard]] std::vector<const EventSource*> event_sources()
+      const override {
+    return inner_.event_sources();
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  [[nodiscard]] std::size_t registered() const { return registered_.size(); }
+  /// Objects read by the watched passes, and objects a full pass reads.
+  [[nodiscard]] std::size_t watched_sum() const { return watched_sum_; }
+  [[nodiscard]] std::size_t tracked_sum() const { return tracked_sum_; }
+
+ private:
+  DistributedBucketScheduler& inner_;
+  std::vector<ObjectOrigin> origins_;
+  oracle::TrailDirectory ref_;
+  std::vector<ObjId> registered_;
+  std::size_t watched_sum_ = 0;
+  std::size_t tracked_sum_ = 0;
+};
+
+TEST(MapFreeKernels, WatchedTrailsMatchFullMirrorEndToEnd) {
+  struct Case {
+    Network net;
+    FaultPlan fault;
+  };
+  FaultPlan chaos;
+  chaos.drop = 0.05;
+  chaos.dup = 0.05;
+  chaos.jitter = 2;
+  chaos.stall = 0.2;
+  std::vector<Case> cases;
+  cases.push_back({make_line(24), {}});
+  cases.push_back({make_line(24), chaos});
+  cases.push_back({make_cluster(3, 4, 5), chaos});
+  for (const Case& c : cases) {
+    SyntheticOptions so;
+    so.num_objects = 10;
+    so.k = 2;
+    so.rounds = 3;
+    so.gap = 3;
+    so.seed = 77;
+    SyntheticWorkload wl(c.net, so);
+    DistBucketOptions dopts;
+    dopts.fault = c.fault;
+    DistributedBucketScheduler sched(
+        c.net, std::shared_ptr<const BatchScheduler>(make_coloring_batch()),
+        dopts);
+    FullMirrorCheck check(sched, wl.objects());
+    RunOptions opts;
+    opts.engine.latency_factor = 2;
+    opts.engine.fault = c.fault;
+    const RunResult r = run_experiment(c.net, wl, check, opts);
+    EXPECT_GT(r.num_txns, 0);
+    EXPECT_EQ(check.registered(), 10u);
+    // The watched passes read fewer objects than full passes would.
+    EXPECT_LT(check.watched_sum(), check.tracked_sum());
+  }
+}
+
+TEST(MapFreeKernels, EngineRejectsTwoCommitsOnOneObjectInOneStep) {
+  const Network net = make_line(4);
+  SyncEngine e(net.oracle, {testing::origin(0, 1)}, {});
+  e.begin_step({{testing::txn(1, 1, 0, {0}), testing::txn(2, 1, 0, {0})}});
+  e.apply({{Assignment{1, 0}, Assignment{2, 0}}});
+  EXPECT_THROW((void)e.finish_step(), CheckError);
+}
+
+TEST(MapFreeKernels, EngineAllowsOneCommitPerObjectPerStep) {
+  const Network net = make_line(4);
+  SyncEngine e(net.oracle, {testing::origin(0, 1)}, {});
+  e.begin_step({{testing::txn(1, 1, 0, {0}), testing::txn(2, 1, 0, {0})}});
+  e.apply({{Assignment{1, 0}, Assignment{2, 1}}});
+  EXPECT_EQ(e.finish_step().size(), 1u);
+  e.begin_step({});
+  EXPECT_EQ(e.finish_step().size(), 1u);
+  EXPECT_TRUE(e.all_done());
+}
+
+}  // namespace
+}  // namespace dtm
