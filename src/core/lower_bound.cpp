@@ -1,7 +1,8 @@
 #include "core/lower_bound.hpp"
 
 #include <algorithm>
-#include <map>
+
+#include "util/id_table.hpp"
 
 namespace dtm {
 
@@ -9,40 +10,63 @@ LowerBoundBreakdown makespan_lower_bound(
     const std::vector<Transaction>& txns,
     const std::vector<ObjectOrigin>& origins, const DistanceOracle& oracle,
     std::int64_t latency_factor) {
-  std::map<ObjId, ObjectOrigin> origin_of;
-  for (const auto& o : origins) origin_of[o.id] = o;
-
-  std::map<ObjId, std::vector<NodeId>> users;
+  // Group the uses by object in one counting pass: each use's origin row,
+  // per-row counts, then the user nodes in use order per row.
+  const IdTable rows(origins, [](const ObjectOrigin& o) { return o.id; });
+  std::vector<std::int32_t> use_row;
+  std::vector<std::size_t> start(origins.size() + 1, 0);
   for (const auto& t : txns)
-    for (const auto& a : t.accesses) users[a.obj].push_back(t.node);
+    for (const auto& a : t.accesses) {
+      const std::int32_t r = rows.find(a.obj);
+      DTM_CHECK(r >= 0, "object " << a.obj << " has no origin");
+      use_row.push_back(r);
+      ++start[static_cast<std::size_t>(r) + 1];
+    }
+  for (std::size_t r = 0; r < origins.size(); ++r) start[r + 1] += start[r];
+  std::vector<NodeId> nodes(use_row.size());
+  {
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    std::size_t u = 0;
+    for (const auto& t : txns)
+      for (std::size_t k = 0; k < t.accesses.size(); ++k)
+        nodes[fill[static_cast<std::size_t>(use_row[u++])]++] = t.node;
+  }
 
+  const Weight diameter = oracle.diameter();
   LowerBoundBreakdown lb;
-  for (const auto& [obj, nodes] : users) {
-    const auto it = origin_of.find(obj);
-    DTM_CHECK(it != origin_of.end(), "object " << obj << " has no origin");
-    const NodeId origin = it->second.node;
-    const Time created = it->second.created;
+  for (std::size_t r = 0; r < origins.size(); ++r) {
+    const std::size_t m = start[r + 1] - start[r];
+    if (m == 0) continue;
+    const NodeId* users = nodes.data() + start[r];
+    const NodeId origin = origins[r].node;
+    const Time created = origins[r].created;
 
     Time nearest = kInfWeight;
-    for (const NodeId u : nodes) {
+    for (std::size_t i = 0; i < m; ++i) {
       const Time travel =
-          created + latency_factor * oracle.dist(origin, u);
+          created + latency_factor * oracle.dist(origin, users[i]);
       nearest = std::min(nearest, travel);
       lb.reach = std::max(lb.reach, travel);
     }
-    const auto m = static_cast<Time>(nodes.size());
-    lb.lmax = std::max(lb.lmax, m);
-    lb.load = std::max(lb.load, nearest + (m - 1));
+    lb.lmax = std::max(lb.lmax, static_cast<Time>(m));
+    lb.load = std::max(lb.load, nearest + static_cast<Time>(m - 1));
 
     // Pairwise spread: O(m^2) oracle lookups; sampled cap keeps giant
     // hotspot objects cheap while staying a valid (smaller) certificate.
+    // No pair can beat created + latency·diameter (diameter() bounds every
+    // dist()), so the scan stops once the spread reaches it.
+    const Time ceiling = created + latency_factor * diameter;
     const std::size_t cap = 512;
-    const std::size_t step = nodes.size() > cap ? nodes.size() / cap + 1 : 1;
-    for (std::size_t i = 0; i < nodes.size(); i += step)
-      for (std::size_t j = i + step; j < nodes.size(); j += step)
-        lb.spread = std::max(
-            lb.spread, created + latency_factor * oracle.dist(nodes[i],
-                                                              nodes[j]));
+    const std::size_t step = m > cap ? m / cap + 1 : 1;
+    for (std::size_t i = 0; i < m && lb.spread < ceiling; i += step)
+      for (std::size_t j = i + step; j < m; j += step) {
+        const Time s =
+            created + latency_factor * oracle.dist(users[i], users[j]);
+        if (s > lb.spread) {
+          lb.spread = s;
+          if (s >= ceiling) break;
+        }
+      }
   }
   return lb;
 }

@@ -39,6 +39,9 @@ class SystemView {
   /// engine's object set is fixed at construction), so schedulers may hold
   /// it across steps instead of looking the object up again.
   [[nodiscard]] virtual const ObjectState& object(ObjId o) const = 0;
+  /// A live transaction. The reference is valid for the whole scheduler
+  /// call, and until the engine next registers arrivals (begin_step) or
+  /// commits the transaction; hold its id, not the reference, across steps.
   [[nodiscard]] virtual const Transaction& txn(TxnId t) const = 0;
 
   /// Execution time assigned to `t`, or kNoTime if not yet scheduled.

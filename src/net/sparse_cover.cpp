@@ -1,7 +1,9 @@
 #include "net/sparse_cover.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 namespace dtm {
 
@@ -39,6 +41,57 @@ SparseCover::SparseCover(const Graph& g, const DistanceOracle& oracle,
   }
 }
 
+namespace {
+
+/// Bounded multi-source Dijkstra whose buffers outlive one search: a search
+/// touches, and a reset clears, only the nodes it reached.
+class BoundedSearch {
+ public:
+  explicit BoundedSearch(NodeId n)
+      : dist_(static_cast<std::size_t>(n), kInfWeight) {}
+
+  /// Seeds `u` at distance `d` (the smaller seed wins).
+  void seed(NodeId u, Weight d) {
+    Weight& du = dist_[static_cast<std::size_t>(u)];
+    if (du == kInfWeight) reached_.push_back(u);
+    if (d < du) {
+      du = d;
+      heap_.emplace_back(d, u);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    }
+  }
+
+  /// Settles every node within `radius` of the seeds; returns the reached
+  /// nodes (seeds included), unordered.
+  const std::vector<NodeId>& run(const Graph& g, Weight radius) {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const auto [d, u] = heap_.back();
+      heap_.pop_back();
+      if (d > dist_[static_cast<std::size_t>(u)]) continue;
+      for (const auto& e : g.neighbors(u)) {
+        const Weight nd = d + e.weight;
+        if (nd > radius) continue;
+        seed(e.to, nd);
+      }
+    }
+    return reached_;
+  }
+
+  void reset() {
+    for (const NodeId u : reached_)
+      dist_[static_cast<std::size_t>(u)] = kInfWeight;
+    reached_.clear();
+  }
+
+ private:
+  std::vector<Weight> dist_;
+  std::vector<NodeId> reached_;
+  std::vector<std::pair<Weight, NodeId>> heap_;
+};
+
+}  // namespace
+
 void SparseCover::build_layer(const Graph& g, const DistanceOracle& oracle,
                               std::int32_t l, Rng& rng,
                               std::int32_t max_random) {
@@ -52,6 +105,7 @@ void SparseCover::build_layer(const Graph& g, const DistanceOracle& oracle,
 
   std::vector<NodeId> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
+  BoundedSearch search(n);
 
   std::int32_t sublayer_count = 0;
   while (remaining > 0) {
@@ -75,17 +129,17 @@ void SparseCover::build_layer(const Graph& g, const DistanceOracle& oracle,
       if (home_done[static_cast<std::size_t>(c)]) continue;
       if (sub.cluster_of[static_cast<std::size_t>(c)] >= 0) continue;
       // Carve the still-unassigned part of ball(c, 2R).
-      const auto ball = g.sssp_within(c, 2 * r);
+      search.seed(c, 0);
       CoverCluster cl;
       cl.leader = c;
-      for (NodeId u = 0; u < n; ++u) {
-        if (ball[static_cast<std::size_t>(u)] < kInfWeight &&
-            sub.cluster_of[static_cast<std::size_t>(u)] < 0) {
+      for (const NodeId u : search.run(g, 2 * r))
+        if (sub.cluster_of[static_cast<std::size_t>(u)] < 0) {
           sub.cluster_of[static_cast<std::size_t>(u)] =
               static_cast<std::int32_t>(sub.clusters.size());
           cl.nodes.push_back(u);
         }
-      }
+      search.reset();
+      std::sort(cl.nodes.begin(), cl.nodes.end());
       sub.clusters.push_back(std::move(cl));
     }
     // Nodes untouched by any carve (all were home-covered or swallowed):
@@ -107,25 +161,36 @@ void SparseCover::build_layer(const Graph& g, const DistanceOracle& oracle,
       DTM_CHECK(cl.weak_diameter <= 4 * r,
                 "cluster diameter bound violated at layer " << l);
     }
-    // Home-coverage scan: u is covered if its (R-1)-neighborhood lies inside
-    // u's cluster in this sub-layer.
+    // Home coverage: u's (R-1)-neighborhood lies inside its cluster exactly
+    // when no node of another cluster lies within R-1 of u. One search,
+    // seeded at every node with its lightest cross-cluster edge, reaches
+    // within R-1 exactly those exposed nodes: if a foreign node x is within
+    // R-1 of u, the shortest u-x path first leaves u's cluster at some node
+    // b, whose seed reaches u in time; conversely a node reached from seed
+    // b lies within R-1 of both b and b's foreign neighbour, and one of the
+    // two is foreign to it.
+    const auto& cluster_of = sub.cluster_of;
+    for (NodeId u = 0; u < n; ++u) {
+      Weight exit = kInfWeight;
+      for (const auto& e : g.neighbors(u))
+        if (cluster_of[static_cast<std::size_t>(e.to)] !=
+            cluster_of[static_cast<std::size_t>(u)])
+          exit = std::min(exit, e.weight);
+      if (exit <= r - 1) search.seed(u, exit);
+    }
+    std::vector<bool> exposed(static_cast<std::size_t>(n), false);
+    for (const NodeId u : search.run(g, r - 1))
+      exposed[static_cast<std::size_t>(u)] = true;
+    search.reset();
     const std::int32_t si = static_cast<std::int32_t>(layer.sublayers.size());
     for (NodeId u = 0; u < n; ++u) {
-      if (home_done[static_cast<std::size_t>(u)]) continue;
-      const std::int32_t cu = sub.cluster_of[static_cast<std::size_t>(u)];
-      const auto nb = g.sssp_within(u, r - 1);
-      bool inside = true;
-      for (NodeId v = 0; v < n && inside; ++v) {
-        if (nb[static_cast<std::size_t>(v)] < kInfWeight &&
-            sub.cluster_of[static_cast<std::size_t>(v)] != cu) {
-          inside = false;
-        }
-      }
-      if (inside) {
-        home_done[static_cast<std::size_t>(u)] = true;
-        home[static_cast<std::size_t>(u)] = {si, cu};
-        --remaining;
-      }
+      if (home_done[static_cast<std::size_t>(u)] ||
+          exposed[static_cast<std::size_t>(u)])
+        continue;
+      home_done[static_cast<std::size_t>(u)] = true;
+      home[static_cast<std::size_t>(u)] = {
+          si, cluster_of[static_cast<std::size_t>(u)]};
+      --remaining;
     }
     layer.sublayers.push_back(std::move(sub));
     ++sublayer_count;

@@ -35,15 +35,11 @@ const ObjectState& SyncEngine::object(ObjId o) const {
 }
 
 const Transaction& SyncEngine::txn(TxnId t) const {
-  const auto it = store_.live().find(t);
-  DTM_REQUIRE(it != store_.live().end(), "txn " << t << " is not live");
-  return it->second.txn;
+  return store_.live_txn(t).txn;
 }
 
 Time SyncEngine::assigned_exec(TxnId t) const {
-  const auto it = store_.live().find(t);
-  DTM_REQUIRE(it != store_.live().end(), "txn " << t << " is not live");
-  return it->second.exec;
+  return store_.live_txn(t).exec;
 }
 
 std::span<const TxnId> SyncEngine::live_users_of(ObjId o) const {
@@ -70,20 +66,19 @@ void SyncEngine::begin_step(std::span<const Transaction> arrivals) {
 }
 
 void SyncEngine::apply(std::span<const Assignment> assignments) {
-  auto& live = store_.live();
   const Time now = clock_.now();
   for (const Assignment& a : assignments) {
-    const auto it = live.find(a.txn);
-    DTM_REQUIRE(it != live.end(), "assignment for non-live txn " << a.txn);
-    DTM_REQUIRE(it->second.exec == kNoTime,
+    TxnStore::LiveTxn* lt = store_.find_live(a.txn);
+    DTM_REQUIRE(lt != nullptr, "assignment for non-live txn " << a.txn);
+    DTM_REQUIRE(lt->exec == kNoTime,
                 "txn " << a.txn << " already scheduled (schedules are "
                        "irrevocable)");
     DTM_REQUIRE(a.exec >= now, "txn " << a.txn << " scheduled in the past ("
                                       << a.exec << " < " << now << ")");
-    it->second.exec = a.exec;
+    lt->exec = a.exec;
     if (opts_.mode != Mode::kScan) {
       clock_.schedule(a.exec, a.txn);
-      for (const auto& acc : it->second.txn.accesses) {
+      for (const auto& acc : lt->txn.accesses) {
         auto& e = store_.obj_entry(acc.obj);
         // A fresh entry can only lower the cached min; an empty heap means
         // no live scheduled user existed, so the entry IS the min (see the
@@ -96,7 +91,7 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
               (a.exec == e.best_exec && a.txn < e.best_user)))) {
           e.best_user = a.txn;
           e.best_exec = a.exec;
-          e.best_node = it->second.txn.node;
+          e.best_node = lt->txn.node;
         }
       }
     }
@@ -106,7 +101,7 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
   // reroute_many so the transport can shard it by object ownership.
   reroute_scratch_.clear();
   for (const Assignment& a : assignments)
-    for (const auto& acc : live.at(a.txn).txn.accesses)
+    for (const auto& acc : store_.live_txn(a.txn).txn.accesses)
       reroute_scratch_.push_back(acc.obj);
   transport_->reroute_many(reroute_scratch_, now);
   if (shadow_) shadow_->apply(assignments);
@@ -115,30 +110,29 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
 std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
   const Mode mode = opts_.mode;
   const Time now = clock_.now();
-  auto& live = store_.live();
   due_scratch_.clear();
   transport_->settle_arrivals(now);
-  if (mode == Mode::kScan) {
-    for (const auto& [id, lt] : live) {
-      DTM_CHECK(lt.exec == kNoTime || lt.exec >= now,
-                "txn " << id << " missed its execution step " << lt.exec
+  // The scan derives the due set from the live transactions in id order.
+  const auto scan_due = [&](std::vector<TxnId>& out) {
+    for (const TxnId id : store_.live_ids()) {
+      const Time exec = store_.live_txn(id).exec;
+      DTM_CHECK(exec == kNoTime || exec >= now,
+                "txn " << id << " missed its execution step " << exec
                        << " (now " << now << ")");
-      if (lt.exec == now) due_scratch_.push_back(id);
+      if (exec == now) out.push_back(id);
     }
+  };
+  if (mode == Mode::kScan) {
+    scan_due(due_scratch_);
   } else {
     // Equal-time entries pop in ascending id order — the same order the
-    // scan derives from the live map's sorted iteration.
+    // scan derives from the live index.
     clock_.pop_due(due_scratch_);
     if (mode == Mode::kVerify) {
       transport_->verify_settled(now);
-      std::vector<TxnId> scan_due;
-      for (const auto& [id, lt] : live) {
-        DTM_CHECK(lt.exec == kNoTime || lt.exec >= now,
-                  "txn " << id << " missed its execution step " << lt.exec
-                         << " (now " << now << ")");
-        if (lt.exec == now) scan_due.push_back(id);
-      }
-      DTM_CHECK(scan_due == due_scratch_,
+      std::vector<TxnId> scan;
+      scan_due(scan);
+      DTM_CHECK(scan == due_scratch_,
                 "calendar due set diverges from scan at step " << now);
     }
   }
@@ -150,8 +144,7 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
   commits.reserve(due_scratch_.size());
   released_scratch_.clear();
   for (const TxnId id : due_scratch_) {
-    const auto lit = live.find(id);
-    const TxnStore::LiveTxn& lt = lit->second;
+    const TxnStore::LiveTxn& lt = store_.live_txn(id);
     for (const auto& acc : lt.txn.accesses) {
       TxnStore::ObjEntry& e = store_.obj_entry(acc.obj);
       // One commit per object per step: even two transactions on the same
@@ -173,7 +166,7 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
       released_scratch_.push_back(acc.obj);
     }
     commits.push_back({id, lt.txn.node, lt.txn.gen_time, lt.exec});
-    store_.commit(lit, lt.exec);
+    store_.commit(id, lt.exec);
   }
   // Forward released objects to their next scheduled user.
   transport_->reroute_many(released_scratch_, now);
@@ -218,9 +211,10 @@ Time SyncEngine::next_exec_due() const {
   }
   if (opts_.mode == Mode::kCalendar) return clock_.next_scheduled();
   Time due = kNoTime;
-  for (const auto& [_, lt] : store_.live()) {
-    if (lt.exec == kNoTime) continue;
-    due = due == kNoTime ? lt.exec : std::min(due, lt.exec);
+  for (const TxnId id : store_.live_ids()) {
+    const Time exec = store_.live_txn(id).exec;
+    if (exec == kNoTime) continue;
+    due = due == kNoTime ? exec : std::min(due, exec);
   }
   if (opts_.mode == Mode::kVerify) {
     const Time cal = clock_.next_scheduled();

@@ -102,10 +102,8 @@ class SyncEngine final : public SystemView {
   /// none. The Runner never skips past this. O(1) in calendar mode.
   [[nodiscard]] Time next_exec_due() const;
 
-  [[nodiscard]] bool all_done() const { return store_.live().empty(); }
-  [[nodiscard]] std::int64_t num_live() const {
-    return static_cast<std::int64_t>(store_.live().size());
-  }
+  [[nodiscard]] bool all_done() const { return store_.num_live() == 0; }
+  [[nodiscard]] std::int64_t num_live() const { return store_.num_live(); }
 
   /// Every transaction committed so far, with its execution time — the
   /// material for post-hoc schedule validation and metrics.

@@ -7,53 +7,83 @@ namespace dtm {
 TxnStore::TxnStore(std::vector<ObjectOrigin> origins,
                    const DistanceOracle& oracle)
     : origins_(std::move(origins)) {
-  objects_.reserve(origins_.size());
-  for (const auto& o : origins_) {
+  // Sort compact (id, origin row) pairs, then build the records in id
+  // order: the 152-byte records are written once and never moved.
+  std::vector<std::pair<ObjId, std::size_t>> order;
+  order.reserve(origins_.size());
+  for (std::size_t r = 0; r < origins_.size(); ++r) {
+    const ObjectOrigin& o = origins_[r];
     DTM_REQUIRE(o.node >= 0 && o.node < oracle.num_nodes(),
                 "object " << o.id << " origin node " << o.node);
     DTM_REQUIRE(o.created <= 0, "objects must exist from the start of the "
                                 "simulation (object " << o.id << ")");
+    order.emplace_back(o.id, r);
+  }
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 1; i < order.size(); ++i)
+    DTM_CHECK(order[i - 1].first != order[i].first,
+              "duplicate object id " << order[i].first);
+  objects_.reserve(order.size());
+  for (const auto& [id, r] : order) {
     ObjEntry e;
-    e.id = o.id;
-    e.state = ObjectState(o.id, o.node, o.created);
+    e.id = id;
+    e.state = ObjectState(id, origins_[r].node, origins_[r].created);
     objects_.push_back(std::move(e));
   }
-  std::sort(objects_.begin(), objects_.end(),
-            [](const ObjEntry& a, const ObjEntry& b) { return a.id < b.id; });
-  for (std::size_t i = 1; i < objects_.size(); ++i)
-    DTM_CHECK(objects_[i - 1].id != objects_[i].id,
-              "duplicate object id " << objects_[i].id);
+  obj_slots_ = IdTable(order, [](const auto& p) { return p.first; });
 }
 
-const TxnStore::ObjEntry* TxnStore::find_obj(ObjId o) const {
+std::size_t TxnStore::index_lower_bound(TxnId id) const {
   const auto it = std::lower_bound(
-      objects_.begin(), objects_.end(), o,
-      [](const ObjEntry& e, ObjId id) { return e.id < id; });
-  if (it == objects_.end() || it->id != o) return nullptr;
-  return &*it;
+      index_.begin() + static_cast<std::ptrdiff_t>(head_), index_.end(), id,
+      [](const IndexRow& r, TxnId t) { return r.id < t; });
+  return static_cast<std::size_t>(it - index_.begin());
 }
 
-TxnStore::ObjEntry* TxnStore::find_obj(ObjId o) {
-  return const_cast<ObjEntry*>(
-      static_cast<const TxnStore*>(this)->find_obj(o));
-}
-
-TxnStore::ObjEntry& TxnStore::obj_entry(ObjId o) {
-  ObjEntry* e = find_obj(o);
-  DTM_REQUIRE(e != nullptr, "unknown object " << o);
-  return *e;
+std::size_t TxnStore::index_search(TxnId id) const {
+  const std::size_t p = index_lower_bound(id);
+  return p < index_.size() && index_[p].id == id ? p : kNoPos;
 }
 
 void TxnStore::add_live(const Transaction& t) {
-  const bool inserted = live_.emplace(t.id, LiveTxn{t, kNoTime}).second;
-  DTM_CHECK(inserted, "duplicate txn id " << t.id);
+  for (const auto& a : t.accesses) (void)obj_entry(a.obj);
+  const TxnId id = t.id;
+  std::size_t pos = index_.size();
+  if (head_ < index_.size() && id <= index_.back().id) {
+    // Out-of-order arrival (only a trace sends one): reuse the id's
+    // tombstone or insert a row in id order.
+    pos = index_lower_bound(id);
+    if (index_[pos].id == id)
+      DTM_CHECK(index_[pos].slot < 0, "duplicate txn id " << id);
+    else
+      index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(pos),
+                    IndexRow{id, -1});
+  } else {
+    index_.push_back({id, -1});
+  }
+  auto slot = static_cast<std::int32_t>(pool_.size());
+  if (free_slots_.empty()) {
+    pool_.push_back({t, kNoTime});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    // Copy-assignment keeps the pooled record's access capacity.
+    LiveTxn& lt = pool_[static_cast<std::size_t>(slot)];
+    lt.txn = t;
+    lt.exec = kNoTime;
+  }
+  index_[pos].slot = slot;
+  ++num_live_;
   live_ids_dirty_ = true;
-  for (const auto& a : t.accesses) obj_entry(a.obj).users.push_back(t.id);
+  for (const auto& a : t.accesses) obj_entry(a.obj).users.push_back(id);
 }
 
-void TxnStore::commit(std::map<TxnId, LiveTxn>::iterator it, Time exec) {
-  LiveTxn lt = std::move(it->second);
-  const TxnId id = lt.txn.id;
+void TxnStore::commit(TxnId id, Time exec) {
+  const std::size_t pos = index_pos(id);
+  DTM_REQUIRE(pos != kNoPos && index_[pos].slot >= 0,
+              "commit of txn " << id << ", which is not live");
+  const std::int32_t slot = index_[pos].slot;
+  LiveTxn& lt = pool_[static_cast<std::size_t>(slot)];
   for (const auto& acc : lt.txn.accesses) {
     auto& e = obj_entry(acc.obj);
     e.users.erase(std::remove(e.users.begin(), e.users.end(), id),
@@ -67,15 +97,44 @@ void TxnStore::commit(std::map<TxnId, LiveTxn>::iterator it, Time exec) {
     }
   }
   committed_.push_back({std::move(lt.txn), exec});
-  live_.erase(it);
+  index_[pos].slot = -1;
+  free_slots_.push_back(slot);
+  --num_live_;
   live_ids_dirty_ = true;
+  trim_index();
+}
+
+void TxnStore::trim_index() {
+  while (head_ < index_.size() && index_[head_].slot < 0) ++head_;
+  if (head_ == index_.size()) {
+    index_.clear();
+    head_ = 0;
+    return;
+  }
+  const std::size_t active = index_.size() - head_;
+  const auto live = static_cast<std::size_t>(num_live_);
+  if (active > 4 * live + 256) {
+    // A long-lived transaction holds the head while tombstones pile up
+    // behind it: drop them all (later lookups past the gaps this leaves
+    // binary-search until the rows are trimmed).
+    const auto kept = std::remove_if(
+        index_.begin() + static_cast<std::ptrdiff_t>(head_), index_.end(),
+        [](const IndexRow& r) { return r.slot < 0; });
+    index_.erase(kept, index_.end());
+  }
+  if (head_ >= 64 && 2 * head_ >= index_.size()) {
+    index_.erase(index_.begin(),
+                 index_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 std::span<const TxnId> TxnStore::live_ids() const {
   if (live_ids_dirty_) {
     live_ids_.clear();
-    live_ids_.reserve(live_.size());
-    for (const auto& [id, _] : live_) live_ids_.push_back(id);
+    live_ids_.reserve(static_cast<std::size_t>(num_live_));
+    for (std::size_t p = head_; p < index_.size(); ++p)
+      if (index_[p].slot >= 0) live_ids_.push_back(index_[p].id);
     live_ids_dirty_ = false;
   }
   return live_ids_;

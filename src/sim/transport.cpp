@@ -8,11 +8,10 @@ namespace dtm {
 
 TxnId SyncObjectTransport::reroute_target_scan(
     const TxnStore::ObjEntry& e) const {
-  const auto& live = store_->live();
   TxnId best = kNoTxn;
   Time best_exec = kNoTime;
   for (const TxnId uid : e.users) {
-    const Time ex = live.at(uid).exec;
+    const Time ex = store_->live_txn(uid).exec;
     if (ex == kNoTime) continue;
     if (best == kNoTxn || ex < best_exec ||
         (ex == best_exec && uid < best)) {
@@ -34,11 +33,10 @@ TxnId SyncObjectTransport::reroute_target_calendar(TxnStore::ObjEntry& e) {
   // reproduces the scan's tie-break exactly — and it refills the cache.
   while (!e.sched.empty()) {
     const auto [exec, uid] = e.sched.top();
-    const auto it = store_->live().find(uid);
-    if (it != store_->live().end()) {
+    if (const TxnStore::LiveTxn* lt = store_->find_live(uid)) {
       e.best_user = uid;
       e.best_exec = exec;
-      e.best_node = it->second.txn.node;
+      e.best_node = lt->txn.node;
       return uid;
     }
     e.sched.pop();
@@ -75,10 +73,11 @@ void SyncObjectTransport::reroute_impl(TxnStore::ObjEntry& e, Time now,
   const NodeId old_to = was_transit ? e.state.dest() : kNoNode;
   const Time old_depart = was_transit ? e.state.depart_time() : kNoTime;
   const Time old_arrive = was_transit ? e.state.arrive_time() : kNoTime;
-  // The cache carries the target's node, sparing the live-map lookup on the
-  // hot (calendar) path; the scan path derives best without the cache.
-  const NodeId dest = e.best_user == best ? e.best_node
-                                          : store_->live().at(best).txn.node;
+  // The cache carries the target's node, sparing the live lookup on the hot
+  // (calendar) path; the scan path derives best without the cache.
+  const NodeId dest = e.best_user == best
+                          ? e.best_node
+                          : store_->live_txn(best).txn.node;
   e.state.route_to(dest, now, *oracle_, opts_.latency_factor);
   if (stalling_ && e.state.in_transit() &&
       (!was_transit || e.state.dest() != old_to ||
@@ -140,7 +139,7 @@ void SyncObjectTransport::maybe_stall(TxnStore::ObjEntry& e, TxnId best) {
   // The stall may consume at most the slack before the earliest scheduled
   // user runs: schedules already committed to by ANY policy remain feasible,
   // and time_to()'s two-route bound stays valid on the stretched leg.
-  const Time slack = store_->live().at(best).exec - e.state.arrive_time();
+  const Time slack = store_->live_txn(best).exec - e.state.arrive_time();
   if (slack <= 0) return;
   const Time extra =
       std::min<Time>(slack, stall_rng_.uniform_int(1, opts_.fault.stall_max));

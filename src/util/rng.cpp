@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -30,19 +31,36 @@ std::vector<std::int32_t> Rng::sample_distinct(std::int32_t n,
 ZipfSampler::ZipfSampler(std::int32_t n, double s) {
   DTM_REQUIRE(n > 0, "ZipfSampler n=" << n);
   DTM_REQUIRE(s >= 0.0, "ZipfSampler s=" << s);
-  cdf_.resize(static_cast<std::size_t>(n));
+  const auto size = static_cast<std::size_t>(n);
+  cdf_.resize(size);
   double acc = 0.0;
-  for (std::int32_t r = 0; r < n; ++r) {
+  for (std::size_t r = 0; r < size; ++r) {
     acc += 1.0 / std::pow(static_cast<double>(r) + 1.0, s);
-    cdf_[static_cast<std::size_t>(r)] = acc;
+    cdf_[r] = acc;
   }
-  for (auto& c : cdf_) c /= acc;
+  // Normalize and fill the guide in the same linear pass: slice k starts at
+  // the first rank whose normalized cdf reaches k / K.
+  const std::size_t slices = std::bit_ceil(size);
+  const auto scale = static_cast<double>(slices);
+  guide_.resize(slices + 1);
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < size; ++r) {
+    cdf_[r] /= acc;
+    // k / K <= c exactly when k <= c * K: scaling by a power of two is
+    // exact.
+    for (; k <= slices && static_cast<double>(k) <= cdf_[r] * scale; ++k)
+      guide_[k] = static_cast<std::int32_t>(r);
+  }
+  for (; k <= slices; ++k) guide_[k] = n;  // thresholds above the last cdf
 }
 
-std::int32_t ZipfSampler::draw(Rng& rng) const {
-  const double u = rng.uniform01();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::int32_t>(it - cdf_.begin());
+std::int32_t ZipfSampler::rank_of(double u) const {
+  DTM_REQUIRE(u >= 0.0 && u < 1.0, "ZipfSampler u=" << u);
+  const auto k = static_cast<std::size_t>(u * static_cast<double>(slices()));
+  const auto first = cdf_.begin() + guide_[k];
+  const auto last = cdf_.begin() + guide_[k + 1];
+  const auto idx = static_cast<std::int32_t>(
+      std::lower_bound(first, last, u) - cdf_.begin());
   return std::min(idx, static_cast<std::int32_t>(cdf_.size()) - 1);
 }
 

@@ -118,19 +118,32 @@ class Rng {
 };
 
 /// Zipf(s) sampler over {0, ..., n-1}: rank r drawn with probability
-/// proportional to 1/(r+1)^s. Precomputes the CDF once; O(log n) per draw.
+/// proportional to 1/(r+1)^s. Precomputes the CDF once, with a guide table
+/// that narrows each draw's search to one of K equal-width slices of [0, 1).
 /// Models hotspot object popularity in workloads.
 class ZipfSampler {
  public:
   ZipfSampler(std::int32_t n, double s);
 
-  [[nodiscard]] std::int32_t draw(Rng& rng) const;
+  [[nodiscard]] std::int32_t draw(Rng& rng) const {
+    return rank_of(rng.uniform01());
+  }
+  /// The rank a uniform value u in [0, 1) maps to: exactly
+  /// std::lower_bound(cdf, u), clamped to n - 1.
+  [[nodiscard]] std::int32_t rank_of(double u) const;
   [[nodiscard]] std::int32_t size() const {
     return static_cast<std::int32_t>(cdf_.size());
   }
+  [[nodiscard]] const std::vector<double>& cdf() const { return cdf_; }
+  /// Number of guide slices K (a power of two).
+  [[nodiscard]] std::size_t slices() const { return guide_.size() - 1; }
 
  private:
   std::vector<double> cdf_;
+  /// guide_[k] = lower_bound(cdf_, k / K) for k = 0..K. K is a power of two,
+  /// so k / K and u * K are exact and u in [k/K, (k+1)/K) bounds
+  /// lower_bound(cdf_, u) to [guide_[k], guide_[k + 1]].
+  std::vector<std::int32_t> guide_;
 };
 
 }  // namespace dtm
