@@ -1,6 +1,7 @@
 // Bucket-insertion fast path benchmark: the naive per-arrival level scan
-// (rebuild + re-estimate from level 0, paper verbatim) vs the incremental
-// core (cached per-bucket problems, memoized F_A, level-search lower bound)
+// (rebuild + re-estimate from level 0, paper verbatim — the test-side
+// reference in tests/oracle/naive_insertion.hpp) vs the incremental core
+// (cached per-bucket problems, memoized F_A, level-search lower bound)
 // on line / cluster / star topologies. Emits machine-readable
 // BENCH_bucket_fastpath.json (schema dtm-bench-bucket-fastpath-v1; see
 // docs/PERF.md §"Bucket fast path").
@@ -31,6 +32,7 @@
 #include "sim/engine.hpp"
 #include "sim/registry.hpp"
 #include "sim/workload.hpp"
+#include "oracle/naive_insertion.hpp"
 
 namespace {
 
@@ -94,14 +96,18 @@ struct PathResult {
   }
 };
 
-PathResult run_path(const Setup& s, BucketFastPath fp) {
+/// `naive`: insert and scan through the naive reference instead of the
+/// incremental core.
+PathResult run_path(const Setup& s, bool naive) {
   SyncEngine eng(s.net.oracle, s.origins, {});
   // The problem builder resolves member/candidate rows through the view, so
   // every transaction must be live: stage them all in one open step.
   std::vector<Transaction> all = s.pile;
   all.insert(all.end(), s.candidates.begin(), s.candidates.end());
   eng.begin_step(all);
-  BucketInsertionCore core(Registry::make_batch_algo("auto", s.net), fp, 42);
+  const auto algo = Registry::make_batch_algo("auto", s.net);
+  BucketInsertionCore core(algo, 42);
+  oracle::NaiveInsertion reference(algo, 42);
   std::vector<std::vector<TxnId>> buckets(kTop + 1);
   const ExtraAssignments extra;
   const auto levels = [&](std::int32_t i) {
@@ -109,12 +115,16 @@ PathResult run_path(const Setup& s, BucketFastPath fp) {
         static_cast<BucketInsertionCore::BucketId>(i),
         buckets[static_cast<std::size_t>(i)]};
   };
+  const auto choose = [&](const Transaction& t) {
+    return naive ? reference.choose_level(eng, t, kTop, levels, extra)
+                 : core.choose_level(eng, t, kTop, levels, extra);
+  };
 
   // Untimed setup: insert the hot piles through the real insertion rule.
   for (const Transaction& t : s.pile) {
-    const std::int32_t lvl = core.choose_level(eng, t, kTop, levels, extra);
+    const std::int32_t lvl = choose(t);
     buckets[static_cast<std::size_t>(lvl)].push_back(t.id);
-    core.on_inserted(eng, lvl, t, extra);
+    if (!naive) core.on_inserted(eng, lvl, t, extra);
   }
 
   // Timed: the candidate scans. Nothing is inserted, so every candidate
@@ -123,12 +133,11 @@ PathResult run_path(const Setup& s, BucketFastPath fp) {
   PathResult r;
   r.chosen.reserve(s.candidates.size());
   const auto t0 = std::chrono::steady_clock::now();
-  for (const Transaction& t : s.candidates)
-    r.chosen.push_back(core.choose_level(eng, t, kTop, levels, extra));
+  for (const Transaction& t : s.candidates) r.chosen.push_back(choose(t));
   const auto t1 = std::chrono::steady_clock::now();
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.scans = static_cast<std::int64_t>(s.candidates.size());
-  r.stats = core.stats();
+  r.stats = naive ? reference.stats() : core.stats();
   return r;
 }
 
@@ -175,8 +184,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (auto& s : setups) {
-    Row row{&s, run_path(s, BucketFastPath::kNaive),
-            run_path(s, BucketFastPath::kIncremental)};
+    Row row{&s, run_path(s, /*naive=*/true), run_path(s, /*naive=*/false)};
     DTM_CHECK(row.naive.chosen == row.incr.chosen,
               "case " << s.name
                       << ": paths chose different levels for a candidate");

@@ -1,14 +1,16 @@
-// Fast-path scheduling core benchmark: event-calendar engine vs the
-// original full-scan engine on workloads with ~10k live transactions,
-// plus eager-vs-lazy routing table cost. Emits machine-readable
-// BENCH_fastpath.json (schema dtm-bench-fastpath-v1; see docs/PERF.md).
+// Fast-path scheduling core benchmark: the event-calendar engine vs the
+// full-scan reference engine (tests/oracle/scan_engine.hpp) on workloads
+// with ~10k live transactions, plus eager-vs-lazy routing table cost.
+// Emits machine-readable BENCH_fastpath.json (schema
+// dtm-bench-fastpath-v1; see docs/PERF.md).
 //
 // The workload is built to expose the seed engine's per-step O(objects + L)
 // scans: transactions arrive a few per step and are deliberately scheduled
 // far in the future (coordination delay), so the live set climbs into the
 // tens of thousands while the per-step useful work stays constant. Both
-// modes run the byte-identical simulation (the equivalence suite guarantees
-// it); only the engine's internal bookkeeping differs.
+// engines run the byte-identical simulation (the lockstep harness proves
+// it step by step; here the step and commit counts are cross-checked);
+// only the internal bookkeeping differs.
 //
 // Usage: bench_fastpath [--quick] [--out <path>]
 //   --quick  smaller sizes for CI smoke runs
@@ -29,6 +31,7 @@
 #include "sim/cli.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
+#include "oracle/scan_engine.hpp"
 
 namespace {
 
@@ -41,8 +44,8 @@ long peak_rss_kb() {
 }
 
 /// One object per transaction (distinct write sets), `per_step` arrivals
-/// per step. The scheduler's own work is O(1) per arrival and identical in
-/// both modes; the live set is what grows.
+/// per step. The scheduler's own work is O(1) per arrival and identical on
+/// both engines; the live set is what grows.
 ScriptedWorkload make_fastpath_workload(const Network& net,
                                         std::int64_t num_txns,
                                         std::int64_t per_step) {
@@ -75,19 +78,18 @@ struct ModeResult {
 };
 
 /// The run_experiment loop stripped to the timed parts (no lower-bound or
-/// validation post-processing, which is identical across modes anyway).
+/// validation post-processing, which is identical on both engines anyway).
+/// `Engine` is SyncEngine or the scan reference engine.
+template <typename Engine>
 ModeResult run_mode(const Network& net, std::int64_t num_txns,
-                    std::int64_t per_step, Time coordination_delay,
-                    EngineOptions::Mode mode) {
+                    std::int64_t per_step, Time coordination_delay) {
   ScriptedWorkload wl = make_fastpath_workload(net, num_txns, per_step);
   GreedyOptions g;
   g.coordination_delay = coordination_delay;
   GreedyScheduler sched(g);
-  EngineOptions eopts;
-  eopts.mode = mode;
 
   const auto t0 = std::chrono::steady_clock::now();
-  SyncEngine engine(net.oracle, wl.objects(), eopts);
+  Engine engine(net.oracle, wl.objects(), EngineOptions{});
   std::int64_t steps = 0;
   while (true) {
     const auto arrivals = wl.arrivals_at(engine.now());
@@ -201,16 +203,16 @@ int main(int argc, char** argv) {
     // Calendar first: ru_maxrss is a process-wide high-water mark, so the
     // fast path's reading must be taken before the scan path runs.
     CaseRow row{&c, {}, {}};
-    row.calendar = run_mode(c.net, c.num_txns, c.per_step, c.delay,
-                            EngineOptions::Mode::kCalendar);
-    row.scan = run_mode(c.net, c.num_txns, c.per_step, c.delay,
-                        EngineOptions::Mode::kScan);
+    row.calendar =
+        run_mode<SyncEngine>(c.net, c.num_txns, c.per_step, c.delay);
+    row.scan = run_mode<oracle::ScanEngine>(c.net, c.num_txns, c.per_step,
+                                            c.delay);
     DTM_CHECK(row.calendar.commits == c.num_txns &&
                   row.scan.commits == c.num_txns,
               "bench lost transactions");
     DTM_CHECK(row.calendar.steps == row.scan.steps,
-              "modes diverged: " << row.calendar.steps << " vs "
-                                 << row.scan.steps << " steps");
+              "engines diverged: " << row.calendar.steps << " vs "
+                                   << row.scan.steps << " steps");
     const double speedup =
         row.calendar.steps_per_sec() / row.scan.steps_per_sec();
     std::cout << std::left << std::setw(10) << c.name << std::right

@@ -2,7 +2,8 @@
 // for the zero-allocation messaging hot path.
 //
 // Three measurements, emitted as BENCH_memory.json (dtm-bench-memory-v1):
-//   bus         messages/sec through the frozen pre-wheel ReferenceHeapBus
+//   bus         messages/sec through the frozen pre-wheel heap bus
+//               (the test-side oracle in tests/oracle/heap_bus.hpp)
 //               (fresh drain vector per step, no reply-buffer pooling — the
 //               old allocation profile) vs the wheel-backed MessageBus
 //               (persistent drain scratch + spilled-reply pool, the shape
@@ -38,6 +39,7 @@
 #include "dist/dist_bucket.hpp"
 #include "net/topology.hpp"
 #include "sim/registry.hpp"
+#include "oracle/heap_bus.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
 #include "util/alloc.hpp"
@@ -240,7 +242,7 @@ int main(int argc, char** argv) {
             << (quick ? " (quick)" : "") << "\n";
 
   const Network bus_net = make_line(kBusNodes);
-  ReferenceHeapBus heap(*bus_net.oracle);
+  oracle::HeapBus heap(*bus_net.oracle);
   MessageBus wheel(*bus_net.oracle);
   const BusSide before = run_bus_side(heap, warmup, bus_steps, false);
   const BusSide after = run_bus_side(wheel, warmup, bus_steps, true);

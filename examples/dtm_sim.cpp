@@ -37,7 +37,7 @@ Json load_json_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string topology, workload, scheduler, fault, mode, lf, window;
+  std::string topology, workload, scheduler, fault, lf, window;
   std::string spec_file;
   std::string save_instance, save_schedule;
   bool csv = false, dump_spec = false;
@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
   cli.add_value("fault", "fault plan, e.g. fault:drop=0.1,jitter=2 (default "
                 "none)",
                 &fault);
-  cli.add_value("mode", "engine mode: scan | calendar | verify | "
-                "verify-parallel",
-                &mode);
   cli.add_value("lf", "latency factor (steps per unit distance)", &lf);
   cli.add_value("window", "Definition-1 ratio window, 0 = off", &window);
   cli.add_flag("dump-spec", "print the resolved RunSpec as JSON and exit",
@@ -76,7 +73,6 @@ int main(int argc, char** argv) {
     if (!scheduler.empty()) spec.scheduler = parse_spec(scheduler);
     if (!workload.empty()) spec.workload = parse_spec(workload);
     if (!fault.empty()) spec.fault = parse_spec(fault);
-    if (!mode.empty()) spec.mode = mode;
     if (!lf.empty()) spec.latency_factor = std::stoll(lf);
     if (!window.empty()) spec.ratio_window = std::stoll(window);
     spec.seed = cli.seed(spec.seed);
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
     // argument needs latency factor >= 2.
     if (spec.scheduler.kind == "dist-bucket" && spec.latency_factor < 2)
       spec.latency_factor = 2;
-    (void)spec.engine_mode();  // validate eagerly, before any run
     (void)Registry::make_fault_plan(spec.fault, spec.seed);  // knob check
 
     if (dump_spec) {
@@ -125,7 +120,6 @@ int main(int argc, char** argv) {
     auto sched =
         Registry::make_scheduler(spec.scheduler, net, &plan, spec.threads);
     RunOptions ropts;
-    ropts.engine.mode = spec.engine_mode();
     ropts.engine.latency_factor = spec.latency_factor;
     ropts.engine.fault = plan;
     ropts.engine.threads = spec.threads;

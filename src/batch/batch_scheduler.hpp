@@ -48,16 +48,15 @@ class BatchScheduler {
 /// check_batch_result on the output — search loops that evaluate many
 /// candidate orders and validate only the winner pass false.
 ///
-/// Dispatches on p.math: kScalar runs the sorted-cursor reference below;
-/// kSoA evaluates through the structure-of-arrays view (p.soa when the
-/// owner prebuilt one, a thread-local build otherwise); kVerify runs both
-/// and cross-checks assignment-for-assignment. All modes are byte-equal.
+/// Dispatches on p.math: kScalar runs the sorted-cursor path below; kSoA
+/// evaluates through the structure-of-arrays view (p.soa when the owner
+/// prebuilt one, a thread-local build otherwise). Both are byte-equal.
 [[nodiscard]] BatchResult chain_evaluate(const BatchProblem& p,
                                          const std::vector<std::size_t>& order,
                                          bool validate = true);
 
-/// The scalar reference path of chain_evaluate, independent of p.math.
-/// Exposed for the verify cross-check, soa_test, and bench_simd.
+/// The scalar path of chain_evaluate, independent of p.math. Exposed for
+/// soa_test and bench_simd.
 [[nodiscard]] BatchResult chain_evaluate_scalar(
     const BatchProblem& p, const std::vector<std::size_t>& order,
     bool validate = true);

@@ -62,17 +62,16 @@ Time estimate_fa_seeded(const BatchScheduler& a, const BatchProblem& p,
   return estimate_fa(a, p, rng);
 }
 
+std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp) {
+  return derive_seed(seed, kProbeSalt, fp);
+}
+
 BucketInsertionCore::BucketInsertionCore(
-    std::shared_ptr<const BatchScheduler> algo, BucketFastPath path,
-    std::uint64_t seed, std::int32_t threads, BatchMathMode math)
-    : algo_(std::move(algo)),
-      path_(path),
-      seed_(seed),
-      threads_(threads),
-      math_(math) {
+    std::shared_ptr<const BatchScheduler> algo, std::uint64_t seed,
+    std::int32_t threads, BatchMathMode math)
+    : algo_(std::move(algo)), seed_(seed), threads_(threads), math_(math) {
   DTM_REQUIRE(algo_ != nullptr, "bucket insertion core needs a batch algo");
   DTM_REQUIRE(threads_ >= 0, "bucket insertion threads " << threads_);
-  scratch_.math = math_;
   run_scratch_.math = math_;
 }
 
@@ -124,17 +123,14 @@ void BucketInsertionCore::ensure_fresh(const SystemView& view,
   cb.at_world = world_;
 }
 
-Time BucketInsertionCore::estimate(BatchProblem& p, std::uint64_t fp,
-                                   bool use_memo) {
+Time BucketInsertionCore::estimate(BatchProblem& p, std::uint64_t fp) {
   ++stats_.probes;
   last_memo_hit_ = false;
-  if (use_memo) {
-    const auto it = memo_.find(fp);
-    if (it != memo_.end()) {
-      ++stats_.memo_hits;
-      last_memo_hit_ = true;
-      return it->second;
-    }
+  const auto it = memo_.find(fp);
+  if (it != memo_.end()) {
+    ++stats_.memo_hits;
+    last_memo_hit_ = true;
+    return it->second;
   }
   ++stats_.estimates;
   // On the SoA paths, amortize one view build across everything the A run
@@ -146,24 +142,11 @@ Time BucketInsertionCore::estimate(BatchProblem& p, std::uint64_t fp,
     probe_soa_.build(p);
     p.soa = &probe_soa_;
   }
-  const Time f =
-      estimate_fa_seeded(*algo_, p, derive_seed(seed_, kProbeSalt, fp));
+  const Time f = estimate_fa_seeded(*algo_, p, probe_seed(seed_, fp));
   if (attach) p.soa = nullptr;  // p outlives probe_soa_'s next rebuild
-  if (use_memo) {
-    if (memo_.size() >= kMemoCap) memo_.clear();
-    memo_.emplace(fp, f);
-  }
+  if (memo_.size() >= kMemoCap) memo_.clear();
+  memo_.emplace(fp, f);
   return f;
-}
-
-Time BucketInsertionCore::probe_naive(const SystemView& view,
-                                      std::span<const TxnId> members,
-                                      const Candidate& cand,
-                                      const ExtraAssignments& extra,
-                                      bool use_memo) {
-  ++stats_.rebuilds;
-  builder_.build(view, members, cand.id, extra, scratch_);
-  return estimate(scratch_, problem_fingerprint(scratch_), use_memo);
 }
 
 Time BucketInsertionCore::probe_cached(const SystemView& view,
@@ -193,7 +176,7 @@ Time BucketInsertionCore::probe_cached(const SystemView& view,
     avail_fp = avail_chain(avail_fp, o, cb.p.now);
   const std::uint64_t fp = finish_fp(hash_combine(cb.txn_fp, cand.row_hash),
                                      avail_fp, cb.p.latency_factor);
-  const Time f = estimate(cb.p, fp, /*use_memo=*/true);
+  const Time f = estimate(cb.p, fp);
 
   // Rollback, highest position first (recorded positions are strictly
   // increasing, so later erases cannot shift earlier ones).
@@ -214,63 +197,30 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
   make_candidate(view, t, extra, cand_);
   last_lb_ = cand_.lb;
 
-  const bool fast = path_ != BucketFastPath::kNaive;
-  std::int32_t start = 0;
-  if (fast) {
-    // Every feasible schedule of B_i ∪ {t} executes t no earlier than LB,
-    // and estimate_fa majorizes the availability horizon, so all levels
-    // with 2^i < LB fail the F_A test — skipping them is exact, not a
-    // heuristic (kVerify re-checks below; bucket_fastpath_test asserts it
-    // on randomized workloads).
-    start = std::min(cand_.lb <= 1 ? 0 : ceil_log2_i64(cand_.lb), top);
-    stats_.levels_skipped += start;
-  }
+  // Every feasible schedule of B_i ∪ {t} executes t no earlier than LB,
+  // and estimate_fa majorizes the availability horizon, so all levels with
+  // 2^i < LB fail the F_A test — skipping them is exact, not a heuristic
+  // (the naive-insertion differential test asserts it on randomized
+  // workloads).
+  const std::int32_t start =
+      std::min(cand_.lb <= 1 ? 0 : ceil_log2_i64(cand_.lb), top);
+  stats_.levels_skipped += start;
 
-  std::int32_t chosen = top;  // over-horizon tail parks in the top bucket
   const unsigned par = resolve_threads(threads_);
-  if (path_ == BucketFastPath::kIncremental && par > 1 && start < top) {
-    chosen = choose_level_waves(view, start, top, levels, extra, par);
-  } else {
-    for (std::int32_t i = start; i <= top; ++i) {
-      const LevelView lv = levels(i);
-      Time f;
-      if (fast) {
-        CachedBucket& cb = cached(lv.id);
-        DTM_CHECK(cb.p.txns.size() == lv.members.size(),
-                  "bucket cache out of sync at level "
-                      << i << ": " << cb.p.txns.size() << " cached vs "
-                      << lv.members.size() << " members");
-        f = probe_cached(view, cb, cand_, extra);
-      } else {
-        f = probe_naive(view, lv.members, cand_, extra, /*use_memo=*/false);
-      }
-      last_scan_.push_back({i, f, last_memo_hit_});
-      if (f <= (Time{1} << i)) {
-        chosen = i;
-        break;
-      }
-    }
+  if (par > 1 && start < top)
+    return choose_level_waves(view, start, top, levels, extra, par);
+  for (std::int32_t i = start; i <= top; ++i) {
+    const LevelView lv = levels(i);
+    CachedBucket& cb = cached(lv.id);
+    DTM_CHECK(cb.p.txns.size() == lv.members.size(),
+              "bucket cache out of sync at level "
+                  << i << ": " << cb.p.txns.size() << " cached vs "
+                  << lv.members.size() << " members");
+    const Time f = probe_cached(view, cb, cand_, extra);
+    last_scan_.push_back({i, f, last_memo_hit_});
+    if (f <= (Time{1} << i)) return i;
   }
-
-  if (path_ == BucketFastPath::kVerify) {
-    // Cross-check against the paper-verbatim scan from level 0 (memo
-    // bypassed so the estimates are recomputed from scratch).
-    ++stats_.verify_checks;
-    std::int32_t naive = top;
-    for (std::int32_t i = 0; i <= top; ++i) {
-      const Time f = probe_naive(view, levels(i).members, cand_, extra,
-                                 /*use_memo=*/false);
-      if (f <= (Time{1} << i)) {
-        naive = i;
-        break;
-      }
-    }
-    DTM_CHECK(naive == chosen,
-              "bucket fast path diverged: naive scan chose level "
-                  << naive << ", incremental chose " << chosen << " for txn "
-                  << t.id << " (lb=" << cand_.lb << ")");
-  }
-  return chosen;
+  return top;  // over-horizon tail parks in the top bucket
 }
 
 std::int32_t BucketInsertionCore::choose_level_waves(
@@ -347,8 +297,7 @@ std::int32_t BucketInsertionCore::choose_level_waves(
             s.soa.build(s.p);
             s.p.soa = &s.soa;
           }
-          s.f = estimate_fa_seeded(*algo_, s.p,
-                                   derive_seed(seed_, kProbeSalt, s.fp));
+          s.f = estimate_fa_seeded(*algo_, s.p, probe_seed(seed_, s.fp));
           s.p.soa = nullptr;
         },
         par, 1);
@@ -371,7 +320,6 @@ std::int32_t BucketInsertionCore::choose_level_waves(
 void BucketInsertionCore::on_inserted(const SystemView& view, BucketId id,
                                       const Transaction& t,
                                       const ExtraAssignments& extra) {
-  if (path_ == BucketFastPath::kNaive) return;
   if (cand_.id != t.id) make_candidate(view, t, extra, cand_);
   CachedBucket& cb = cached(id);
   cb.p.oracle = &view.oracle();
@@ -393,11 +341,6 @@ const BatchProblem& BucketInsertionCore::activation_problem(
     const SystemView& view, BucketId id, std::span<const TxnId> members,
     const ExtraAssignments& extra) {
   ++stats_.activations;
-  if (path_ == BucketFastPath::kNaive) {
-    ++stats_.rebuilds;
-    builder_.build(view, members, kNoTxn, extra, scratch_);
-    return scratch_;
-  }
   CachedBucket& cb = cached(id);
   DTM_CHECK(cb.p.txns.size() == members.size(),
             "activation cache out of sync: " << cb.p.txns.size()
@@ -406,14 +349,6 @@ const BatchProblem& BucketInsertionCore::activation_problem(
   cb.p.oracle = &view.oracle();
   cb.p.latency_factor = view.latency_factor();
   ensure_fresh(view, cb, extra);
-  if (path_ == BucketFastPath::kVerify) {
-    ++stats_.verify_checks;
-    builder_.build(view, members, kNoTxn, extra, scratch_);
-    DTM_CHECK(problem_fingerprint(scratch_) == problem_fingerprint(cb.p),
-              "activation problem diverged from fresh build for bucket "
-                  << id);
-    return scratch_;  // hand the naive build out: byte-equal by the check
-  }
   return cb.p;
 }
 

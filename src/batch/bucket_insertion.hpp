@@ -32,10 +32,11 @@
 // Byte-identity is the design invariant, not an afterthought: randomized
 // estimates and activation retries draw from RNG streams derived purely
 // from (scheduler seed, salt, problem fingerprint, trial index), so the
-// naive and incremental paths — and any mix of memo hits and misses —
-// produce bit-equal schedules. kVerify runs both paths and cross-checks
-// every level choice; the golden commit-sequence pins hold across all
-// three paths.
+// naive transcription and this core — and any mix of memo hits and misses
+// — produce bit-equal schedules. The naive transcription is the test-side
+// reference (tests/oracle/naive_insertion.hpp); its differential test
+// checks every level choice and every activation problem against this
+// core.
 //
 // That same purity is what makes the core parallelizable without touching
 // a single decision (ARCHITECTURE.md §8): with threads > 1,
@@ -66,25 +67,18 @@
 
 namespace dtm {
 
-/// Insertion-path selector, wired through BucketOptions / DistBucketOptions
-/// (registry knob `fastpath=off|on|verify`).
-enum class BucketFastPath {
-  kNaive,        ///< rebuild + estimate every level from 0 (paper verbatim)
-  kIncremental,  ///< cached problems + memoized F_A + level lower bound
-  kVerify,       ///< incremental, cross-checked against the naive scan
-};
-
 struct FastPathStats {
   std::int64_t inserts = 0;         ///< choose_level calls
   std::int64_t probes = 0;          ///< F_A estimates requested
   std::int64_t memo_hits = 0;       ///< estimates answered from the memo
   std::int64_t estimates = 0;       ///< estimates that actually ran A
   std::int64_t levels_skipped = 0;  ///< levels below the lower-bound start
-  std::int64_t rebuilds = 0;        ///< full problem (re)builds
+  /// Full problem rebuilds. The core appends rows instead, so this stays 0;
+  /// the naive reference counts its per-probe builds here.
+  std::int64_t rebuilds = 0;
   std::int64_t refreshes = 0;       ///< cached availability refreshes
   std::int64_t appends = 0;         ///< incremental member appends
   std::int64_t activations = 0;     ///< activation problems produced
-  std::int64_t verify_checks = 0;   ///< naive cross-checks (kVerify)
 };
 
 /// Canonical 64-bit content fingerprint of a batch problem: transaction
@@ -101,6 +95,11 @@ struct FastPathStats {
 [[nodiscard]] Time estimate_fa_seeded(const BatchScheduler& a,
                                       const BatchProblem& p,
                                       std::uint64_t seed);
+
+/// The seed of the level probe of a problem with fingerprint `fp` under a
+/// scheduler seed: every F_A estimate of the insertion scan runs
+/// estimate_fa_seeded with it.
+[[nodiscard]] std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp);
 
 class BucketInsertionCore {
  public:
@@ -119,15 +118,13 @@ class BucketInsertionCore {
   /// `threads`: 1 = serial (default), 0 = all hardware threads, N = up to
   /// N participants for wave probing and activation retries.
   /// `math`: batch arithmetic backend stamped on every problem this core
-  /// builds (registry knob `batch_math=scalar|soa|verify`); all modes are
+  /// builds (registry knob `batch_math=scalar|soa`); both are
   /// byte-identical, kSoA additionally attaches shared BatchProblemSoA
   /// views so one build serves every probe trial / activation retry.
   BucketInsertionCore(std::shared_ptr<const BatchScheduler> algo,
-                      BucketFastPath path, std::uint64_t seed,
-                      std::int32_t threads = 1,
+                      std::uint64_t seed, std::int32_t threads = 1,
                       BatchMathMode math = BatchMathMode::kScalar);
 
-  [[nodiscard]] BucketFastPath path() const { return path_; }
   [[nodiscard]] BatchMathMode math() const { return math_; }
   [[nodiscard]] const FastPathStats& stats() const { return stats_; }
 
@@ -146,9 +143,9 @@ class BucketInsertionCore {
 
   /// Algorithm 2 line 4: lowest level i in [0, top] with
   /// F_A(B_i ∪ {t}) <= 2^i, or top when none fits. `levels(i)` names the
-  /// bucket probed at level i. On the incremental path the scan starts at
-  /// ceil(log2(LB)); kVerify re-runs the naive scan from 0 and checks the
-  /// same level wins.
+  /// bucket probed at level i. The scan starts at ceil(log2(LB)): every
+  /// level below fails the test, so the naive scan from 0 picks the same
+  /// level.
   [[nodiscard]] std::int32_t choose_level(const SystemView& view,
                                           const Transaction& t,
                                           std::int32_t top,
@@ -161,9 +158,9 @@ class BucketInsertionCore {
   void on_inserted(const SystemView& view, BucketId id, const Transaction& t,
                    const ExtraAssignments& extra);
 
-  /// The activation problem for bucket `id` with the given members:
-  /// refreshed cache on the incremental path, fresh build otherwise.
-  /// The reference stays valid until the next core call.
+  /// The activation problem for bucket `id` with the given members: the
+  /// refreshed cache, fingerprint-equal to a fresh build. The reference
+  /// stays valid until the next core call.
   [[nodiscard]] const BatchProblem& activation_problem(
       const SystemView& view, BucketId id, std::span<const TxnId> members,
       const ExtraAssignments& extra);
@@ -215,15 +212,10 @@ class BucketInsertionCore {
   /// estimate (memo first), roll back.
   Time probe_cached(const SystemView& view, CachedBucket& cb,
                     const Candidate& cand, const ExtraAssignments& extra);
-  /// F_A(B ∪ {t}) via a fresh build (the naive path; also the verify
-  /// cross-check, which bypasses the memo).
-  Time probe_naive(const SystemView& view, std::span<const TxnId> members,
-                   const Candidate& cand, const ExtraAssignments& extra,
-                   bool use_memo);
   /// Memoized estimate of `p` under its fingerprint. Non-const `p`: on an
   /// SoA-mode memo miss the core attaches a freshly built probe_soa_ view
   /// for the duration of the A run (detached before returning).
-  Time estimate(BatchProblem& p, std::uint64_t fp, bool use_memo);
+  Time estimate(BatchProblem& p, std::uint64_t fp);
 
   /// One level's speculative probe during a parallel wave: a materialized
   /// copy of the cached problem with the candidate appended (copies keep
@@ -245,14 +237,11 @@ class BucketInsertionCore {
                                   const ExtraAssignments& extra, unsigned par);
 
   std::shared_ptr<const BatchScheduler> algo_;
-  BucketFastPath path_;
   std::uint64_t seed_;
   std::int32_t threads_ = 1;
   BatchMathMode math_ = BatchMathMode::kScalar;
   std::uint64_t world_ = 1;
 
-  ProblemBuilder builder_;
-  BatchProblem scratch_;  ///< naive probe / activation build target
   BatchProblemSoA probe_soa_;  ///< SoA view for serial estimate() runs
   BatchProblem run_scratch_;   ///< run_activation copy carrying a shared SoA
   BatchProblemSoA run_soa_;    ///< ... built once, read by all retry trials

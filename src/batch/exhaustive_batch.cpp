@@ -26,8 +26,7 @@ class ExhaustiveBatch final : public BatchScheduler {
     std::iota(order.begin(), order.end(), 0);
     if (order.empty()) return chain_evaluate(p, order);
     // One SoA build amortized over all n! evaluations; the scalar mode
-    // evaluates through the reference path. kVerify cross-checks every
-    // permutation inside chain_evaluate.
+    // evaluates through the scalar path.
     static thread_local BatchProblemSoA soa_scratch;
     const bool use_soa = p.math != BatchMathMode::kScalar;
     if (use_soa && (p.soa.get() == nullptr || !p.soa.get()->matches(p)))
@@ -39,15 +38,7 @@ class ExhaustiveBatch final : public BatchScheduler {
                         : &soa_scratch);
     const auto eval = [&](const std::vector<std::size_t>& ord) {
       if (!use_soa) return chain_evaluate_scalar(p, ord, /*validate=*/false);
-      BatchResult r = chain_evaluate_soa(p, *soa, ord);
-      if (p.math == BatchMathMode::kVerify) {
-        const BatchResult ref =
-            chain_evaluate_scalar(p, ord, /*validate=*/false);
-        DTM_CHECK(r.makespan == ref.makespan,
-                  "exhaustive SoA eval diverged: " << r.makespan << " vs "
-                                                   << ref.makespan);
-      }
-      return r;
+      return chain_evaluate_soa(p, *soa, ord);
     };
     std::vector<std::size_t> best_order = order;
     Time best = -1;

@@ -13,8 +13,7 @@
 //   - an adjacent swap of object-disjoint transactions is skipped via a
 //     single bit test on the conflict rows: disjointness means no object's
 //     visiting order changes, so the swapped order evaluates to the exact
-//     same schedule — the scalar path would compute it and revert. kVerify
-//     still evaluates and asserts the makespan is indeed unchanged.
+//     same schedule — the scalar path would compute it and revert.
 #include <algorithm>
 
 #include "batch/batch_scheduler.hpp"
@@ -44,19 +43,11 @@ class LocalSearchBatch final : public BatchScheduler {
         soa = &soa_scratch;
       }
     }
-    // One evaluation seam for the whole search: scalar reference, SoA, or
-    // SoA + per-call cross-check (kVerify).
+    // One evaluation seam for the whole search: scalar or SoA.
     const auto eval = [&](const std::vector<std::size_t>& order,
                           bool validate) {
       if (!use_soa) return chain_evaluate_scalar(p, order, validate);
       BatchResult r = chain_evaluate_soa(p, *soa, order);
-      if (p.math == BatchMathMode::kVerify) {
-        const BatchResult ref =
-            chain_evaluate_scalar(p, order, /*validate=*/false);
-        DTM_CHECK(r.makespan == ref.makespan,
-                  "local-search SoA eval diverged: " << r.makespan << " vs "
-                                                     << ref.makespan);
-      }
       if (validate) check_batch_result(p, r);
       return r;
     };
@@ -81,14 +72,6 @@ class LocalSearchBatch final : public BatchScheduler {
         if (use_soa && !soa->conflicts(order[i], order[i + 1])) {
           // Object-disjoint neighbors: swapping them is a no-op schedule-
           // wise, so the scalar path's evaluate-and-revert is skippable.
-          if (p.math == BatchMathMode::kVerify) {
-            std::swap(order[i], order[i + 1]);
-            const BatchResult cand = eval(order, /*validate=*/false);
-            DTM_CHECK(cand.makespan == best.makespan,
-                      "disjoint adjacent swap changed makespan "
-                          << best.makespan << " -> " << cand.makespan);
-            std::swap(order[i], order[i + 1]);
-          }
           continue;
         }
         std::swap(order[i], order[i + 1]);

@@ -134,13 +134,6 @@ DependencyGraph DependencyGraph::build(const SystemView& view,
   } else {
     conflict_pairs_bitset(view, g, objects,
                           static_cast<std::size_t>(holder_base), pairs);
-    if (math == BatchMathMode::kVerify) {
-      std::vector<std::uint64_t> ref;
-      conflict_pairs_scalar(view, g, objects, ref);
-      DTM_CHECK(pairs == ref,
-                "bitset conflict pairs diverged from scalar: "
-                    << pairs.size() << " vs " << ref.size() << " pairs");
-    }
   }
   for (const std::uint64_t key : pairs) {
     const auto i = static_cast<std::int32_t>(key >> 32);

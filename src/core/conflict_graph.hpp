@@ -46,7 +46,7 @@ class DependencyGraph {
   /// user pairs per object and sorts the packed (lo, hi) keys; kSoA ORs
   /// per-object user masks into per-transaction bitset rows and emits
   /// pairs by a row-major ascending bit scan (identical edge order by
-  /// construction); kVerify runs both and cross-checks the pair sets.
+  /// construction).
   static DependencyGraph build(const SystemView& view,
                                BatchMathMode math = BatchMathMode::kScalar);
 

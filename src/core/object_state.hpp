@@ -82,6 +82,10 @@ class ObjectState {
   /// both the backtrack and the continue route remain realizable.
   void delay_arrival(Time extra);
 
+  /// Field-wise equality, the last leg's fields included (they stay
+  /// behind after the object settles).
+  friend bool operator==(const ObjectState&, const ObjectState&) = default;
+
  private:
   ObjId id_ = kNoObj;
   // Resting state.

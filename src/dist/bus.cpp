@@ -38,42 +38,6 @@ void MessageBus::drain_into(Time now, std::vector<Message>& out) {
 Time MessageBus::next_delivery() const { return wheel_.next_time(); }
 
 // ---------------------------------------------------------------------------
-// ReferenceHeapBus (frozen pre-wheel implementation; see header)
-
-void ReferenceHeapBus::send(NodeId from, NodeId to, Time now,
-                            Payload payload) {
-  deliver_at(from, to, now, now + oracle_->dist(from, to),
-             std::move(payload));
-}
-
-void ReferenceHeapBus::deliver_at(NodeId from, NodeId to, Time sent,
-                                  Time deliver, Payload payload) {
-  DTM_REQUIRE(deliver >= sent, "bus delivery at " << deliver
-                                                  << " before send " << sent);
-  Message m;
-  m.from = from;
-  m.to = to;
-  m.sent = sent;
-  m.deliver = deliver;
-  m.seq = seq_++;
-  m.payload = std::move(payload);
-  ++sent_;
-  queue_.push(std::move(m));
-}
-
-void ReferenceHeapBus::drain_into(Time now, std::vector<Message>& out) {
-  out.clear();
-  while (!queue_.empty() && queue_.top().deliver <= now) {
-    out.push_back(queue_.top());
-    queue_.pop();
-  }
-}
-
-Time ReferenceHeapBus::next_delivery() const {
-  return queue_.empty() ? kNoTime : queue_.top().deliver;
-}
-
-// ---------------------------------------------------------------------------
 // FaultyBus
 
 namespace {
@@ -140,8 +104,8 @@ Time FaultyBus::release_time(NodeId node, Time t) const {
 void FaultyBus::send(NodeId from, NodeId to, Time now, Payload payload) {
   ++fstats_.offered;
   // Draw order is fixed (drop, dup, then per-copy jitter) so the fault
-  // sequence depends only on (plan seed, send sequence) — never on which
-  // engine mode or drain order produced the sends.
+  // sequence depends only on (plan seed, send sequence) — never on the
+  // engine's bookkeeping or the drain order that produced the sends.
   const bool dropped = plan_->drop > 0.0 && rng_.bernoulli(plan_->drop);
   const bool duplicated = plan_->dup > 0.0 && rng_.bernoulli(plan_->dup);
   const int copies = dropped ? (duplicated ? 1 : 0) : (duplicated ? 2 : 1);

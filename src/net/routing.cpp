@@ -116,19 +116,11 @@ Weight RoutingTable::edge_weight(NodeId u, NodeId v) const {
 RoutingMode parse_routing_mode(const std::string& v) {
   if (v == "exact") return RoutingMode::kExact;
   if (v == "landmark") return RoutingMode::kLandmark;
-  if (v == "verify") return RoutingMode::kVerify;
-  DTM_CHECK(false, "unknown routing mode '"
-                       << v << "' (expected exact|landmark|verify)");
-  return RoutingMode::kExact;
+  throw CheckError("spec: routing must be exact|landmark, got '" + v + "'");
 }
 
 std::string to_string(RoutingMode m) {
-  switch (m) {
-    case RoutingMode::kExact: return "exact";
-    case RoutingMode::kLandmark: return "landmark";
-    case RoutingMode::kVerify: return "verify";
-  }
-  return "exact";
+  return m == RoutingMode::kLandmark ? "landmark" : "exact";
 }
 
 namespace {
@@ -231,11 +223,9 @@ Weight LandmarkRouter::dist(NodeId u, NodeId v) const {
               "dist(" << u << "," << v << ")");
   if (u == v) return 0;
   if (home_[static_cast<std::size_t>(u)] ==
-      home_[static_cast<std::size_t>(v)]) {
-    ++stats_.intra_queries;
-    return intra_.dist(u, v);
-  }
-  ++stats_.inter_queries;
+      home_[static_cast<std::size_t>(v)])
+    return intra_query([&](const RoutingTable& t) { return t.dist(u, v); });
+  inter_queries_.fetch_add(1, std::memory_order_relaxed);
   Weight best = kInfWeight;
   const auto kL = num_landmarks();
   for (std::int32_t l = 0; l < kL; ++l) {
@@ -281,11 +271,9 @@ std::vector<NodeId> LandmarkRouter::path(NodeId u, NodeId v) const {
               "path(" << u << "," << v << ")");
   if (u == v) return {u};
   if (home_[static_cast<std::size_t>(u)] ==
-      home_[static_cast<std::size_t>(v)]) {
-    ++stats_.intra_queries;
-    return intra_.path(u, v);
-  }
-  ++stats_.inter_queries;
+      home_[static_cast<std::size_t>(v)])
+    return intra_query([&](const RoutingTable& t) { return t.path(u, v); });
+  inter_queries_.fetch_add(1, std::memory_order_relaxed);
   const std::int32_t l = best_landmark(u, v);
   std::vector<NodeId> p = walk_to_landmark(u, l);       // u ... landmark
   const std::vector<NodeId> back = walk_to_landmark(v, l);  // v ... landmark
@@ -304,10 +292,9 @@ std::vector<NodeId> LandmarkRouter::path(NodeId u, NodeId v) const {
 NodeId LandmarkRouter::next_hop(NodeId u, NodeId v) const {
   if (u == v) return u;
   if (home_[static_cast<std::size_t>(u)] ==
-      home_[static_cast<std::size_t>(v)]) {
-    ++stats_.intra_queries;
-    return intra_.next_hop(u, v);
-  }
+      home_[static_cast<std::size_t>(v)])
+    return intra_query(
+        [&](const RoutingTable& t) { return t.next_hop(u, v); });
   return path(u, v)[1];
 }
 
@@ -320,6 +307,7 @@ Weight LandmarkRouter::path_weight(const std::vector<NodeId>& p) const {
 }
 
 std::size_t LandmarkRouter::memory_bytes() const {
+  const std::lock_guard<std::mutex> lock(intra_mu_);
   return ldist_.size() * sizeof(Weight) + lhop_.size() * sizeof(NodeId) +
          home_.size() * sizeof(std::int32_t) +
          landmarks_.size() * sizeof(NodeId) + intra_.memory_bytes();
@@ -329,82 +317,9 @@ std::size_t LandmarkRouter::memory_bytes() const {
 // LandmarkOracle
 
 LandmarkOracle::LandmarkOracle(std::shared_ptr<const Graph> graph,
-                               LandmarkOptions opts,
-                               std::shared_ptr<const DistanceOracle> exact,
-                               double max_stretch)
+                               LandmarkOptions opts)
     : graph_(std::move(graph)),
       router_(*graph_, opts),
-      exact_(std::move(exact)),
-      max_stretch_(max_stretch) {
-  DTM_REQUIRE(max_stretch_ >= 1.0, "max_stretch " << max_stretch_ << " < 1");
-  diameter_ = router_.diameter_bound();
-  if (exact_) construction_sweep();
-}
-
-Weight LandmarkOracle::dist(NodeId u, NodeId v) const {
-  const Weight d = router_.dist(u, v);
-  if (exact_) check(u, v, d);
-  return d;
-}
-
-void LandmarkOracle::check(NodeId u, NodeId v, Weight d) const {
-  ++vstats_.dist_checks;
-  const Weight e = exact_->dist(u, v);
-  DTM_CHECK(d >= e, "landmark dist(" << u << "," << v << ") = " << d
-                                     << " below exact " << e);
-  if (e == 0) {
-    DTM_CHECK(d == 0, "nonzero landmark dist " << d << " for coincident "
-                                               << u << "," << v);
-    return;
-  }
-  const double stretch =
-      static_cast<double>(d) / static_cast<double>(e);
-  vstats_.max_stretch_seen = std::max(vstats_.max_stretch_seen, stretch);
-  DTM_CHECK(stretch <= max_stretch_ + 1e-9,
-            "landmark stretch " << stretch << " for (" << u << "," << v
-                                << ") exceeds bound " << max_stretch_);
-}
-
-void LandmarkOracle::construction_sweep() {
-  // Prove route validity once up front: every checked pair's realized path
-  // must be a real walk (adjacent hops — path_weight asserts), start and
-  // end at the endpoints, and cost no more than the reported distance.
-  // All pairs on small graphs; a deterministic stride sample on larger
-  // ones (verify mode is for pinned small graphs, but stay bounded).
-  const NodeId n = router_.num_nodes();
-  const auto check_pair = [&](NodeId u, NodeId v) {
-    const Weight d = router_.dist(u, v);
-    check(u, v, d);
-    const auto p = router_.path(u, v);
-    DTM_CHECK(p.front() == u && p.back() == v,
-              "path(" << u << "," << v << ") endpoints " << p.front() << ","
-                      << p.back());
-    const Weight w = router_.path_weight(p);
-    DTM_CHECK(w <= d, "path(" << u << "," << v << ") realizes " << w
-                              << " above reported dist " << d);
-    DTM_CHECK(w >= exact_->dist(u, v), "path weight below exact distance");
-    ++vstats_.path_checks;
-  };
-  if (n <= 128) {
-    for (NodeId u = 0; u < n; ++u)
-      for (NodeId v = static_cast<NodeId>(u + 1); v < n; ++v)
-        check_pair(u, v);
-    return;
-  }
-  // Deterministic pseudo-random pair sample (splitmix64 walk).
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  const auto draw = [&x, n]() {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<NodeId>((z ^ (z >> 31)) % static_cast<std::uint64_t>(n));
-  };
-  for (int i = 0; i < 4096; ++i) {
-    const NodeId u = draw();
-    const NodeId v = draw();
-    if (u != v) check_pair(u, v);
-  }
-}
+      diameter_(router_.diameter_bound()) {}
 
 }  // namespace dtm

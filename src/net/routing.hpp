@@ -26,21 +26,24 @@
 // practice by the cluster radii.
 //
 // LandmarkOracle adapts the router to the engine's DistanceOracle seam
-// behind the topology-spec knob `routing=exact|landmark|verify`
-// (sim/registry.cpp). verify keeps the exact oracle alongside and proves,
-// per query and in a construction-time sweep, that landmark routes are
-// valid walks no longer than the reported distance and that the stretch
-// stays within a configured bound — the cross-check mode for pinned small
-// graphs; landmark mode drops the exact oracle entirely, which is what lets
-// 50k+-node random graphs run without the O(n^2) APSP wall.
+// behind the topology-spec knob `routing=exact|landmark`
+// (sim/registry.cpp). landmark mode builds no exact oracle at all, which is
+// what lets 50k+-node random graphs run without the O(n^2) APSP wall. The
+// stretch cross-check against the exact oracle is test-side
+// (tests/oracle/stretch_oracle.hpp).
 //
-// Not thread-safe: queries mutate caches. Give each thread its own table.
+// RoutingTable is not thread-safe: queries mutate its cache, so give each
+// thread its own table. LandmarkRouter is: the engine's sharded reroute
+// calls dist() from pool workers, so the shared intra-cluster table sits
+// behind a mutex and the query counters are relaxed atomics.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -120,7 +123,6 @@ class RoutingTable {
 enum class RoutingMode : std::uint8_t {
   kExact,     ///< the builder's native oracle (closed-form or APSP)
   kLandmark,  ///< LandmarkOracle only — no exact oracle is built at all
-  kVerify,    ///< landmark answers cross-checked against exact per query
 };
 
 [[nodiscard]] RoutingMode parse_routing_mode(const std::string& v);
@@ -142,6 +144,7 @@ class LandmarkRouter {
 
   /// Exact distance for same-cluster pairs; the via-landmark upper bound
   /// min_l dist(u,l) + dist(l,v) otherwise. Always >= the true distance.
+  /// Safe to call concurrently.
   [[nodiscard]] Weight dist(NodeId u, NodeId v) const;
 
   /// A valid walk u -> ... -> v realizing at most dist(u, v): exact
@@ -153,7 +156,7 @@ class LandmarkRouter {
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId v) const;
 
   /// Sum of edge weights along `p`, asserting every consecutive pair is
-  /// adjacent — the walk-validity check verify mode runs.
+  /// adjacent — the walk-validity check of the stretch cross-check.
   [[nodiscard]] Weight path_weight(const std::vector<NodeId>& p) const;
 
   [[nodiscard]] NodeId num_nodes() const { return n_; }
@@ -177,11 +180,15 @@ class LandmarkRouter {
     std::int64_t intra_queries = 0;  ///< same-cluster (exact) answers
     std::int64_t inter_queries = 0;  ///< via-landmark answers
   };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const RoutingTable::CacheStats& intra_cache_stats() const {
+  /// A snapshot of the query counters.
+  [[nodiscard]] Stats stats() const {
+    return {intra_queries_.load(std::memory_order_relaxed),
+            inter_queries_.load(std::memory_order_relaxed)};
+  }
+  [[nodiscard]] RoutingTable::CacheStats intra_cache_stats() const {
+    const std::lock_guard<std::mutex> lock(intra_mu_);
     return intra_.cache_stats();
   }
-  [[nodiscard]] const RoutingTable& intra_table() const { return intra_; }
   /// Bytes held by the landmark tables plus the resident intra tables.
   [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -200,6 +207,13 @@ class LandmarkRouter {
   /// Tree walk u -> ... -> landmark(l) along l's SSSP next-hops.
   [[nodiscard]] std::vector<NodeId> walk_to_landmark(NodeId u,
                                                      std::int32_t l) const;
+  /// Counts one same-cluster query and returns f(intra_) under the lock.
+  template <typename F>
+  auto intra_query(F&& f) const {
+    intra_queries_.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(intra_mu_);
+    return f(intra_);
+  }
 
   NodeId n_;
   std::vector<NodeId> landmarks_;
@@ -209,22 +223,20 @@ class LandmarkRouter {
   Weight radius_ = 0;
   Weight diameter_bound_ = 0;
   RoutingTable intra_;
-  mutable Stats stats_;
+  mutable std::mutex intra_mu_;  ///< guards intra_'s LRU cache
+  mutable std::atomic<std::int64_t> intra_queries_{0};
+  mutable std::atomic<std::int64_t> inter_queries_{0};
 };
 
 /// DistanceOracle adapter over a LandmarkRouter. Owns a copy of the graph
 /// (Network moves around by value; the oracle must not dangle into it).
-/// With `exact` non-null the oracle runs in verify mode: a construction
-/// sweep checks path validity + stretch over all pairs (small graphs) or a
-/// deterministic sample, and every dist() query re-checks
-/// exact <= landmark <= max_stretch * exact.
 class LandmarkOracle final : public DistanceOracle {
  public:
-  LandmarkOracle(std::shared_ptr<const Graph> graph, LandmarkOptions opts,
-                 std::shared_ptr<const DistanceOracle> exact = nullptr,
-                 double max_stretch = 3.0);
+  LandmarkOracle(std::shared_ptr<const Graph> graph, LandmarkOptions opts);
 
-  [[nodiscard]] Weight dist(NodeId u, NodeId v) const override;
+  [[nodiscard]] Weight dist(NodeId u, NodeId v) const override {
+    return router_.dist(u, v);
+  }
   /// An upper bound valid for every dist() this oracle returns (consumers
   /// use diameter as a scale: greedy-uniform's beta, dist-bucket timeouts).
   [[nodiscard]] Weight diameter() const override { return diameter_; }
@@ -233,26 +245,11 @@ class LandmarkOracle final : public DistanceOracle {
   }
 
   [[nodiscard]] const LandmarkRouter& router() const { return router_; }
-  [[nodiscard]] bool verifying() const { return exact_ != nullptr; }
-  [[nodiscard]] double max_stretch() const { return max_stretch_; }
-
-  struct VerifyStats {
-    std::int64_t dist_checks = 0;      ///< per-query stretch checks
-    std::int64_t path_checks = 0;      ///< construction-sweep path walks
-    double max_stretch_seen = 1.0;     ///< over all checked pairs
-  };
-  [[nodiscard]] const VerifyStats& verify_stats() const { return vstats_; }
 
  private:
-  void check(NodeId u, NodeId v, Weight d) const;
-  void construction_sweep();
-
   std::shared_ptr<const Graph> graph_;
   LandmarkRouter router_;
-  std::shared_ptr<const DistanceOracle> exact_;
-  double max_stretch_;
   Weight diameter_;
-  mutable VerifyStats vstats_;
 };
 
 }  // namespace dtm

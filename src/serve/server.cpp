@@ -192,25 +192,24 @@ void DtmServer::register_metrics() {
     o.emplace("bytes", Json(g.bytes));
     return Json(std::move(o));
   });
-  // Routing: exact oracles have no live counters; landmark/verify oracles
-  // expose cluster-query mix, the intra-cluster cache's hit rate, and (in
-  // verify mode) the stretch evidence — so `dtm_serve stats` shows what the
-  // hierarchical routing layer is actually doing under load.
+  // Routing: exact oracles have no live counters; landmark oracles expose
+  // the cluster-query mix and the intra-cluster cache's hit rate — so
+  // `dtm_serve stats` shows what the hierarchical routing layer is actually
+  // doing under load.
   if (const auto* lm =
           dynamic_cast<const LandmarkOracle*>(net_.oracle.get())) {
     metrics_.add("routing", [lm] {
       Json::Object o;
-      o.emplace("mode", Json(lm->verifying() ? std::string("verify")
-                                             : std::string("landmark")));
+      o.emplace("mode", Json(std::string("landmark")));
       o.emplace("landmarks",
                 Json(static_cast<std::int64_t>(
                     lm->router().num_landmarks())));
       o.emplace("radius", Json(lm->router().radius()));
       o.emplace("diameter_bound", Json(lm->router().diameter_bound()));
-      const auto& qs = lm->router().stats();
+      const LandmarkRouter::Stats qs = lm->router().stats();
       o.emplace("intra_queries", Json(qs.intra_queries));
       o.emplace("inter_queries", Json(qs.inter_queries));
-      const auto& cs = lm->router().intra_cache_stats();
+      const RoutingTable::CacheStats cs = lm->router().intra_cache_stats();
       o.emplace("cache_hits", Json(cs.hits));
       o.emplace("cache_misses", Json(cs.misses));
       o.emplace("cache_evictions", Json(cs.evictions));
@@ -222,13 +221,6 @@ void DtmServer::register_metrics() {
       o.emplace("memory_bytes",
                 Json(static_cast<std::int64_t>(
                     lm->router().memory_bytes())));
-      if (lm->verifying()) {
-        const auto& vs = lm->verify_stats();
-        o.emplace("verify_dist_checks", Json(vs.dist_checks));
-        o.emplace("verify_path_checks", Json(vs.path_checks));
-        o.emplace("verify_max_stretch_seen", Json(vs.max_stretch_seen));
-        o.emplace("verify_stretch_bound", Json(lm->max_stretch()));
-      }
       return Json(std::move(o));
     });
   } else {
@@ -468,7 +460,6 @@ std::unique_ptr<DtmServer> make_server(const Network& net, const RunSpec& spec,
       Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
 
   EngineOptions eopts;
-  eopts.mode = spec.engine_mode();
   eopts.latency_factor = spec.latency_factor;
   if (spec.scheduler.kind == "dist-bucket")
     eopts.latency_factor = std::max<std::int64_t>(eopts.latency_factor, 2);

@@ -1,12 +1,12 @@
 // EventClock — the simulation's notion of time (engine layering, layer 3).
 //
 // Owns the current step, the execution calendar of scheduled live
-// transactions keyed by exec time (the structure that powers the kCalendar
-// fast path), and the *merging* of future-event candidates: the runner asks
-// one place "when can anything next happen?", combining the calendar,
-// workload arrivals, scheduler hints, and any registered EventSource (e.g.
-// the distributed protocol's MessageBus) — so no layer special-cases time
-// skips.
+// transactions keyed by exec time (the structure behind the engine's
+// event-driven bookkeeping), and the *merging* of future-event
+// candidates: the runner asks one place "when can anything next happen?",
+// combining the calendar, workload arrivals, scheduler hints, and any
+// registered EventSource (e.g. the distributed protocol's MessageBus) — so
+// no layer special-cases time skips.
 //
 // The calendar is a util/timing_wheel.hpp ring wheel (streaming runs
 // schedule and fire millions of entries, so O(log n) heap percolation and
@@ -65,7 +65,7 @@ class EventClock {
     wheel_.advance_to(t);
   }
 
-  // ---- Execution calendar (kCalendar / kVerify bookkeeping) ----
+  // ---- Execution calendar ----
 
   /// Registers an irrevocable assignment: `txn` fires at `exec`. Entries
   /// never go stale before they fire (assignments are immutable).
@@ -79,8 +79,8 @@ class EventClock {
   [[nodiscard]] Time next_scheduled() const { return wheel_.next_time(); }
 
   /// Pops every calendar entry due exactly now into `out` (ascending id
-  /// order for equal times — the order the scan path derives from its
-  /// sorted live map) and asserts nothing was missed.
+  /// order for equal times — the order a scan of the id-ordered live set
+  /// derives) and asserts nothing was missed.
   void pop_due(std::vector<TxnId>& out) {
     const Time next = wheel_.next_time();
     if (next != kNoTime)

@@ -12,20 +12,10 @@ SyncEngine::SyncEngine(std::shared_ptr<const DistanceOracle> oracle,
       }()),
       opts_(opts),
       store_(std::move(origins), *oracle_),
-      transport_(
-          std::make_unique<SyncObjectTransport>(store_, *oracle_, opts_)) {
+      transport_(store_, *oracle_, opts_) {
   DTM_REQUIRE(opts_.latency_factor >= 1,
               "latency factor " << opts_.latency_factor);
   DTM_REQUIRE(opts_.threads >= 0, "engine threads " << opts_.threads);
-  if (opts_.mode == Mode::kVerifyParallel) {
-    // Same oracle, same origins, same fault plan — only the bookkeeping
-    // differs: the twin runs the plain serial calendar path, so every
-    // lockstep divergence indicts the parallel sharding.
-    Options twin = opts_;
-    twin.mode = Mode::kCalendar;
-    twin.threads = 1;
-    shadow_ = std::make_unique<SyncEngine>(oracle_, store_.origins(), twin);
-  }
 }
 
 const ObjectState& SyncEngine::object(ObjId o) const {
@@ -62,7 +52,6 @@ void SyncEngine::begin_step(std::span<const Transaction> arrivals) {
                   "txn " << t.id << " requests unknown object " << a.obj);
     store_.add_live(t);
   }
-  if (shadow_) shadow_->begin_step(arrivals);
 }
 
 void SyncEngine::apply(std::span<const Assignment> assignments) {
@@ -76,23 +65,21 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
     DTM_REQUIRE(a.exec >= now, "txn " << a.txn << " scheduled in the past ("
                                       << a.exec << " < " << now << ")");
     lt->exec = a.exec;
-    if (opts_.mode != Mode::kScan) {
-      clock_.schedule(a.exec, a.txn);
-      for (const auto& acc : lt->txn.accesses) {
-        auto& e = store_.obj_entry(acc.obj);
-        // A fresh entry can only lower the cached min; an empty heap means
-        // no live scheduled user existed, so the entry IS the min (see the
-        // ObjEntry invariant).
-        const bool was_empty = e.sched.empty();
-        e.sched.emplace(a.exec, a.txn);
-        if (was_empty ||
-            (e.best_user != kNoTxn &&
-             (a.exec < e.best_exec ||
-              (a.exec == e.best_exec && a.txn < e.best_user)))) {
-          e.best_user = a.txn;
-          e.best_exec = a.exec;
-          e.best_node = lt->txn.node;
-        }
+    clock_.schedule(a.exec, a.txn);
+    for (const auto& acc : lt->txn.accesses) {
+      auto& e = store_.obj_entry(acc.obj);
+      // A fresh entry can only lower the cached min; an empty heap means
+      // no live scheduled user existed, so the entry IS the min (see the
+      // ObjEntry invariant).
+      const bool was_empty = e.sched.empty();
+      e.sched.emplace(a.exec, a.txn);
+      if (was_empty ||
+          (e.best_user != kNoTxn &&
+           (a.exec < e.best_exec ||
+            (a.exec == e.best_exec && a.txn < e.best_user)))) {
+        e.best_user = a.txn;
+        e.best_exec = a.exec;
+        e.best_node = lt->txn.node;
       }
     }
   }
@@ -103,39 +90,15 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
   for (const Assignment& a : assignments)
     for (const auto& acc : store_.live_txn(a.txn).txn.accesses)
       reroute_scratch_.push_back(acc.obj);
-  transport_->reroute_many(reroute_scratch_, now);
-  if (shadow_) shadow_->apply(assignments);
+  transport_.reroute_many(reroute_scratch_, now);
 }
 
 std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
-  const Mode mode = opts_.mode;
   const Time now = clock_.now();
   due_scratch_.clear();
-  transport_->settle_arrivals(now);
-  // The scan derives the due set from the live transactions in id order.
-  const auto scan_due = [&](std::vector<TxnId>& out) {
-    for (const TxnId id : store_.live_ids()) {
-      const Time exec = store_.live_txn(id).exec;
-      DTM_CHECK(exec == kNoTime || exec >= now,
-                "txn " << id << " missed its execution step " << exec
-                       << " (now " << now << ")");
-      if (exec == now) out.push_back(id);
-    }
-  };
-  if (mode == Mode::kScan) {
-    scan_due(due_scratch_);
-  } else {
-    // Equal-time entries pop in ascending id order — the same order the
-    // scan derives from the live index.
-    clock_.pop_due(due_scratch_);
-    if (mode == Mode::kVerify) {
-      transport_->verify_settled(now);
-      std::vector<TxnId> scan;
-      scan_due(scan);
-      DTM_CHECK(scan == due_scratch_,
-                "calendar due set diverges from scan at step " << now);
-    }
-  }
+  transport_.settle_arrivals(now);
+  // Equal-time entries pop in ascending id order — the model's order.
+  clock_.pop_due(due_scratch_);
 
   // Fire everyone due now. Two due transactions sharing an object would be
   // an invalid schedule — the presence check below can only pass for one of
@@ -169,24 +132,8 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
     store_.commit(id, lt.exec);
   }
   // Forward released objects to their next scheduled user.
-  transport_->reroute_many(released_scratch_, now);
+  transport_.reroute_many(released_scratch_, now);
   clock_.tick();
-  if (shadow_) {
-    const std::vector<Commit> twin = shadow_->finish_step();
-    DTM_CHECK(twin.size() == commits.size(),
-              "parallel engine committed " << commits.size()
-                                           << " txns at step " << now
-                                           << ", serial twin " << twin.size());
-    for (std::size_t i = 0; i < commits.size(); ++i)
-      DTM_CHECK(commits[i].txn == twin[i].txn &&
-                    commits[i].node == twin[i].node &&
-                    commits[i].gen == twin[i].gen &&
-                    commits[i].exec == twin[i].exec,
-                "parallel engine diverges from serial twin at step "
-                    << now << ": commit " << i << " is txn " << commits[i].txn
-                    << "@" << commits[i].exec << " vs " << twin[i].txn << "@"
-                    << twin[i].exec);
-  }
   return commits;
 }
 
@@ -197,32 +144,6 @@ void SyncEngine::advance_to(Time t) {
   DTM_CHECK(due == kNoTime || due >= t,
             "advance_to(" << t << ") would skip execution at " << due);
   clock_.advance_to(t);
-  if (shadow_) shadow_->advance_to(t);
-}
-
-Time SyncEngine::next_exec_due() const {
-  if (opts_.mode == Mode::kVerifyParallel) {
-    const Time cal = clock_.next_scheduled();
-    DTM_CHECK(cal == shadow_->next_exec_due(),
-              "parallel engine next_exec_due " << cal
-                                               << " diverges from serial twin "
-                                               << shadow_->next_exec_due());
-    return cal;
-  }
-  if (opts_.mode == Mode::kCalendar) return clock_.next_scheduled();
-  Time due = kNoTime;
-  for (const TxnId id : store_.live_ids()) {
-    const Time exec = store_.live_txn(id).exec;
-    if (exec == kNoTime) continue;
-    due = due == kNoTime ? exec : std::min(due, exec);
-  }
-  if (opts_.mode == Mode::kVerify) {
-    const Time cal = clock_.next_scheduled();
-    DTM_CHECK(cal == due, "next_exec_due diverges: calendar "
-                              << cal << " vs scan " << due << " (now "
-                              << clock_.now() << ")");
-  }
-  return due;
 }
 
 }  // namespace dtm

@@ -4,8 +4,8 @@
 //  - TxnStore   (sim/store.*):     live transactions, per-object user
 //                                  index, object position state, committed
 //                                  log — the canonical system state.
-//  - ObjectTransport (sim/transport.*): routing, in-flight motion, the
-//                                  settle queue — swappable motion policy.
+//  - SyncObjectTransport (sim/transport.*): routing, in-flight motion,
+//                                  the settle queue.
 //  - EventClock (sim/clock.*):     `now`, the execution calendar, and
 //                                  next-event merging for time skips.
 //
@@ -16,25 +16,20 @@
 // present, which makes the simulation an end-to-end feasibility check of
 // the scheduler's decisions.
 //
-// Two execution paths implement the per-step bookkeeping:
-//  - kScan (the original): every step settles all objects and scans all
-//    live transactions for due executions — O(objects + live) per step.
-//  - kCalendar (default): the clock's execution-time calendar plus the
-//    transport's object-arrival queue plus per-object scheduled-user
-//    heaps, so an idle step costs O(1) and a busy step costs
-//    O(due * log live). Assignments are irrevocable, so calendar entries
-//    never go stale before they fire.
-// kVerify runs the calendar path while re-deriving every decision with the
-// scan path and asserting equivalence — the debug harness behind the
-// equivalence test suite.
+// The per-step bookkeeping is event-driven: the clock's execution-time
+// calendar plus the transport's object-arrival queue plus per-object
+// scheduled-user heaps, so an idle step costs O(1) and a busy step costs
+// O(due * log live). Assignments are irrevocable, so calendar entries never
+// go stale before they fire. The paper's synchronous model read literally —
+// settle every object, scan every live transaction — is the test-side
+// reference engine (tests/oracle/scan_engine.hpp), and the lockstep harness
+// there steps it beside this engine and compares every step.
 //
 // With EngineOptions::threads > 1 the reroute fan-outs of apply() and
 // finish_step() run sharded across the process-wide ThreadPool (object
 // ownership by dense index, per-worker settle buffers merged after the
 // barrier — ARCHITECTURE.md §8); commit sequences stay byte-identical at
-// every thread count. kVerifyParallel is the corresponding debug harness:
-// it steps a serial calendar twin engine in lockstep and cross-checks the
-// commit stream of every step.
+// every thread count.
 #pragma once
 
 #include <memory>
@@ -52,10 +47,12 @@ namespace dtm {
 class SyncEngine final : public SystemView {
  public:
   using Options = EngineOptions;
-  using Mode = EngineOptions::Mode;
 
   SyncEngine(std::shared_ptr<const DistanceOracle> oracle,
              std::vector<ObjectOrigin> origins, Options opts = {});
+  // The transport and schedulers hold references into the store.
+  SyncEngine(const SyncEngine&) = delete;
+  SyncEngine& operator=(const SyncEngine&) = delete;
 
   // ---- SystemView ----
   [[nodiscard]] Time now() const override { return clock_.now(); }
@@ -99,8 +96,8 @@ class SyncEngine final : public SystemView {
   void advance_to(Time t);
 
   /// Earliest execution time among scheduled live transactions, kNoTime if
-  /// none. The Runner never skips past this. O(1) in calendar mode.
-  [[nodiscard]] Time next_exec_due() const;
+  /// none. The Runner never skips past this.
+  [[nodiscard]] Time next_exec_due() const { return clock_.next_scheduled(); }
 
   [[nodiscard]] bool all_done() const { return store_.num_live() == 0; }
   [[nodiscard]] std::int64_t num_live() const { return store_.num_live(); }
@@ -116,7 +113,6 @@ class SyncEngine final : public SystemView {
   /// normally afterwards; only post-hoc consumers of the full history
   /// (validate_schedule, the runner's metrics) must not drain mid-run.
   [[nodiscard]] std::vector<ScheduledTxn> take_committed() {
-    if (shadow_) (void)shadow_->take_committed();  // keep the twin bounded
     return store_.take_committed();
   }
 
@@ -125,8 +121,7 @@ class SyncEngine final : public SystemView {
   /// bus faults are the scheduler's own seam (dist-bucket's set_fault).
   void set_fault(const FaultPlan& plan) {
     opts_.fault = plan;
-    transport_->set_fault(plan);
-    if (shadow_) shadow_->set_fault(plan);
+    transport_.set_fault(plan);
   }
   [[nodiscard]] const std::vector<ObjectOrigin>& origins() const {
     return store_.origins();
@@ -142,12 +137,8 @@ class SyncEngine final : public SystemView {
   Options opts_;
 
   TxnStore store_;
-  std::unique_ptr<ObjectTransport> transport_;
+  SyncObjectTransport transport_;
   EventClock clock_;
-
-  /// kVerifyParallel: a serial calendar twin stepped in lockstep; every
-  /// finish_step cross-checks the two commit streams.
-  std::unique_ptr<SyncEngine> shadow_;
 
   std::vector<TxnId> due_scratch_;
   std::vector<ObjId> reroute_scratch_;

@@ -73,15 +73,6 @@ std::string structural_param(const Network& net, const std::string& key,
   return it->second;
 }
 
-/// Bucket insertion-path knob: off = paper-verbatim naive scan, on =
-/// incremental fast path, verify = fast path cross-checked per decision.
-BucketFastPath parse_fastpath(const std::string& v) {
-  if (v == "off") return BucketFastPath::kNaive;
-  if (v == "on") return BucketFastPath::kIncremental;
-  if (v == "verify") return BucketFastPath::kVerify;
-  throw CheckError("spec: fastpath must be off|on|verify, got '" + v + "'");
-}
-
 }  // namespace
 
 Spec parse_spec(const std::string& text) {
@@ -164,15 +155,6 @@ void SpecArgs::finish() const {
 // ---------------------------------------------------------------------------
 // RunSpec <-> JSON
 
-EngineOptions::Mode RunSpec::engine_mode() const {
-  if (mode == "scan") return EngineOptions::Mode::kScan;
-  if (mode == "calendar") return EngineOptions::Mode::kCalendar;
-  if (mode == "verify") return EngineOptions::Mode::kVerify;
-  if (mode == "verify-parallel") return EngineOptions::Mode::kVerifyParallel;
-  throw CheckError("run spec: unknown engine mode '" + mode +
-                   "' (scan | calendar | verify | verify-parallel)");
-}
-
 namespace {
 
 Json spec_to_json(const Spec& s) {
@@ -221,7 +203,6 @@ Json RunSpec::to_json() const {
   o.emplace("fault", spec_to_json(fault));
   o.emplace("serve", spec_to_json(serve));
   o.emplace("stream", spec_to_json(stream));
-  o.emplace("mode", Json(mode));
   o.emplace("latency_factor", Json(latency_factor));
   o.emplace("seed", Json(static_cast<std::int64_t>(seed)));
   o.emplace("trials", Json(trials));
@@ -241,7 +222,6 @@ RunSpec RunSpec::from_json(const Json& j) {
     else if (k == "fault") s.fault = spec_from_json(v, k);
     else if (k == "serve") s.serve = spec_from_json(v, k);
     else if (k == "stream") s.stream = spec_from_json(v, k);
-    else if (k == "mode") s.mode = v.as_string();
     else if (k == "latency_factor") s.latency_factor = v.as_int();
     else if (k == "seed") s.seed = static_cast<std::uint64_t>(v.as_int());
     else if (k == "trials") s.trials = static_cast<std::int32_t>(v.as_int());
@@ -251,7 +231,6 @@ RunSpec RunSpec::from_json(const Json& j) {
     else
       throw CheckError("run spec: unknown key '" + k + "'");
   }
-  (void)s.engine_mode();  // validate the mode string eagerly
   DTM_REQUIRE(s.threads >= 0 && s.threads <= 1024,
               "run spec: threads must be in [0, 1024], got " << s.threads);
   return s;
@@ -274,8 +253,8 @@ const std::vector<Registry::Entry>& Registry::topologies() {
       {"tree", "branching=2,depth=3"},
       {"random", "n=12,extra=12,maxw=3,seed=7 (connected random graph)"},
       {"(any)",
-       "routing=exact|landmark|verify,landmarks=0,stretch=3,routing-cache=64"
-       " (landmark oracle over any topology; verify cross-checks stretch)"},
+       "routing=exact|landmark,landmarks=0,routing-cache=64"
+       " (landmark oracle over any topology)"},
   };
   return kEntries;
 }
@@ -288,12 +267,11 @@ const std::vector<Registry::Entry>& Registry::schedulers() {
       {"fcfs", "(distance-oblivious arrival-order baseline)"},
       {"bucket",
        "algo=auto,max-level=0,retries=3,seed=...,suffix=true,force-level=-1,"
-       "fastpath=on,threads=1,batch_math=scalar  (Algorithm 2 over offline "
-       "algo)"},
+       "threads=1,batch_math=scalar|soa  (Algorithm 2 over offline algo)"},
       {"dist-bucket",
        "algo=auto,max-level=0,retries=3,seed=...,msg=true,timeout-mult=4,"
-       "fastpath=on,threads=1,batch_math=scalar  (Algorithm 3 over a sparse "
-       "cover; forces latency factor >= 2)"},
+       "threads=1,batch_math=scalar|soa  (Algorithm 3 over a sparse cover; "
+       "forces latency factor >= 2)"},
   };
   return kEntries;
 }
@@ -503,15 +481,13 @@ Network Registry::make_network(const Spec& spec) {
   // Routing knobs apply to every topology kind: routing=exact keeps the
   // builder's native oracle; landmark swaps in a LandmarkOracle (and, for
   // random graphs, skips the O(n^2) APSP build entirely — that is what
-  // makes 50k+-node topologies constructible); verify keeps both and
-  // cross-checks per query + a construction sweep.
+  // makes 50k+-node topologies constructible).
   const RoutingMode routing = parse_routing_mode(a.str("routing", "exact"));
   LandmarkOptions lopts;
   lopts.num_landmarks =
       static_cast<std::int32_t>(a.integer("landmarks", 0));
   lopts.intra_cache =
       static_cast<std::size_t>(a.integer("routing-cache", 64));
-  const double max_stretch = a.real("stretch", 3.0);
   if (a.kind() == "random" && routing == RoutingMode::kLandmark) {
     // Graph-only build: same construction + rng stream as
     // make_random_connected, no exact oracle.
@@ -572,10 +548,7 @@ Network Registry::make_network(const Spec& spec) {
     // The oracle must own its graph: Network moves by value, so handing the
     // router a pointer into net.graph would dangle. Copy once at build time.
     auto graph = std::make_shared<Graph>(net.graph);
-    auto exact = routing == RoutingMode::kVerify ? net.oracle : nullptr;
-    net.oracle = std::make_shared<LandmarkOracle>(std::move(graph), lopts,
-                                                  std::move(exact),
-                                                  max_stretch);
+    net.oracle = std::make_shared<LandmarkOracle>(std::move(graph), lopts);
     net.build_params["routing"] = to_string(routing);
   }
   return net;
@@ -691,7 +664,6 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
         a.integer("seed", static_cast<std::int64_t>(o.seed)));
     o.enforce_suffix_property = a.boolean("suffix", true);
     o.force_level = static_cast<std::int32_t>(a.integer("force-level", -1));
-    o.fastpath = parse_fastpath(a.str("fastpath", "on"));
     o.batch_math = parse_batch_math(a.str("batch_math", "scalar"));
     o.threads = static_cast<std::int32_t>(a.integer("threads", threads));
     DTM_REQUIRE(o.threads >= 0,
@@ -706,7 +678,6 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
         a.integer("seed", static_cast<std::int64_t>(o.seed)));
     o.message_level_discovery = a.boolean("msg", true);
     o.timeout_mult = a.integer("timeout-mult", o.timeout_mult);
-    o.fastpath = parse_fastpath(a.str("fastpath", "on"));
     o.batch_math = parse_batch_math(a.str("batch_math", "scalar"));
     o.threads = static_cast<std::int32_t>(a.integer("threads", threads));
     DTM_REQUIRE(o.threads >= 0,
@@ -732,7 +703,6 @@ RunResult run_spec(const RunSpec& spec, bool collect_schedule) {
   auto sched =
       Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
   RunOptions opts;
-  opts.engine.mode = spec.engine_mode();
   opts.engine.latency_factor = spec.latency_factor;
   opts.engine.fault = fault;
   opts.engine.threads = spec.threads;
@@ -754,7 +724,6 @@ TrialSummary run_spec_trials(const RunSpec& spec) {
     auto sched =
         Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
     RunOptions opts;
-    opts.engine.mode = spec.engine_mode();
     opts.engine.latency_factor = spec.latency_factor;
     opts.engine.fault = fault;
     opts.engine.threads = spec.threads;

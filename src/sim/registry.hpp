@@ -2,8 +2,8 @@
 // an experiment needs.
 //
 // A RunSpec names a topology, a workload, and a scheduler — each a Spec of
-// `kind` plus string parameters — and the run-level knobs (engine mode,
-// latency factor, seed, trials). Every binary (benches, examples, tests)
+// `kind` plus string parameters — and the run-level knobs (latency factor,
+// seed, trials, threads). Every binary (benches, examples, tests)
 // goes through the same three factories, so a new scheduler or topology
 // registered here is immediately reachable from every CLI and from JSON
 // spec files, with one shared `--list` enumeration.
@@ -89,7 +89,6 @@ struct RunSpec {
   /// Only dtm_stream / make_stream_runner consume it; everything else
   /// carries the defaults along untouched. Absent from old JSON spec files.
   Spec stream{"stream", {}};
-  std::string mode = "calendar";  ///< scan | calendar | verify | verify-parallel
   std::int64_t latency_factor = 1;
   std::uint64_t seed = 42;
   std::int32_t trials = 1;
@@ -101,7 +100,11 @@ struct RunSpec {
   Time ratio_window = 0;
   bool validate = true;
 
-  [[nodiscard]] EngineOptions::Mode engine_mode() const;
+  /// Always EngineOptions::Mode::kCalendar, the engine's only path; kept
+  /// for callers written against the old multi-mode engine.
+  [[nodiscard]] EngineOptions::Mode engine_mode() const {
+    return EngineOptions::Mode::kCalendar;
+  }
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static RunSpec from_json(const Json& j);
 

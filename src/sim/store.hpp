@@ -5,7 +5,7 @@
 // per-object scheduled-user heap the transport's reroute consults), the
 // live transactions with their assigned execution times, and the committed
 // log. Pure state + narrow accessors: stepping policy lives in SyncEngine,
-// routing policy in ObjectTransport, time in EventClock.
+// routing policy in SyncObjectTransport, time in EventClock.
 //
 // Every id lookup the engine makes per step is O(1) and node-free
 // (ARCHITECTURE.md §2): objects resolve through a dense slot table built at
@@ -46,8 +46,9 @@ class TxnStore {
   /// when the cached transaction commits (the only event that can remove
   /// the min — any other commit removes a non-minimal user), and the
   /// transport refreshes it from the heap when it is unset. An empty heap
-  /// implies an unset cache, so the O(1) hit path needs no staleness check;
-  /// kVerify cross-checks every lookup against the linear scan.
+  /// implies an unset cache, so the O(1) hit path needs no staleness check.
+  /// The test-side scan engine re-derives every target linearly and the
+  /// lockstep harness compares the resulting object states.
   struct ObjEntry {
     ObjId id = kNoObj;
     ObjectState state;

@@ -1,14 +1,12 @@
-// ObjectTransport — object motion policy (engine layering, layer 2).
+// SyncObjectTransport — object motion (engine layering, layer 2).
 //
 // Decides where objects travel and when they arrive: routing toward the
 // earliest pending scheduled user, in-flight redirects, and the settle
-// queue that materializes arrivals. This is the seam where alternative
-// substrates plug in — a congestion-aware transport charging per-edge
-// capacity (unifying the sim/congestion.* replay with live execution) or
-// an async batched mover — without touching the store or the clock.
+// queue that materializes arrivals. The engine owns exactly one, by value;
+// the full-scan reading of the model is the test-side reference engine
+// (tests/oracle/scan_engine.hpp).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -23,19 +21,17 @@ struct EngineOptions {
   /// the distributed setting of §V).
   std::int64_t latency_factor = 1;
 
-  /// Per-step bookkeeping strategy; identical observable behavior (the
-  /// equivalence tests prove it), different asymptotics. kVerifyParallel
-  /// runs the calendar bookkeeping with the parallel sharded phases while
-  /// stepping a serial calendar twin in lockstep and cross-checking every
-  /// commit (the parallel-kernel debug harness).
-  enum class Mode { kCalendar, kScan, kVerify, kVerifyParallel };
+  /// The engine has one bookkeeping path. The enum survives only so that
+  /// callers written against the old multi-mode engine still compile; no
+  /// spec or flag can set it, and nothing reads it.
+  enum class Mode { kCalendar };
   Mode mode = Mode::kCalendar;
 
-  /// Worker threads for the sharded step phases (reroute fan-out, scan
-  /// settles): 1 = serial (default), 0 = all hardware threads, N = exactly
-  /// N participants. Every thread count produces byte-identical commit
-  /// sequences — sharding is by object ownership, and per-worker results
-  /// merge in canonical order (ARCHITECTURE.md §8).
+  /// Worker threads for the sharded reroute fan-out: 1 = serial (default),
+  /// 0 = all hardware threads, N = exactly N participants. Every thread
+  /// count produces byte-identical commit sequences — sharding is by object
+  /// ownership, and per-worker results merge in canonical order
+  /// (ARCHITECTURE.md §8).
   std::int32_t threads = 1;
 
   /// Fault-injection plan for the transport's stall hook (and, through the
@@ -45,69 +41,38 @@ struct EngineOptions {
   FaultPlan fault;
 };
 
-class ObjectTransport {
- public:
-  virtual ~ObjectTransport() = default;
-
-  /// Sends object `o` toward the pending scheduled user with the earliest
-  /// execution time (no-op when already heading there / resting there).
-  virtual void reroute(ObjId o, Time now) = 0;
-
-  /// Reroutes every object in `objs`, duplicates included, preserving the
-  /// per-object request order. The default loops serially; parallel
-  /// transports shard the list by object ownership (each object's requests
-  /// are handled by exactly one worker, so the final state is
-  /// worker-count-invariant).
-  virtual void reroute_many(std::span<const ObjId> objs, Time now) {
-    for (const ObjId o : objs) reroute(o, now);
-  }
-
-  /// Materializes every arrival due by `now` (the scan path settles all
-  /// objects; the calendar path drains its settle queue).
-  virtual void settle_arrivals(Time now) = 0;
-
-  /// kVerify invariant: no object may still be in transit past its arrival
-  /// time after settle_arrivals.
-  virtual void verify_settled(Time now) const = 0;
-
-  /// Live fault-plan swap (serve-mode resilience drills). Transports that
-  /// inject faults re-arm their stall hook from the new plan; the default
-  /// is a no-op for fault-free substrates.
-  virtual void set_fault(const FaultPlan& /*plan*/) {}
-};
-
 /// The synchronous shortest-path transport: objects move one unit of
 /// distance per latency_factor steps along oracle distances, exactly the
-/// paper's motion model. Mode selects the bookkeeping path (and kVerify
-/// cross-checks the two reroute target derivations against each other).
-class SyncObjectTransport final : public ObjectTransport {
+/// paper's motion model.
+class SyncObjectTransport {
  public:
   SyncObjectTransport(TxnStore& store, const DistanceOracle& oracle,
-                      EngineOptions opts)
+                      const EngineOptions& opts)
       : store_(&store),
         oracle_(&oracle),
-        opts_(opts),
-        stall_rng_(opts_.fault.transport_rng()),
-        stalling_(opts_.fault.stall > 0.0) {}
+        latency_factor_(opts.latency_factor),
+        threads_(opts.threads),
+        fault_(opts.fault),
+        stall_rng_(fault_.transport_rng()),
+        stalling_(fault_.stall > 0.0) {}
 
-  /// Transfer stalls applied / extra steps added (chaos bench observability).
-  [[nodiscard]] std::int64_t stalls_applied() const { return stalls_; }
-  [[nodiscard]] std::int64_t stall_steps() const { return stall_steps_; }
+  /// Reroutes every object in `objs`, duplicates included, preserving the
+  /// per-object request order. Sharded by object ownership when
+  /// EngineOptions::threads > 1 (each object's requests are handled by
+  /// exactly one worker, so the final state is worker-count-invariant);
+  /// serial under an active stall plan: the stall stream draws in request
+  /// order, and chaos golden pins depend on that exact sequence.
+  void reroute_many(std::span<const ObjId> objs, Time now);
 
-  void reroute(ObjId o, Time now) override;
-  /// Sharded parallel fan-out when EngineOptions::threads > 1 (serial
-  /// under an active stall plan: the stall stream draws in request order,
-  /// and chaos golden pins depend on that exact sequence).
-  void reroute_many(std::span<const ObjId> objs, Time now) override;
-  void settle_arrivals(Time now) override;
-  void verify_settled(Time now) const override;
+  /// Materializes every arrival due by `now` by draining the settle queue.
+  void settle_arrivals(Time now);
 
   /// Swaps the stall knobs in place and reseeds the stall stream from the
   /// new plan (site-salted, so toggling to the same plan replays the same
   /// stall sequence from the start). In-flight transfers keep the legs they
   /// were already charged.
-  void set_fault(const FaultPlan& plan) override {
-    opts_.fault = plan;
+  void set_fault(const FaultPlan& plan) {
+    fault_ = plan;
     stall_rng_ = plan.transport_rng();
     stalling_ = plan.stall > 0.0;
   }
@@ -117,32 +82,33 @@ class SyncObjectTransport final : public ObjectTransport {
   /// parallel reroute phase, merged into settle_queue_ after the barrier.
   using SettleBuffer = std::vector<std::pair<Time, std::int32_t>>;
 
-  /// The seed's linear selection of the earliest scheduled user; kNoTxn
-  /// when none.
-  [[nodiscard]] TxnId reroute_target_scan(const TxnStore::ObjEntry& e) const;
-  /// Heap-based selection (prunes committed users); kNoTxn when none.
-  [[nodiscard]] TxnId reroute_target_calendar(TxnStore::ObjEntry& e);
+  /// The earliest scheduled user (cache, else the pruned heap); kNoTxn when
+  /// none.
+  [[nodiscard]] TxnId reroute_target(TxnStore::ObjEntry& e);
 
-  /// The reroute body. `out == nullptr` pushes settle entries straight into
-  /// settle_queue_ (serial path, stall hook armed); non-null buffers them
-  /// per worker (parallel path, which only runs with the stall hook off).
+  /// Sends `e` toward the pending scheduled user with the earliest
+  /// execution time (no-op when already heading there / resting there).
+  /// `out == nullptr` pushes settle entries straight into settle_queue_
+  /// (serial path, stall hook armed); non-null buffers them per worker
+  /// (parallel path, which only runs with the stall hook off).
   void reroute_impl(TxnStore::ObjEntry& e, Time now, SettleBuffer* out);
 
   /// Fault hook: maybe stretches a freshly laid transit leg for `e`, bounded
-  /// by the slack before `best`'s execution so commitments stay feasible.
-  void maybe_stall(TxnStore::ObjEntry& e, TxnId best);
+  /// by the slack before its target's execution (e.best_exec) so
+  /// commitments stay feasible.
+  void maybe_stall(TxnStore::ObjEntry& e);
 
   TxnStore* store_;
   const DistanceOracle* oracle_;
-  EngineOptions opts_;
+  std::int64_t latency_factor_;
+  std::int32_t threads_;
 
   /// Transfer-stall injection state. The RNG stream is salted per the
   /// FaultPlan; with stall == 0 the hook is a single branch and zero draws,
   /// keeping the no-fault path byte-identical.
+  FaultPlan fault_;
   Rng stall_rng_;
   bool stalling_ = false;
-  std::int64_t stalls_ = 0;
-  std::int64_t stall_steps_ = 0;
 
   /// Pending object arrivals: (arrive time, index into the store's object
   /// array). Entries outlive redirects; settle() is idempotent, so early

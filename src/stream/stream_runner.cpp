@@ -201,7 +201,6 @@ std::unique_ptr<StreamRunner> make_stream_runner(const Network& net,
       Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
 
   EngineOptions eopts;
-  eopts.mode = spec.engine_mode();
   eopts.latency_factor = spec.latency_factor;
   if (spec.scheduler.kind == "dist-bucket")
     eopts.latency_factor = std::max<std::int64_t>(eopts.latency_factor, 2);

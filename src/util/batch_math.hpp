@@ -1,6 +1,5 @@
-// The batch-math path selector: scalar reference vs the structure-of-arrays
-// kernel layer (batch/soa_problem.*), plus a verify mode that runs both and
-// cross-checks every result.
+// The batch-math path selector: the scalar kernels vs the
+// structure-of-arrays kernel layer (batch/soa_problem.*).
 //
 // Lives in util/ (not batch/) because both the batch layer (BatchProblem,
 // chain evaluation, coloring) and the core analysis layer (DependencyGraph)
@@ -9,11 +8,11 @@
 // The mode rides on BatchProblem itself rather than on each consumer:
 // problems flow through shared code (suffix wrapper, activation retries,
 // F_A probes) that must keep one consistent path end to end, and stamping
-// the problem once is how the bucket schedulers guarantee that. The same
-// determinism contract as BucketFastPath applies: kSoA and kVerify must
-// reproduce the scalar path's output byte-identically — golden pins hold in
-// every mode — which is what makes the SoA layer (and a future CUDA backend
-// behind the same seam) a drop-in.
+// the problem once is how the bucket schedulers guarantee that. kSoA must
+// reproduce the scalar path's output byte-identically — golden pins hold
+// in both modes, and soa_test compares the two answers call for call —
+// which is what makes the SoA layer (and a future CUDA backend behind the
+// same seam) a drop-in.
 #pragma once
 
 #include <string>
@@ -23,27 +22,19 @@
 namespace dtm {
 
 enum class BatchMathMode {
-  kScalar,  ///< pointer-chasing reference implementations (the pinned path)
+  kScalar,  ///< pointer-chasing kernels (the default)
   kSoA,     ///< flat CSR + bitset conflict rows + popcount kernels
-  kVerify,  ///< SoA, cross-checked against the scalar reference per call
 };
 
-/// Registry knob (`batch_math=scalar|soa|verify`); hard error on anything
-/// else, matching the fastpath knob's behavior.
+/// Registry knob (`batch_math=scalar|soa`); hard error on anything else.
 [[nodiscard]] inline BatchMathMode parse_batch_math(const std::string& v) {
   if (v == "scalar") return BatchMathMode::kScalar;
   if (v == "soa") return BatchMathMode::kSoA;
-  if (v == "verify") return BatchMathMode::kVerify;
-  throw CheckError("spec: batch_math must be scalar|soa|verify, got '" + v +
-                   "'");
+  throw CheckError("spec: batch_math must be scalar|soa, got '" + v + "'");
 }
 
 [[nodiscard]] inline const char* to_string(BatchMathMode m) {
-  switch (m) {
-    case BatchMathMode::kScalar: return "scalar";
-    case BatchMathMode::kSoA: return "soa";
-    default: return "verify";
-  }
+  return m == BatchMathMode::kSoA ? "soa" : "scalar";
 }
 
 }  // namespace dtm

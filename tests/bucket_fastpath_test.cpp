@@ -1,9 +1,12 @@
 // Tests for the incremental bucket-insertion core (batch/bucket_insertion):
-// the level-search lower bound is exact (verify mode asserts the chosen
-// level equals the naive scan's on randomized workloads), memoized F_A
-// estimates and cached problems change nothing observable, and the naive /
-// incremental / verify paths produce byte-identical commit sequences in all
-// three engine modes, for both the centralized and distributed schedulers.
+// the level-search lower bound is exact and memoized F_A estimates and
+// cached problems change nothing observable — the naive-insertion
+// differential scheduler (tests/oracle/naive_insertion.hpp) checks every
+// level choice and every activation problem against the paper's scan on
+// randomized workloads, in the centralized and the dist-bucket call shapes
+// — and naive and incremental insertion produce byte-identical commit
+// sequences on the production engine and in lockstep with the scan
+// reference engine, for both the centralized and distributed schedulers.
 #include <gtest/gtest.h>
 
 #include "core/bucket_scheduler.hpp"
@@ -13,9 +16,15 @@
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
+#include "oracle/lockstep.hpp"
+#include "oracle/naive_insertion.hpp"
 
 namespace dtm {
 namespace {
+
+using oracle::DifferentialBucketScheduler;
+using oracle::DifferentialOptions;
+using oracle::LockstepEngine;
 
 using testing::origin;
 using testing::random_topology;
@@ -91,40 +100,92 @@ TEST(BucketFastPath, ScanRecordsRespectLowerBoundAndThresholds) {
   }
 }
 
+FaultPlan chaos_plan() {
+  FaultPlan chaos;
+  chaos.drop = 0.3;
+  chaos.jitter = 2;
+  chaos.dup = 0.1;
+  chaos.stall = 0.3;
+  chaos.seed = 23;
+  return chaos;
+}
+
+/// The dist-bucket call shape: partial buckets per home, arrivals reported
+/// up to 6 steps late (so insertions see the step's activations in
+/// `extra`), the leader's gather shift, half-speed objects, and transfer
+/// stalls moving the world under the cached problems.
+DifferentialOptions dist_shape() {
+  DifferentialOptions o;
+  o.homes = 3;
+  o.report_delay = 6;
+  o.gather = 2;
+  return o;
+}
+
+RunOptions dist_run_options(const FaultPlan& plan) {
+  RunOptions opts;
+  opts.engine.latency_factor = 2;
+  opts.engine.fault = plan;
+  return opts;
+}
+
 TEST(BucketFastPath, VerifyModeMatchesNaiveScanOnRandomWorkloads) {
-  // kVerify re-runs the paper-verbatim scan from level 0 after every
-  // insertion and DTM_CHECKs the same level wins — this is the lower
-  // bound's exactness proof running as a test. Randomized topologies and
-  // workloads; coloring (deterministic) and auto (randomized on cluster /
-  // star) offline algorithms.
+  // The differential scheduler re-runs the paper-verbatim scan from level
+  // 0 beside every insertion of the incremental core and DTM_CHECKs the
+  // same level wins, and compares every activation problem's fingerprint
+  // with a fresh build — the lower bound's exactness proof running as a
+  // test. Randomized topologies and workloads; coloring (deterministic)
+  // and auto (randomized on cluster / star) offline algorithms; the
+  // centralized call shape (which must reproduce BucketScheduler exactly)
+  // and the dist-bucket shape under the chaos plan.
   Rng rng(0xFA57BD);
   for (int iter = 0; iter < 6; ++iter) {
     const Network net = random_topology(rng);
     const SyntheticOptions wopts = random_workload(net, rng);
-    SyntheticWorkload wl(net, wopts);
-    BucketOptions o;
-    o.fastpath = BucketFastPath::kVerify;
-    BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
-    (void)testing::run_and_validate(net, wl, sched);
-    EXPECT_EQ(sched.fastpath_stats().verify_checks,
-              sched.fastpath_stats().inserts +
-                  sched.fastpath_stats().activations)
-        << "every insertion and activation must have been cross-checked";
+    {
+      SyntheticWorkload wl(net, wopts);
+      DifferentialBucketScheduler sched(Registry::make_batch_algo("auto", net));
+      const RunResult checked = testing::run_and_validate(net, wl, sched);
+      EXPECT_EQ(sched.levels_checked(), checked.num_txns)
+          << "every insertion must have been cross-checked";
+      EXPECT_GT(sched.activations_checked(), 0);
+
+      SyntheticWorkload wl2(net, wopts);
+      BucketScheduler prod(Registry::make_batch_algo("auto", net));
+      expect_identical(checked, testing::run_and_validate(net, wl2, prod));
+    }
+    {
+      SyntheticWorkload wl(net, wopts);
+      DifferentialBucketScheduler sched(Registry::make_batch_algo("auto", net),
+                                        dist_shape());
+      const RunResult r =
+          run_experiment(net, wl, sched, dist_run_options(chaos_plan()));
+      EXPECT_EQ(sched.levels_checked(), r.num_txns);
+      EXPECT_GT(sched.activations_checked(), 0);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identity across paths, engine modes, and schedulers
+// Byte-identity across insertion paths, engines, and schedulers
 
 RunResult run_bucket(const Network& net, const SyntheticOptions& wopts,
-                     BucketFastPath fp, EngineOptions::Mode mode) {
+                     bool lockstep) {
   SyntheticWorkload wl(net, wopts);
-  BucketOptions o;
-  o.fastpath = fp;
-  BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
+  BucketScheduler sched(Registry::make_batch_algo("auto", net));
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.validate = true;
+  return lockstep ? oracle::run_lockstep(net, wl, sched,
+                                         LockstepEngine::Reference::kScan,
+                                         opts)
+                  : run_experiment(net, wl, sched, opts);
+}
+
+RunResult run_naive(const Network& net, const SyntheticOptions& wopts,
+                    DifferentialOptions o, const RunOptions& opts = {}) {
+  SyntheticWorkload wl(net, wopts);
+  o.drive_naive = true;
+  DifferentialBucketScheduler sched(Registry::make_batch_algo("auto", net), o);
   return run_experiment(net, wl, sched, opts);
 }
 
@@ -140,18 +201,9 @@ TEST(BucketFastPath, PathsByteIdenticalInAllEngineModes) {
     w.rounds = 3;
     w.arrival_prob = 0.3;
     w.seed = 909;
-    for (const auto mode :
-         {EngineOptions::Mode::kScan, EngineOptions::Mode::kCalendar,
-          EngineOptions::Mode::kVerify}) {
-      const RunResult naive =
-          run_bucket(net, w, BucketFastPath::kNaive, mode);
-      const RunResult incr =
-          run_bucket(net, w, BucketFastPath::kIncremental, mode);
-      const RunResult verify =
-          run_bucket(net, w, BucketFastPath::kVerify, mode);
-      expect_identical(naive, incr);
-      expect_identical(naive, verify);
-    }
+    const RunResult naive = run_naive(net, w, {});
+    expect_identical(naive, run_bucket(net, w, /*lockstep=*/false));
+    expect_identical(naive, run_bucket(net, w, /*lockstep=*/true));
   }
 }
 
@@ -184,7 +236,7 @@ TEST(BucketFastPath, MemoAnswersRepeatedScansWithoutRerunningA) {
   const auto arrivals = wl.arrivals_at(0);
   eng.begin_step(arrivals);
 
-  BucketInsertionCore core(coloring(), BucketFastPath::kIncremental, 0);
+  BucketInsertionCore core(coloring(), 0);
   const auto levels = [](std::int32_t i) {
     return BucketInsertionCore::LevelView{
         static_cast<BucketInsertionCore::BucketId>(i), {}};
@@ -212,8 +264,7 @@ TEST(BucketFastPath, MemoAnswersRepeatedScansWithoutRerunningA) {
   eng.finish_step();
 }
 
-RunResult run_dist(const Network& net, BucketFastPath fp,
-                   const FaultPlan& plan, EngineOptions::Mode mode) {
+RunResult run_dist(const Network& net, const FaultPlan& plan, bool lockstep) {
   SyntheticOptions w;
   w.num_objects = 10;
   w.k = 2;
@@ -223,38 +274,38 @@ RunResult run_dist(const Network& net, BucketFastPath fp,
   DistBucketOptions o;
   o.seed = 77;
   o.fault = plan;
-  o.fastpath = fp;
   DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
                                    o);
-  RunOptions opts;
-  opts.engine.mode = mode;
-  opts.engine.latency_factor = 2;  // §V half-speed objects
-  opts.engine.fault = plan;
+  RunOptions opts = dist_run_options(plan);
   opts.validate = true;
-  return run_experiment(net, wl, sched, opts);
+  return lockstep ? oracle::run_lockstep(net, wl, sched,
+                                         LockstepEngine::Reference::kScan,
+                                         opts)
+                  : run_experiment(net, wl, sched, opts);
 }
 
 TEST(DistBucketFastPath, PathsByteIdenticalUnderNullAndChaosPlans) {
   const Network net = make_cluster(2, 3, 4);
-  FaultPlan chaos;
-  chaos.drop = 0.3;
-  chaos.jitter = 2;
-  chaos.dup = 0.1;
-  chaos.stall = 0.3;
-  chaos.seed = 23;
-  for (const FaultPlan& plan : {FaultPlan{}, chaos}) {
-    for (const auto mode :
-         {EngineOptions::Mode::kScan, EngineOptions::Mode::kCalendar,
-          EngineOptions::Mode::kVerify}) {
-      const RunResult naive =
-          run_dist(net, BucketFastPath::kNaive, plan, mode);
-      const RunResult incr =
-          run_dist(net, BucketFastPath::kIncremental, plan, mode);
-      const RunResult verify =
-          run_dist(net, BucketFastPath::kVerify, plan, mode);
-      expect_identical(naive, incr);
-      expect_identical(naive, verify);
-    }
+  for (const FaultPlan& plan : {FaultPlan{}, chaos_plan()}) {
+    // The distributed scheduler on the production engine and in lockstep
+    // with the scan reference.
+    expect_identical(run_dist(net, plan, /*lockstep=*/false),
+                     run_dist(net, plan, /*lockstep=*/true));
+    // Its insertion call shape through the core (checked against the naive
+    // scan at every call) and through the naive scan alone.
+    SyntheticOptions w;
+    w.num_objects = 10;
+    w.k = 2;
+    w.rounds = 2;
+    w.seed = 606;
+    SyntheticWorkload wl(net, w);
+    DifferentialBucketScheduler checked(Registry::make_batch_algo("auto", net),
+                                        dist_shape());
+    const RunResult r =
+        run_experiment(net, wl, checked, dist_run_options(plan));
+    EXPECT_EQ(checked.levels_checked(), r.num_txns);
+    expect_identical(r,
+                     run_naive(net, w, dist_shape(), dist_run_options(plan)));
   }
 }
 

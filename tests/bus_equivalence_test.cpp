@@ -1,11 +1,11 @@
 // Wheel-vs-heap bus equivalence fuzz (PERF.md §8).
 //
 // The wheel-backed MessageBus claims byte-identical (deliver, seq) pop
-// order with the frozen ReferenceHeapBus. These tests drive both with the
-// same random monotone send/drain schedule — mixed payload kinds, equal
-// delivery times forcing seq tie-breaks, and explicit far-future
-// deliveries that overflow the wheel's ring horizon — and assert the
-// drained streams match field-for-field.
+// order with the frozen heap bus (tests/oracle/heap_bus.hpp). These tests
+// drive both with the same random monotone send/drain schedule — mixed
+// payload kinds, equal delivery times forcing seq tie-breaks, and explicit
+// far-future deliveries that overflow the wheel's ring horizon — and
+// assert the drained streams match field-for-field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 #include "util/timing_wheel.hpp"
+#include "oracle/heap_bus.hpp"
 
 namespace dtm {
 namespace {
@@ -30,10 +31,10 @@ class WheelProbe : public MessageBus {
   using MessageBus::MessageBus;
 };
 
-class HeapProbe : public ReferenceHeapBus {
+class HeapProbe : public oracle::HeapBus {
  public:
-  using ReferenceHeapBus::deliver_at;
-  using ReferenceHeapBus::ReferenceHeapBus;
+  using oracle::HeapBus::deliver_at;
+  using oracle::HeapBus::HeapBus;
 };
 
 void expect_same_message(const Message& a, const Message& b,
@@ -150,7 +151,7 @@ TEST(BusEquivalence, EqualDeliveryTimesPreserveSendOrder) {
   // send order (the seq tie-break), on both implementations.
   const Network net = make_line(4);
   MessageBus wheel(*net.oracle);
-  ReferenceHeapBus heap(*net.oracle);
+  oracle::HeapBus heap(*net.oracle);
   for (int i = 0; i < 50; ++i) {
     wheel.send(0, 1, 10, ReportMsg{i});
     heap.send(0, 1, 10, ReportMsg{i});

@@ -2,8 +2,9 @@
 // scheduler driven over a FaultyBus. The headline guarantee is liveness —
 // every transaction commits under any loss rate < 1 — backed by per-probe
 // timeouts with exponential backoff, reply/report deduplication, and report
-// retransmission. Chaos is deterministic in (plan, seed) and invariant
-// across the three engine modes, so failures here bisect cleanly.
+// retransmission. Chaos is deterministic in (plan, seed), and the
+// production engine agrees step for step with the scan reference engine
+// under it, so failures here bisect cleanly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +17,7 @@
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
 #include "util/check.hpp"
+#include "oracle/lockstep.hpp"
 
 namespace dtm {
 namespace {
@@ -27,9 +29,9 @@ struct ChaosRun {
   FaultBusStats bus;
 };
 
+/// `lockstep`: step the scan reference engine beside the production one.
 ChaosRun run_dist(const Network& net, const FaultPlan& plan,
-                  std::uint64_t seed,
-                  EngineOptions::Mode mode = EngineOptions::Mode::kCalendar) {
+                  std::uint64_t seed, bool lockstep = false) {
   SyntheticOptions w;
   w.num_objects = 8;
   w.k = 2;
@@ -42,10 +44,13 @@ ChaosRun run_dist(const Network& net, const FaultPlan& plan,
   DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
                                    o);
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
-  const RunResult r = run_experiment(net, wl, sched, opts);
+  const RunResult r =
+      lockstep ? oracle::run_lockstep(net, wl, sched,
+                                      oracle::LockstepEngine::Reference::kScan,
+                                      opts)
+               : run_experiment(net, wl, sched, opts);
   ChaosRun out{r, sched.stats(), sched.fault_bus_stats() != nullptr, {}};
   if (const FaultBusStats* fb = sched.fault_bus_stats()) out.bus = *fb;
   // Liveness: the workload's whole transaction set committed.
@@ -160,8 +165,9 @@ TEST(ChaosProtocol, ChaosIsDeterministicInPlanAndSeed) {
 }
 
 TEST(ChaosProtocol, CommitStreamInvariantAcrossEngineModes) {
-  // The fault stream is drawn per send in a mode-independent order, so the
-  // chaos run — not just the clean run — is identical in all three modes.
+  // The fault stream is drawn per send in a bookkeeping-independent order,
+  // so the chaos run — not just the clean run — matches the scan reference
+  // engine at every step (transfer stalls included).
   const Network net = make_cluster(2, 3, 4);
   FaultPlan p;
   p.drop = 0.3;
@@ -169,11 +175,9 @@ TEST(ChaosProtocol, CommitStreamInvariantAcrossEngineModes) {
   p.dup = 0.1;
   p.stall = 0.3;
   p.seed = 23;
-  const ChaosRun scan = run_dist(net, p, 11, EngineOptions::Mode::kScan);
-  const ChaosRun cal = run_dist(net, p, 11, EngineOptions::Mode::kCalendar);
-  const ChaosRun ver = run_dist(net, p, 11, EngineOptions::Mode::kVerify);
+  const ChaosRun scan = run_dist(net, p, 11, /*lockstep=*/true);
+  const ChaosRun cal = run_dist(net, p, 11);
   expect_same_commits(scan.result, cal.result);
-  expect_same_commits(scan.result, ver.result);
   EXPECT_EQ(scan.bus.dropped, cal.bus.dropped);
   EXPECT_EQ(scan.stats.reprobes, cal.stats.reprobes);
 }

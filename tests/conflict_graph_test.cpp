@@ -75,8 +75,7 @@ TEST(DependencyGraph, DetectsInvalidColoring) {
 }
 
 // The bitset pair-construction path (kSoA) must reproduce the scalar
-// packed-sort path edge for edge, on live engine states mid-run; kVerify
-// additionally self-checks inside build.
+// packed-sort path edge for edge, on live engine states mid-run.
 TEST(DependencyGraph, BitsetBuildMatchesScalar) {
   const auto nets = testing::small_networks();
   for (std::size_t ni = 0; ni < nets.size(); ++ni) {
@@ -96,21 +95,20 @@ TEST(DependencyGraph, BitsetBuildMatchesScalar) {
       eng.apply(sched.on_step(eng, arrivals));
       const DependencyGraph ref =
           DependencyGraph::build(eng, BatchMathMode::kScalar);
-      for (const auto m : {BatchMathMode::kSoA, BatchMathMode::kVerify}) {
-        const DependencyGraph g = DependencyGraph::build(eng, m);
-        ASSERT_EQ(g.nodes().size(), ref.nodes().size());
-        ASSERT_EQ(g.edges().size(), ref.edges().size())
-            << net.name << " step " << eng.now();
-        for (std::size_t e = 0; e < g.edges().size(); ++e) {
-          EXPECT_EQ(g.edges()[e].a, ref.edges()[e].a);
-          EXPECT_EQ(g.edges()[e].b, ref.edges()[e].b);
-          EXPECT_EQ(g.edges()[e].weight, ref.edges()[e].weight);
-        }
-        for (std::size_t v = 0; v < g.nodes().size(); ++v) {
-          const auto n = static_cast<std::int32_t>(v);
-          EXPECT_EQ(g.degree(n), ref.degree(n));
-          EXPECT_EQ(g.weighted_degree(n), ref.weighted_degree(n));
-        }
+      const DependencyGraph g =
+          DependencyGraph::build(eng, BatchMathMode::kSoA);
+      ASSERT_EQ(g.nodes().size(), ref.nodes().size());
+      ASSERT_EQ(g.edges().size(), ref.edges().size())
+          << net.name << " step " << eng.now();
+      for (std::size_t e = 0; e < g.edges().size(); ++e) {
+        EXPECT_EQ(g.edges()[e].a, ref.edges()[e].a);
+        EXPECT_EQ(g.edges()[e].b, ref.edges()[e].b);
+        EXPECT_EQ(g.edges()[e].weight, ref.edges()[e].weight);
+      }
+      for (std::size_t v = 0; v < g.nodes().size(); ++v) {
+        const auto n = static_cast<std::int32_t>(v);
+        EXPECT_EQ(g.degree(n), ref.degree(n));
+        EXPECT_EQ(g.weighted_degree(n), ref.weighted_degree(n));
       }
       for (const auto& c : eng.finish_step()) wl.on_commit(c.txn, c.exec);
       ASSERT_LT(++steps, 1'000'000);

@@ -1,33 +1,41 @@
-// The fast-path contract: the event-calendar engine (exec-time priority
-// queue + object-arrival queue + per-object scheduled-user heaps) must be
-// observationally IDENTICAL to the original full-scan engine — same commit
-// sequence (ids, nodes, times, order), same step count, byte for byte.
-// Randomized workloads reuse the fuzz suite's generators; kVerify runs both
-// paths side by side and asserts every internal decision agrees too.
+// The fast-path contract: the event-calendar engine (exec-time calendar +
+// object-arrival queue + per-object scheduled-user heaps) must be
+// observationally IDENTICAL to the full-scan reference engine
+// (tests/oracle/scan_engine.hpp) — same commit sequence (ids, nodes, times,
+// order), same step count, byte for byte. Randomized workloads reuse the
+// fuzz suite's generators; the lockstep harness runs both engines side by
+// side and asserts every step's commits, next_exec_due and object states
+// agree too.
 #include <gtest/gtest.h>
 
 #include "core/bucket_scheduler.hpp"
 #include "core/greedy_scheduler.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
+#include "oracle/lockstep.hpp"
 
 namespace dtm {
 namespace {
+
+using oracle::LockstepEngine;
 
 using testing::origin;
 using testing::random_topology;
 using testing::random_workload;
 using testing::txn;
 
-RunResult run_mode(const Network& net, const SyntheticOptions& wopts,
-                   std::unique_ptr<OnlineScheduler> sched,
-                   EngineOptions::Mode mode, std::int64_t latency_factor) {
+/// The production engine alone, or in lockstep with the scan reference.
+RunResult run_engine(const Network& net, const SyntheticOptions& wopts,
+                     std::unique_ptr<OnlineScheduler> sched, bool lockstep,
+                     std::int64_t latency_factor) {
   SyntheticWorkload wl(net, wopts);
   RunOptions opts;
   opts.engine.latency_factor = latency_factor;
-  opts.engine.mode = mode;
   opts.validate = true;
-  return run_experiment(net, wl, *sched, opts);
+  return lockstep ? oracle::run_lockstep(net, wl, *sched,
+                                         LockstepEngine::Reference::kScan,
+                                         opts)
+                  : run_experiment(net, wl, *sched, opts);
 }
 
 void expect_identical(const RunResult& a, const RunResult& b) {
@@ -58,19 +66,15 @@ TEST_P(FastPathEquivalence, GreedyCommitSequencesMatch) {
     if (rng.bernoulli(0.25)) g.congestion_padding = rng.uniform01() * 0.5;
     const std::int64_t lf = rng.bernoulli(0.3) ? 2 : 1;
 
-    const RunResult scan =
-        run_mode(net, wopts, std::make_unique<GreedyScheduler>(g),
-                 EngineOptions::Mode::kScan, lf);
+    // The lockstep run throws CheckError at the first step where the
+    // engines disagree on commits, next_exec_due or any object's state.
+    const RunResult lockstep =
+        run_engine(net, wopts, std::make_unique<GreedyScheduler>(g),
+                   /*lockstep=*/true, lf);
     const RunResult calendar =
-        run_mode(net, wopts, std::make_unique<GreedyScheduler>(g),
-                 EngineOptions::Mode::kCalendar, lf);
-    expect_identical(scan, calendar);
-    // kVerify cross-checks every internal decision (due sets, reroute
-    // targets, next_exec_due) and throws CheckError on any divergence.
-    const RunResult verified =
-        run_mode(net, wopts, std::make_unique<GreedyScheduler>(g),
-                 EngineOptions::Mode::kVerify, lf);
-    expect_identical(scan, verified);
+        run_engine(net, wopts, std::make_unique<GreedyScheduler>(g),
+                   /*lockstep=*/false, lf);
+    expect_identical(lockstep, calendar);
   }
 }
 
@@ -84,11 +88,11 @@ TEST_P(FastPathEquivalence, BucketCommitSequencesMatch) {
       return std::make_unique<BucketScheduler>(
           std::shared_ptr<const BatchScheduler>(make_coloring_batch()));
     };
-    const RunResult scan = run_mode(net, wopts, make_sched(),
-                                    EngineOptions::Mode::kScan, 1);
-    const RunResult verified = run_mode(net, wopts, make_sched(),
-                                        EngineOptions::Mode::kVerify, 1);
-    expect_identical(scan, verified);
+    const RunResult lockstep =
+        run_engine(net, wopts, make_sched(), /*lockstep=*/true, 1);
+    const RunResult calendar =
+        run_engine(net, wopts, make_sched(), /*lockstep=*/false, 1);
+    expect_identical(lockstep, calendar);
   }
 }
 
@@ -97,13 +101,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FastPathEquivalence, ::testing::Range(0, 6));
 // A hand-built scenario pinning the subtle cases: redirects mid-flight,
 // fast-forwarded idle stretches, and same-step independent commits.
 TEST(FastPathEquivalence, ScriptedRedirectScenario) {
-  for (const auto mode :
-       {EngineOptions::Mode::kScan, EngineOptions::Mode::kVerify,
-        EngineOptions::Mode::kCalendar}) {
+  for (const auto ref : {LockstepEngine::Reference::kScan,
+                         LockstepEngine::Reference::kSerial}) {
     const Network net = make_line(10);
-    EngineOptions opts;
-    opts.mode = mode;
-    SyncEngine e(net.oracle, {origin(0, 0), origin(1, 9)}, opts);
+    LockstepEngine e(net.oracle, {origin(0, 0), origin(1, 9)}, {}, ref);
     e.begin_step({{txn(1, 9, 0, {0}), txn(2, 5, 0, {1})}});
     e.apply({{Assignment{1, 20}, Assignment{2, 4}}});
     e.finish_step();
@@ -125,6 +126,7 @@ TEST(FastPathEquivalence, ScriptedRedirectScenario) {
     EXPECT_EQ(e.committed()[1].exec, 4);
     EXPECT_EQ(e.committed()[2].txn.id, 1);
     EXPECT_EQ(e.committed()[2].exec, 20);
+    EXPECT_GT(e.steps_checked(), 3);
   }
 }
 

@@ -2,9 +2,11 @@
 // commit stream plus makespan and active-step count, captured from the
 // PRE-layering engine (the monolithic SyncEngine before the store /
 // transport / clock split) on fixed workloads. Any engine change that
-// shifts a single commit by one step — in any of the three modes — flips
-// the hash. Complements fastpath_equivalence_test, which only proves the
-// modes agree with EACH OTHER.
+// shifts a single commit by one step flips the hash. Every pin is checked
+// on the production path and again through the lockstep harness against
+// the scan reference engine (tests/oracle/lockstep.hpp), which also
+// compares every step's internal state; fastpath_equivalence_test does the
+// same on randomized workloads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,9 +21,14 @@
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "oracle/lockstep.hpp"
+#include "oracle/naive_insertion.hpp"
 
 namespace dtm {
 namespace {
+
+using oracle::LockstepEngine;
+using oracle::run_lockstep;
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -44,14 +51,25 @@ std::uint64_t hash_result(const RunResult& r) {
   return h;
 }
 
+/// The production run and the lockstep run against the scan reference.
+enum class Path { kProduction, kLockstepScan };
+constexpr Path kPaths[] = {Path::kProduction, Path::kLockstepScan};
+
+RunResult run_path(const Network& net, Workload& wl, OnlineScheduler& sched,
+                   const RunOptions& opts, Path path) {
+  return path == Path::kProduction
+             ? run_experiment(net, wl, sched, opts)
+             : run_lockstep(net, wl, sched, LockstepEngine::Reference::kScan,
+                            opts);
+}
+
 std::uint64_t run_case(const Network& net, const SyntheticOptions& w,
                        std::unique_ptr<OnlineScheduler> sched,
-                       EngineOptions::Mode mode, std::int64_t lf) {
+                       std::int64_t lf, Path path) {
   SyntheticWorkload wl(net, w);
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.latency_factor = lf;
-  return hash_result(run_experiment(net, wl, *sched, opts));
+  return hash_result(run_path(net, wl, *sched, opts, path));
 }
 
 enum SchedKind { kGreedy, kGreedyDelay, kBucketColoring, kFcfs };
@@ -77,10 +95,10 @@ struct GoldenCase {
   SyntheticOptions w;
   SchedKind sched;
   std::int64_t lf;
-  /// Pre-refactor hash per mode {kScan, kCalendar, kVerify} (captured at
-  /// commit f599ea5; regenerate with golden_gen.cpp if the MODEL — not the
-  /// engine internals — legitimately changes).
-  std::uint64_t expect[3];
+  /// Pre-refactor hash (captured at commit f599ea5). If the MODEL — not the
+  /// engine internals — legitimately changes, take the new value from the
+  /// failing expectation's message.
+  std::uint64_t pin;
 };
 
 std::vector<GoldenCase> golden_cases() {
@@ -89,15 +107,13 @@ std::vector<GoldenCase> golden_cases() {
     SyntheticOptions w;
     w.num_objects = 8; w.k = 2; w.rounds = 3; w.seed = 101;
     cases.push_back({"clique8-greedy", make_clique(8), w, kGreedy, 1,
-                     {0x68dfabb7dbbbaca3ULL, 0x68dfabb7dbbbaca3ULL,
-                      0x68dfabb7dbbbaca3ULL}});
+                     0x68dfabb7dbbbaca3ULL});
   }
   {
     SyntheticOptions w;
     w.num_objects = 6; w.k = 2; w.rounds = 2; w.zipf_s = 0.9; w.seed = 202;
     cases.push_back({"line12-greedy-delay", make_line(12), w, kGreedyDelay, 2,
-                     {0x43998081b82a8990ULL, 0x43998081b82a8990ULL,
-                      0x43998081b82a8990ULL}});
+                     0x43998081b82a8990ULL});
   }
   {
     SyntheticOptions w;
@@ -105,67 +121,75 @@ std::vector<GoldenCase> golden_cases() {
     w.seed = 303;
     cases.push_back({"cluster334-bucket", make_cluster(3, 3, 4), w,
                      kBucketColoring, 1,
-                     {0xd632f1e8abb3a269ULL, 0xd632f1e8abb3a269ULL,
-                      0xd632f1e8abb3a269ULL}});
+                     0xd632f1e8abb3a269ULL});
   }
   {
     SyntheticOptions w;
     w.num_objects = 10; w.k = 2; w.rounds = 2; w.node_participation = 0.5;
     w.seed = 404;
     cases.push_back({"grid34-fcfs", make_grid({3, 4}), w, kFcfs, 1,
-                     {0xee4d00ad75582bcaULL, 0xee4d00ad75582bcaULL,
-                      0xee4d00ad75582bcaULL}});
+                     0xee4d00ad75582bcaULL});
   }
   {
     SyntheticOptions w;
     w.num_objects = 10; w.k = 2; w.rounds = 2; w.zipf_s = 1.2; w.seed = 505;
     cases.push_back({"star33-greedy", make_star(3, 3), w, kGreedy, 2,
-                     {0x15943e0c37a4a3deULL, 0x15943e0c37a4a3deULL,
-                      0x15943e0c37a4a3deULL}});
+                     0x15943e0c37a4a3deULL});
   }
   return cases;
 }
 
 TEST(GoldenSequence, MatchesPreRefactorEngineInAllModes) {
-  const EngineOptions::Mode modes[] = {EngineOptions::Mode::kScan,
-                                       EngineOptions::Mode::kCalendar,
-                                       EngineOptions::Mode::kVerify};
   for (const auto& c : golden_cases()) {
-    for (int m = 0; m < 3; ++m) {
+    for (const Path path : kPaths) {
       const std::uint64_t h =
-          run_case(c.net, c.w, make_sched(c.sched), modes[m], c.lf);
-      EXPECT_EQ(h, c.expect[m])
-          << c.label << " mode " << m
+          run_case(c.net, c.w, make_sched(c.sched), c.lf, path);
+      EXPECT_EQ(h, c.pin)
+          << c.label << " path " << static_cast<int>(path)
           << ": commit sequence diverged from the pre-refactor engine";
     }
   }
 }
 
 // Bucket fast-path pins: the same workload through the bucket scheduler
-// must hash identically for every fastpath mode (naive / incremental /
-// verify) × engine mode pair — one pinned value per topology. This is the
-// byte-identity guarantee of the insertion fast path in golden form: a
-// cached problem gone stale, a memo key collision, or a drifted derived
-// RNG stream flips the hash. line exercises a deterministic A; cluster and
-// star exercise randomized A, where the per-probe / per-trial derived
-// streams carry the identity.
-std::uint64_t run_bucket_fastpath_case(
-    const Network& net, BucketFastPath fp, EngineOptions::Mode mode,
-    BatchMathMode math = BatchMathMode::kScalar) {
+// must hash identically on the production path, through the lockstep
+// harness, with the SoA batch math, and through the naive-insertion
+// differential scheduler — both checking the core against the paper's scan
+// and scheduling from the scan alone. One pinned value per topology: a
+// cached problem gone stale, a memo key collision, or a drifted derived RNG
+// stream flips the hash. line exercises a deterministic A; cluster and star
+// exercise randomized A, where the per-probe / per-trial derived streams
+// carry the identity.
+SyntheticOptions bucket_workload() {
   SyntheticOptions w;
   w.num_objects = 8;
   w.k = 2;
   w.rounds = 3;
   w.arrival_prob = 0.3;
   w.seed = 909;
-  SyntheticWorkload wl(net, w);
+  return w;
+}
+
+std::uint64_t run_bucket_case(const Network& net, Path path,
+                              BatchMathMode math = BatchMathMode::kScalar) {
+  SyntheticWorkload wl(net, bucket_workload());
   BucketOptions o;
-  o.fastpath = fp;
   o.batch_math = math;
   BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
-  RunOptions opts;
-  opts.engine.mode = mode;
-  return hash_result(run_experiment(net, wl, sched, opts));
+  return hash_result(run_path(net, wl, sched, {}, path));
+}
+
+std::uint64_t run_differential_case(const Network& net, bool drive_naive) {
+  SyntheticWorkload wl(net, bucket_workload());
+  oracle::DifferentialOptions o;
+  o.drive_naive = drive_naive;
+  oracle::DifferentialBucketScheduler sched(
+      Registry::make_batch_algo("auto", net), o);
+  const std::uint64_t h = hash_result(run_experiment(net, wl, sched, {}));
+  if (!drive_naive) {
+    EXPECT_GT(sched.levels_checked(), 0);
+  }
+  return h;
 }
 
 TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
@@ -180,28 +204,18 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
       {"star33", make_star(3, 3), 0xd00a62eecafac274ULL},
   };
   for (const auto& c : cases) {
-    for (const auto fp :
-         {BucketFastPath::kNaive, BucketFastPath::kIncremental,
-          BucketFastPath::kVerify}) {
-      for (const auto mode :
-           {EngineOptions::Mode::kScan, EngineOptions::Mode::kCalendar,
-            EngineOptions::Mode::kVerify}) {
-        const std::uint64_t h = run_bucket_fastpath_case(c.net, fp, mode);
-        EXPECT_EQ(h, c.pin)
-            << c.label << " fastpath " << static_cast<int>(fp) << " mode "
-            << static_cast<int>(mode) << " actual 0x" << std::hex << h;
-      }
-    }
-    // Batch math modes must land on the SAME pins: the SoA kernels are a
-    // drop-in arithmetic backend, not a new scheduler. Scan engine mode —
-    // the engine-mode cross-product is pinned above.
-    for (const auto math : {BatchMathMode::kSoA, BatchMathMode::kVerify}) {
-      const std::uint64_t h = run_bucket_fastpath_case(
-          c.net, BucketFastPath::kIncremental, EngineOptions::Mode::kScan,
-          math);
-      EXPECT_EQ(h, c.pin) << c.label << " batch_math " << to_string(math)
-                          << " actual 0x" << std::hex << h;
-    }
+    for (const Path path : kPaths)
+      EXPECT_EQ(run_bucket_case(c.net, path), c.pin)
+          << c.label << " path " << static_cast<int>(path);
+    // The SoA kernels are a drop-in arithmetic backend, not a new
+    // scheduler: same pin.
+    EXPECT_EQ(run_bucket_case(c.net, Path::kProduction, BatchMathMode::kSoA),
+              c.pin)
+        << c.label << " batch_math soa";
+    EXPECT_EQ(run_differential_case(c.net, /*drive_naive=*/false), c.pin)
+        << c.label << " core checked against the naive scan";
+    EXPECT_EQ(run_differential_case(c.net, /*drive_naive=*/true), c.pin)
+        << c.label << " naive insertion";
   }
 }
 
@@ -212,8 +226,7 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
 // like the clean one — any change to the fault draw order, the timeout
 // arithmetic, or the retry protocol flips it.
 std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
-                            EngineOptions::Mode mode,
-                            BucketFastPath fp = BucketFastPath::kIncremental,
+                            Path path,
                             BatchMathMode math = BatchMathMode::kScalar) {
   SyntheticOptions w;
   w.num_objects = 10;
@@ -224,15 +237,13 @@ std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
   DistBucketOptions o;
   o.seed = 77;
   o.fault = plan;
-  o.fastpath = fp;
   o.batch_math = math;
   DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
                                    o);
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
-  return hash_result(run_experiment(net, wl, sched, opts));
+  return hash_result(run_path(net, wl, sched, opts, path));
 }
 
 TEST(GoldenSequence, DistBucketNullPlanPinned) {
@@ -240,12 +251,9 @@ TEST(GoldenSequence, DistBucketNullPlanPinned) {
   // byte-identical no-fault guarantee for the distributed mode.
   const std::uint64_t kPin = 0xcdd107db4c1159e2ULL;
   const Network net = make_cluster(2, 3, 4);
-  for (const auto mode :
-       {EngineOptions::Mode::kScan, EngineOptions::Mode::kCalendar,
-        EngineOptions::Mode::kVerify}) {
-    EXPECT_EQ(run_dist_case(net, FaultPlan{}, mode), kPin)
-        << "mode " << static_cast<int>(mode);
-  }
+  for (const Path path : kPaths)
+    EXPECT_EQ(run_dist_case(net, FaultPlan{}, path), kPin)
+        << "path " << static_cast<int>(path);
 }
 
 TEST(GoldenSequence, DistBucketChaosPlanPinned) {
@@ -257,19 +265,18 @@ TEST(GoldenSequence, DistBucketChaosPlanPinned) {
   plan.stall = 0.3;
   plan.seed = 23;
   const Network net = make_cluster(2, 3, 4);
-  for (const auto mode :
-       {EngineOptions::Mode::kScan, EngineOptions::Mode::kCalendar,
-        EngineOptions::Mode::kVerify}) {
-    EXPECT_EQ(run_dist_case(net, plan, mode), kPin)
-        << "mode " << static_cast<int>(mode);
-  }
+  for (const Path path : kPaths)
+    EXPECT_EQ(run_dist_case(net, plan, path), kPin)
+        << "path " << static_cast<int>(path);
 }
 
 TEST(GoldenSequence, DistBucketFastPathModesMatchTheSamePins) {
-  // The distributed scheduler's partial i-buckets go through the same
-  // insertion core: all three fastpath modes must land on the exact pins
-  // above, under both the null and the chaos plan. Scan engine mode only —
-  // the mode × plan cross-product is already pinned by the two tests above.
+  // The distributed scheduler's partial i-buckets and activations run
+  // through the same SoA-aware insertion core: the SoA batch math must land
+  // on the exact pins above, under both the null and the chaos plan, on
+  // the production path and through the lockstep harness. (The core's
+  // level choices themselves are checked against the naive scan by
+  // BucketFastPath.VerifyModeMatchesNaiveScanOnRandomWorkloads.)
   const std::uint64_t kNullPin = 0xcdd107db4c1159e2ULL;
   const std::uint64_t kChaosPin = 0x7d0e573c8d14d918ULL;
   FaultPlan chaos;
@@ -279,28 +286,12 @@ TEST(GoldenSequence, DistBucketFastPathModesMatchTheSamePins) {
   chaos.stall = 0.3;
   chaos.seed = 23;
   const Network net = make_cluster(2, 3, 4);
-  for (const auto fp :
-       {BucketFastPath::kNaive, BucketFastPath::kIncremental,
-        BucketFastPath::kVerify}) {
-    EXPECT_EQ(run_dist_case(net, FaultPlan{}, EngineOptions::Mode::kScan, fp),
+  for (const Path path : kPaths) {
+    EXPECT_EQ(run_dist_case(net, FaultPlan{}, path, BatchMathMode::kSoA),
               kNullPin)
-        << "fastpath " << static_cast<int>(fp);
-    EXPECT_EQ(run_dist_case(net, chaos, EngineOptions::Mode::kScan, fp),
-              kChaosPin)
-        << "fastpath " << static_cast<int>(fp);
-  }
-  // And the batch-math backends land on the same pins too (the dist
-  // scheduler's partial i-buckets and activations run through the same
-  // SoA-aware insertion core).
-  for (const auto math : {BatchMathMode::kSoA, BatchMathMode::kVerify}) {
-    EXPECT_EQ(run_dist_case(net, FaultPlan{}, EngineOptions::Mode::kScan,
-                            BucketFastPath::kIncremental, math),
-              kNullPin)
-        << "batch_math " << to_string(math);
-    EXPECT_EQ(run_dist_case(net, chaos, EngineOptions::Mode::kScan,
-                            BucketFastPath::kIncremental, math),
-              kChaosPin)
-        << "batch_math " << to_string(math);
+        << "batch_math soa, path " << static_cast<int>(path);
+    EXPECT_EQ(run_dist_case(net, chaos, path, BatchMathMode::kSoA), kChaosPin)
+        << "batch_math soa, path " << static_cast<int>(path);
   }
 }
 

@@ -3,10 +3,11 @@
 // golden pins captured from the serial pre-parallel engine
 // (golden_sequence_test.cpp). The matrix crosses scheduler kinds (engine
 // reroute sharding, bucket wave probing + activation retries, the
-// distributed twin), engine modes, fault plans (chaos forces the transport
-// serial — thread counts must still agree), and thread counts
-// {1, 2, 4, hardware}. kVerifyParallel additionally runs the serial-twin
-// lockstep harness end-to-end.
+// distributed twin), the production and lockstep-vs-scan paths, fault
+// plans (chaos forces the transport serial — thread counts must still
+// agree), and thread counts {1, 2, 4, hardware}. The lockstep harness
+// against a serial twin (tests/oracle/lockstep.hpp) additionally compares
+// every step of a threads=N engine with a threads=1 one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,10 +21,15 @@
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "stream/stream_runner.hpp"
 #include "util/parallel.hpp"
+#include "oracle/lockstep.hpp"
+#include "oracle/naive_insertion.hpp"
 
 namespace dtm {
 namespace {
+
+using Reference = oracle::LockstepEngine::Reference;
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -57,13 +63,25 @@ std::vector<std::int32_t> thread_ladder() {
   return t;
 }
 
-const EngineOptions::Mode kModes[] = {EngineOptions::Mode::kScan,
-                                      EngineOptions::Mode::kCalendar,
-                                      EngineOptions::Mode::kVerify};
+/// The production run, and lockstep runs against each reference.
+enum class Path { kProduction, kLockstepScan, kLockstepSerial };
+constexpr Path kPaths[] = {Path::kProduction, Path::kLockstepScan};
+
+RunResult run_path(const Network& net, Workload& wl, OnlineScheduler& sched,
+                   const RunOptions& opts, Path path) {
+  switch (path) {
+    case Path::kLockstepScan:
+      return oracle::run_lockstep(net, wl, sched, Reference::kScan, opts);
+    case Path::kLockstepSerial:
+      return oracle::run_lockstep(net, wl, sched, Reference::kSerial, opts);
+    default:
+      return run_experiment(net, wl, sched, opts);
+  }
+}
 
 // --- Engine-only sharding: greedy scheduler, golden pin "star33-greedy" ---
 
-std::uint64_t run_greedy(EngineOptions::Mode mode, std::int32_t threads) {
+std::uint64_t run_greedy(Path path, std::int32_t threads) {
   const Network net = make_star(3, 3);
   SyntheticOptions w;
   w.num_objects = 10;
@@ -74,39 +92,40 @@ std::uint64_t run_greedy(EngineOptions::Mode mode, std::int32_t threads) {
   SyntheticWorkload wl(net, w);
   GreedyScheduler sched;
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.latency_factor = 2;
   opts.engine.threads = threads;
-  return hash_result(run_experiment(net, wl, sched, opts));
+  return hash_result(run_path(net, wl, sched, opts, path));
 }
 
 TEST(ParallelEngine, GreedyMatchesGoldenPinAtEveryThreadCount) {
   const std::uint64_t kPin = 0x15943e0c37a4a3deULL;  // golden star33-greedy
-  for (const auto mode : kModes)
+  for (const Path path : kPaths)
     for (const std::int32_t t : thread_ladder())
-      EXPECT_EQ(run_greedy(mode, t), kPin)
-          << "mode " << static_cast<int>(mode) << " threads " << t;
+      EXPECT_EQ(run_greedy(path, t), kPin)
+          << "path " << static_cast<int>(path) << " threads " << t;
 }
 
 // --- Bucket core: wave probing + parallel retries, golden fastpath pin ---
 
-std::uint64_t run_bucket(const Network& net, EngineOptions::Mode mode,
-                         std::int32_t threads, BucketFastPath fp) {
+SyntheticOptions bucket_workload() {
   SyntheticOptions w;
   w.num_objects = 8;
   w.k = 2;
   w.rounds = 3;
   w.arrival_prob = 0.3;
   w.seed = 909;
-  SyntheticWorkload wl(net, w);
+  return w;
+}
+
+std::uint64_t run_bucket(const Network& net, Path path,
+                         std::int32_t threads) {
+  SyntheticWorkload wl(net, bucket_workload());
   BucketOptions o;
-  o.fastpath = fp;
   o.threads = threads;
   BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.threads = threads;
-  return hash_result(run_experiment(net, wl, sched, opts));
+  return hash_result(run_path(net, wl, sched, opts, path));
 }
 
 TEST(ParallelEngine, BucketClusterMatchesGoldenPinAtEveryThreadCount) {
@@ -114,32 +133,34 @@ TEST(ParallelEngine, BucketClusterMatchesGoldenPinAtEveryThreadCount) {
   // randomized cluster algo — activation retries AND wave probes in play.
   const std::uint64_t kPin = 0x0cf2ffb9c53e06ffULL;
   const Network net = make_cluster(2, 3, 4);
-  for (const auto mode : kModes)
+  for (const Path path : kPaths)
     for (const std::int32_t t : thread_ladder())
-      EXPECT_EQ(run_bucket(net, mode, t, BucketFastPath::kIncremental), kPin)
-          << "mode " << static_cast<int>(mode) << " threads " << t;
+      EXPECT_EQ(run_bucket(net, path, t), kPin)
+          << "path " << static_cast<int>(path) << " threads " << t;
 }
 
 TEST(ParallelEngine, BucketLinePinHoldsAndVerifyFastPathStaysSerial) {
   const std::uint64_t kPin = 0x1476a1655424f9b0ULL;  // golden line12
   const Network net = make_line(12);
   for (const std::int32_t t : thread_ladder()) {
-    EXPECT_EQ(run_bucket(net, EngineOptions::Mode::kCalendar, t,
-                         BucketFastPath::kIncremental),
-              kPin)
-        << "threads " << t;
-    // kVerify cross-checks every probe against the naive scan; it must keep
-    // landing on the same pin with a parallel engine underneath.
-    EXPECT_EQ(run_bucket(net, EngineOptions::Mode::kCalendar, t,
-                         BucketFastPath::kVerify),
-              kPin)
-        << "verify fastpath, threads " << t;
+    EXPECT_EQ(run_bucket(net, Path::kProduction, t), kPin) << "threads " << t;
+    // The differential scheduler checks every level choice of a serial
+    // core against the naive scan; it must keep landing on the same pin
+    // with a parallel engine underneath.
+    SyntheticWorkload wl(net, bucket_workload());
+    oracle::DifferentialBucketScheduler sched(
+        Registry::make_batch_algo("auto", net));
+    RunOptions opts;
+    opts.engine.threads = t;
+    EXPECT_EQ(hash_result(run_experiment(net, wl, sched, opts)), kPin)
+        << "naive-checked core, threads " << t;
+    EXPECT_GT(sched.levels_checked(), 0);
   }
 }
 
 // --- Distributed twin under null and chaos plans (golden dist pins) ---
 
-std::uint64_t run_dist(const FaultPlan& plan, EngineOptions::Mode mode,
+std::uint64_t run_dist(const FaultPlan& plan, Path path,
                        std::int32_t threads) {
   const Network net = make_cluster(2, 3, 4);
   SyntheticOptions w;
@@ -155,11 +176,10 @@ std::uint64_t run_dist(const FaultPlan& plan, EngineOptions::Mode mode,
   DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
                                    o);
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.latency_factor = 2;
   opts.engine.fault = plan;
   opts.engine.threads = threads;
-  return hash_result(run_experiment(net, wl, sched, opts));
+  return hash_result(run_path(net, wl, sched, opts, path));
 }
 
 FaultPlan chaos_plan() {
@@ -174,37 +194,74 @@ FaultPlan chaos_plan() {
 
 TEST(ParallelEngine, DistBucketNullPlanPinAtEveryThreadCount) {
   const std::uint64_t kPin = 0xcdd107db4c1159e2ULL;
-  for (const auto mode : kModes)
+  for (const Path path : kPaths)
     for (const std::int32_t t : thread_ladder())
-      EXPECT_EQ(run_dist(FaultPlan{}, mode, t), kPin)
-          << "mode " << static_cast<int>(mode) << " threads " << t;
+      EXPECT_EQ(run_dist(FaultPlan{}, path, t), kPin)
+          << "path " << static_cast<int>(path) << " threads " << t;
 }
 
 TEST(ParallelEngine, DistBucketChaosPlanPinAtEveryThreadCount) {
   // The stall plan forces the transport serial; scheduler-side parallelism
   // stays on. The chaos pin must hold regardless.
   const std::uint64_t kPin = 0x7d0e573c8d14d918ULL;
-  for (const auto mode : kModes)
+  for (const Path path : kPaths)
     for (const std::int32_t t : thread_ladder())
-      EXPECT_EQ(run_dist(chaos_plan(), mode, t), kPin)
-          << "mode " << static_cast<int>(mode) << " threads " << t;
+      EXPECT_EQ(run_dist(chaos_plan(), path, t), kPin)
+          << "path " << static_cast<int>(path) << " threads " << t;
 }
 
-// --- kVerifyParallel: the serial-twin lockstep harness ---
+// --- The lockstep harness against a serial twin ---
 
-TEST(ParallelEngine, VerifyParallelModeMatchesCalendarPins) {
+TEST(ParallelEngine, LockstepSerialTwinMatchesCalendarPins) {
   for (const std::int32_t t : thread_ladder()) {
-    EXPECT_EQ(run_greedy(EngineOptions::Mode::kVerifyParallel, t),
-              0x15943e0c37a4a3deULL)
+    EXPECT_EQ(run_greedy(Path::kLockstepSerial, t), 0x15943e0c37a4a3deULL)
         << "threads " << t;
-    EXPECT_EQ(run_bucket(make_cluster(2, 3, 4),
-                         EngineOptions::Mode::kVerifyParallel, t,
-                         BucketFastPath::kIncremental),
+    EXPECT_EQ(run_bucket(make_cluster(2, 3, 4), Path::kLockstepSerial, t),
               0x0cf2ffb9c53e06ffULL)
         << "threads " << t;
-    EXPECT_EQ(run_dist(chaos_plan(), EngineOptions::Mode::kVerifyParallel, t),
+    EXPECT_EQ(run_dist(chaos_plan(), Path::kLockstepSerial, t),
               0x7d0e573c8d14d918ULL)
         << "threads " << t;
+  }
+}
+
+// --- Landmark routing: concurrent dist() from the sharded reroute ---
+
+TEST(ParallelEngine, LandmarkRoutedRunsIdenticalAcrossThreadCounts) {
+  // The engine's reroute workers query the landmark oracle concurrently
+  // (shared intra-cluster table, query counters); answers, and so commit
+  // streams, must not depend on the thread count. Under TSan this is also
+  // the data-race gate for LandmarkRouter.
+  const std::string topo =
+      "random:n=64,extra=96,maxw=3,routing=landmark,landmarks=4";
+  for (const char* sched : {"greedy", "bucket"}) {
+    RunSpec spec;
+    spec.topology = parse_spec(topo);
+    spec.scheduler = parse_spec(sched);
+    spec.workload = parse_spec("synthetic:objects=128,k=2,rounds=2");
+    spec.seed = 7;
+    spec.threads = 1;
+    const std::uint64_t serial = hash_result(run_spec(spec));
+    for (const std::int32_t t : thread_ladder()) {
+      spec.threads = t;
+      EXPECT_EQ(hash_result(run_spec(spec)), serial)
+          << sched << " threads " << t;
+    }
+  }
+  RunSpec stream;
+  stream.topology = parse_spec(topo);
+  stream.scheduler = parse_spec("greedy");
+  stream.stream = parse_spec(
+      "stream:rate=8,objects=512,target=1500,window=256,drain-every=64");
+  stream.seed = 7;
+  const Network net = Registry::make_network(stream.topology);
+  stream.threads = 1;
+  const StreamReport serial = make_stream_runner(net, stream)->run();
+  for (const std::int32_t t : thread_ladder()) {
+    stream.threads = t;
+    const StreamReport r = make_stream_runner(net, stream)->run();
+    EXPECT_EQ(r.commit_hash, serial.commit_hash) << "stream threads " << t;
+    EXPECT_EQ(r.commits, serial.commits) << "stream threads " << t;
   }
 }
 
@@ -242,11 +299,9 @@ TEST(ParallelEngine, SeededTrialsIdenticalAcrossThreadCounts) {
 TEST(ParallelEngine, RunSpecThreadsRoundTripsThroughJson) {
   RunSpec spec;
   spec.threads = 4;
-  spec.mode = "verify-parallel";
   const RunSpec back = RunSpec::from_json(spec.to_json());
   EXPECT_EQ(back, spec);
   EXPECT_EQ(back.threads, 4);
-  EXPECT_EQ(back.engine_mode(), EngineOptions::Mode::kVerifyParallel);
 }
 
 TEST(ParallelEngine, InvalidThreadValuesAreHardErrors) {

@@ -8,6 +8,7 @@
 
 #include "core/bucket_scheduler.hpp"
 #include "dist/dist_bucket.hpp"
+#include "oracle/naive_insertion.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "util/check.hpp"
@@ -116,30 +117,96 @@ TEST(Registry, SchedulerTopologySmokeMatrix) {
   }
 }
 
-TEST(Registry, BucketFastpathKnobSelectsPath) {
-  const Network net = Registry::make_network(parse_spec("clique:n=4"));
-  const auto path_of = [&](const std::string& spec) {
-    const auto s = Registry::make_scheduler(parse_spec(spec), net);
-    const auto* b = dynamic_cast<const BucketScheduler*>(s.get());
-    EXPECT_NE(b, nullptr) << spec;
-    return b->insertion_core().path();
-  };
-  EXPECT_EQ(path_of("bucket"), BucketFastPath::kIncremental);  // default: on
-  EXPECT_EQ(path_of("bucket:fastpath=off"), BucketFastPath::kNaive);
-  EXPECT_EQ(path_of("bucket:fastpath=on"), BucketFastPath::kIncremental);
-  EXPECT_EQ(path_of("bucket:fastpath=verify"), BucketFastPath::kVerify);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("bucket:fastpath=fast"), net),
-               CheckError);
+/// The CheckError a spec-building call throws; the test fails if none.
+template <typename F>
+std::string hard_error(F&& f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a CheckError";
+  return {};
+}
 
-  const auto d =
-      Registry::make_scheduler(parse_spec("dist-bucket:fastpath=verify"), net);
-  const auto* db = dynamic_cast<const DistributedBucketScheduler*>(d.get());
-  ASSERT_NE(db, nullptr);
-  EXPECT_EQ(db->insertion_core().path(), BucketFastPath::kVerify);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("dist-bucket:fastpath=bogus"), net),
-               CheckError);
+TEST(Registry, BucketFastpathKnobSelectsPath) {
+  // The incremental insertion core is the bucket schedulers' only path (the
+  // naive scan is the oracle in tests/oracle/): a spec without the knob
+  // builds it, and every fastpath= value is a hard error naming the key.
+  const Network net = Registry::make_network(parse_spec("clique:n=4"));
+  const auto b = Registry::make_scheduler(parse_spec("bucket"), net);
+  EXPECT_NE(dynamic_cast<const BucketScheduler*>(b.get()), nullptr);
+  const auto d = Registry::make_scheduler(parse_spec("dist-bucket"), net);
+  EXPECT_NE(dynamic_cast<const DistributedBucketScheduler*>(d.get()), nullptr);
+  for (const char* spec :
+       {"bucket:fastpath=off", "bucket:fastpath=on", "bucket:fastpath=verify",
+        "dist-bucket:fastpath=off", "dist-bucket:fastpath=on",
+        "dist-bucket:fastpath=verify"})
+    EXPECT_NE(hard_error([&] {
+                (void)Registry::make_scheduler(parse_spec(spec), net);
+              }).find("fastpath"),
+              std::string::npos)
+        << spec;
+}
+
+TEST(Registry, BucketFastpathRoundTripsAndMatchesNaive) {
+  // A bucket RunSpec survives the JSON round-trip, and its run commits the
+  // schedule that the paper-verbatim naive insertion commits.
+  RunSpec spec;
+  spec.topology = parse_spec("cluster:alpha=2,beta=2,gamma=3");
+  spec.scheduler = parse_spec("bucket");
+  spec.workload = parse_spec("synthetic:objects=6,k=2,rounds=2");
+  spec.seed = 11;
+  EXPECT_EQ(RunSpec::from_json(spec.to_json()), spec);
+
+  const RunResult on = run_spec(spec);
+  const Network net = Registry::make_network(spec.topology);
+  const auto wl = Registry::make_workload(spec.workload, net, spec.seed);
+  oracle::DifferentialOptions o;
+  o.drive_naive = true;
+  oracle::DifferentialBucketScheduler sched(
+      Registry::make_batch_algo("auto", net), o);
+  const RunResult naive = run_experiment(net, *wl, sched);
+  ASSERT_GT(on.committed.size(), 0u);
+  ASSERT_EQ(on.committed.size(), naive.committed.size());
+  for (std::size_t i = 0; i < on.committed.size(); ++i) {
+    EXPECT_EQ(on.committed[i].txn.id, naive.committed[i].txn.id);
+    EXPECT_EQ(on.committed[i].exec, naive.committed[i].exec);
+  }
+  EXPECT_EQ(on.makespan, naive.makespan);
+}
+
+TEST(Registry, RemovedKnobsAreHardErrors) {
+  // The reference-path knobs are gone from the shipped code (their oracles
+  // live in tests/oracle/); each must fail loudly and name itself, never
+  // silently run the default. fastpath= is covered above.
+  const Network net = Registry::make_network(parse_spec("clique:n=4"));
+  for (const char* spec :
+       {"bucket:batch_math=verify", "dist-bucket:batch_math=verify"})
+    EXPECT_NE(hard_error([&] {
+                (void)Registry::make_scheduler(parse_spec(spec), net);
+              }).find("batch_math"),
+              std::string::npos)
+        << spec;
+  EXPECT_NE(hard_error([] {
+              (void)Registry::make_network(
+                  parse_spec("grid:dims=4x4,routing=verify"));
+            }).find("routing"),
+            std::string::npos);
+  for (const char* spec : {"grid:dims=4x4,routing=landmark,stretch=4",
+                           "random:n=20,routing=landmark,stretch=6"})
+    EXPECT_NE(hard_error([&] {
+                (void)Registry::make_network(parse_spec(spec));
+              }).find("stretch"),
+              std::string::npos)
+        << spec;
+  for (const char* mode : {"scan", "calendar", "verify", "verify-parallel"})
+    EXPECT_NE(hard_error([&] {
+                (void)RunSpec::from_json(Json::parse(
+                    std::string("{\"mode\": \"") + mode + "\"}"));
+              }).find("'mode'"),
+              std::string::npos)
+        << mode;
 }
 
 TEST(Registry, BatchMathKnobSelectsMode) {
@@ -153,16 +220,15 @@ TEST(Registry, BatchMathKnobSelectsMode) {
   EXPECT_EQ(math_of("bucket"), BatchMathMode::kScalar);  // default: scalar
   EXPECT_EQ(math_of("bucket:batch_math=scalar"), BatchMathMode::kScalar);
   EXPECT_EQ(math_of("bucket:batch_math=soa"), BatchMathMode::kSoA);
-  EXPECT_EQ(math_of("bucket:batch_math=verify"), BatchMathMode::kVerify);
   EXPECT_THROW((void)Registry::make_scheduler(
                    parse_spec("bucket:batch_math=simd"), net),
                CheckError);
 
-  const auto d = Registry::make_scheduler(
-      parse_spec("dist-bucket:batch_math=verify"), net);
+  const auto d =
+      Registry::make_scheduler(parse_spec("dist-bucket:batch_math=soa"), net);
   const auto* db = dynamic_cast<const DistributedBucketScheduler*>(d.get());
   ASSERT_NE(db, nullptr);
-  EXPECT_EQ(db->insertion_core().math(), BatchMathMode::kVerify);
+  EXPECT_EQ(db->insertion_core().math(), BatchMathMode::kSoA);
   EXPECT_THROW((void)Registry::make_scheduler(
                    parse_spec("dist-bucket:batch_math=avx"), net),
                CheckError);
@@ -170,8 +236,8 @@ TEST(Registry, BatchMathKnobSelectsMode) {
 
 TEST(Registry, BatchMathRoundTripsAndMatchesScalar) {
   // The knob survives the RunSpec JSON round-trip (compact spec string ->
-  // JSON -> spec), and scalar/soa/verify runs of the same spec commit
-  // identical schedules.
+  // JSON -> spec), and scalar/soa runs of the same spec commit identical
+  // schedules.
   RunSpec spec;
   spec.topology = parse_spec("cluster:alpha=2,beta=2,gamma=3");
   spec.scheduler = parse_spec("bucket:batch_math=soa");
@@ -183,41 +249,12 @@ TEST(Registry, BatchMathRoundTripsAndMatchesScalar) {
   RunSpec scalar = spec;
   scalar.scheduler = parse_spec("bucket:batch_math=scalar");
   const RunResult ref = run_spec(scalar);
-  RunSpec verify = spec;
-  verify.scheduler = parse_spec("bucket:batch_math=verify");
-  const RunResult chk = run_spec(verify);
   ASSERT_EQ(soa.committed.size(), ref.committed.size());
-  ASSERT_EQ(chk.committed.size(), ref.committed.size());
   for (std::size_t i = 0; i < soa.committed.size(); ++i) {
     EXPECT_EQ(soa.committed[i].txn.id, ref.committed[i].txn.id);
     EXPECT_EQ(soa.committed[i].exec, ref.committed[i].exec);
-    EXPECT_EQ(chk.committed[i].txn.id, ref.committed[i].txn.id);
-    EXPECT_EQ(chk.committed[i].exec, ref.committed[i].exec);
   }
   EXPECT_EQ(soa.makespan, ref.makespan);
-  EXPECT_EQ(chk.makespan, ref.makespan);
-}
-
-TEST(Registry, BucketFastpathRoundTripsAndMatchesNaive) {
-  // The knob survives the RunSpec JSON round-trip, and the off/on runs of
-  // the same spec commit identical schedules.
-  RunSpec spec;
-  spec.topology = parse_spec("cluster:alpha=2,beta=2,gamma=3");
-  spec.scheduler = parse_spec("bucket:fastpath=on");
-  spec.workload = parse_spec("synthetic:objects=6,k=2,rounds=2");
-  spec.seed = 11;
-  EXPECT_EQ(RunSpec::from_json(spec.to_json()), spec);
-
-  const RunResult on = run_spec(spec);
-  RunSpec off = spec;
-  off.scheduler = parse_spec("bucket:fastpath=off");
-  const RunResult naive = run_spec(off);
-  ASSERT_EQ(on.committed.size(), naive.committed.size());
-  for (std::size_t i = 0; i < on.committed.size(); ++i) {
-    EXPECT_EQ(on.committed[i].txn.id, naive.committed[i].txn.id);
-    EXPECT_EQ(on.committed[i].exec, naive.committed[i].exec);
-  }
-  EXPECT_EQ(on.makespan, naive.makespan);
 }
 
 TEST(Registry, DefaultBucketSmokeTakesIncrementalPath) {
@@ -290,7 +327,6 @@ TEST(RunSpec, JsonRoundTrip) {
   spec.workload = parse_spec("synthetic:objects=16,k=3,zipf=0.8");
   spec.scheduler = parse_spec("bucket:max-level=2,retries=5");
   spec.fault = parse_spec("fault:drop=0.1,jitter=2,stall=0.25");
-  spec.mode = "verify";
   spec.latency_factor = 2;
   spec.seed = 77;
   spec.trials = 4;
@@ -314,12 +350,11 @@ TEST(RunSpec, FromJsonRejectsUnknownKeysAndBadMode) {
   EXPECT_THROW(
       (void)RunSpec::from_json(Json::parse("{\"topolgy\": \"line:n=8\"}")),
       CheckError);
+  // The engine has one bookkeeping path: any "mode" key is rejected.
   EXPECT_THROW(
       (void)RunSpec::from_json(Json::parse("{\"mode\": \"turbo\"}")),
       CheckError);
-  RunSpec bad;
-  bad.mode = "turbo";
-  EXPECT_THROW((void)bad.engine_mode(), CheckError);
+  EXPECT_EQ(RunSpec{}.engine_mode(), EngineOptions::Mode::kCalendar);
 }
 
 TEST(RunSpec, CompactSpecStringsAcceptedInJson) {

@@ -6,6 +6,8 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/registry.hpp"
+#include "stream/stream_runner.hpp"
+#include "oracle/stretch_oracle.hpp"
 
 namespace dtm {
 namespace {
@@ -213,45 +215,48 @@ TEST(Landmark, AllNodesLandmarksIsExactEverywhere) {
 
 TEST(Landmark, VerifyOracleSweepsAndChecksQueries) {
   const Network net = make_grid({4, 4});
-  auto graph = std::make_shared<Graph>(net.graph);
-  LandmarkOracle oracle(graph, {}, net.oracle, /*max_stretch=*/4.0);
+  auto landmark = std::make_shared<const LandmarkOracle>(
+      std::make_shared<Graph>(net.graph), LandmarkOptions{});
+  const oracle::StretchCheckingOracle checked(landmark, net.oracle,
+                                              /*max_stretch=*/4.0);
   // The construction sweep ran (all pairs on a graph this small).
-  EXPECT_TRUE(oracle.verifying());
-  EXPECT_GT(oracle.verify_stats().path_checks, 0);
-  EXPECT_LE(oracle.verify_stats().max_stretch_seen, 4.0);
-  const auto before = oracle.verify_stats().dist_checks;
+  EXPECT_GT(checked.stats().path_checks, 0);
+  EXPECT_LE(checked.stats().max_stretch_seen, 4.0);
+  const auto before = checked.stats().dist_checks;
   for (NodeId u = 0; u < 16; ++u)
     for (NodeId v = 0; v < 16; ++v) {
-      const Weight d = oracle.dist(u, v);
+      const Weight d = checked.dist(u, v);
+      EXPECT_EQ(d, landmark->dist(u, v));  // answers pass through
       EXPECT_GE(d, net.dist(u, v));
-      EXPECT_LE(d, oracle.diameter());
+      EXPECT_LE(d, checked.diameter());
     }
-  EXPECT_EQ(oracle.verify_stats().dist_checks, before + 16 * 16);
+  EXPECT_EQ(checked.stats().dist_checks, before + 16 * 16);
 }
 
 TEST(Landmark, VerifyRejectsImpossibleStretchBound) {
   // A stretch bound below what the landmarks achieve must abort loudly at
   // construction, not silently pass wrong distances downstream.
   const Network net = make_line(12);
-  auto graph = std::make_shared<Graph>(net.graph);
   LandmarkOptions opts;
   opts.num_landmarks = 2;
-  EXPECT_THROW(
-      (void)LandmarkOracle(graph, opts, net.oracle, /*max_stretch=*/1.0),
-      CheckError);
+  auto landmark = std::make_shared<const LandmarkOracle>(
+      std::make_shared<Graph>(net.graph), opts);
+  EXPECT_THROW((void)oracle::StretchCheckingOracle(landmark, net.oracle,
+                                                   /*max_stretch=*/1.0),
+               CheckError);
 }
 
 TEST(Landmark, RegistryRoutingKnobBuildsEachMode) {
   const Network exact = Registry::make_network(parse_spec("grid:dims=4x4"));
-  const Network verify = Registry::make_network(
-      parse_spec("grid:dims=4x4,routing=verify,stretch=4"));
-  EXPECT_EQ(verify.build_params.at("routing"), "verify");
-  const auto* lm = dynamic_cast<const LandmarkOracle*>(verify.oracle.get());
-  ASSERT_NE(lm, nullptr);
-  EXPECT_TRUE(lm->verifying());
+  EXPECT_EQ(dynamic_cast<const LandmarkOracle*>(exact.oracle.get()), nullptr);
+  const Network lm_grid =
+      Registry::make_network(parse_spec("grid:dims=4x4,routing=landmark"));
+  EXPECT_EQ(lm_grid.build_params.at("routing"), "landmark");
+  ASSERT_NE(dynamic_cast<const LandmarkOracle*>(lm_grid.oracle.get()),
+            nullptr);
   for (NodeId u = 0; u < 16; ++u)
     for (NodeId v = 0; v < 16; ++v)
-      EXPECT_GE(verify.dist(u, v), exact.dist(u, v));
+      EXPECT_GE(lm_grid.dist(u, v), exact.dist(u, v));
 
   // Landmark mode on a random topology never builds the O(n^2) APSP; the
   // oracle is the landmark router alone.
@@ -260,8 +265,33 @@ TEST(Landmark, RegistryRoutingKnobBuildsEachMode) {
   EXPECT_EQ(lmk.build_params.at("routing"), "landmark");
   const auto* o = dynamic_cast<const LandmarkOracle*>(lmk.oracle.get());
   ASSERT_NE(o, nullptr);
-  EXPECT_FALSE(o->verifying());
   EXPECT_GT(o->diameter(), 0);
+}
+
+TEST(Landmark, StretchCheckedStreamRunCompletes) {
+  // A streaming run whose every distance query goes through the
+  // stretch-checking oracle: landmark answers drive the whole run, and any
+  // query outside exact <= d <= 6 * exact aborts it.
+  RunSpec spec;
+  spec.topology = parse_spec(
+      "random:n=64,extra=96,maxw=3,routing=landmark,landmarks=16");
+  spec.scheduler = parse_spec("greedy");
+  spec.stream = parse_spec(
+      "stream:rate=2,objects=128,target=5000,window=256,drain-every=64");
+  spec.seed = 7;
+  Network net = Registry::make_network(spec.topology);
+  // Same graph, same seed, exact routing: the reference distances.
+  const Network exact =
+      Registry::make_network(parse_spec("random:n=64,extra=96,maxw=3"));
+  oracle::check_stretch(net, exact.oracle, /*max_stretch=*/6.0);
+  const StreamReport r = make_stream_runner(net, spec)->run();
+  EXPECT_EQ(r.accepted, 5000);
+  EXPECT_EQ(r.commits, 5000);
+  const auto* checked =
+      dynamic_cast<const oracle::StretchCheckingOracle*>(net.oracle.get());
+  ASSERT_NE(checked, nullptr);
+  EXPECT_GT(checked->stats().dist_checks, 0);
+  EXPECT_LE(checked->stats().max_stretch_seen, 6.0);
 }
 
 }  // namespace

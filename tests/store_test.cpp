@@ -12,6 +12,7 @@
 #include "sim/io.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
+#include "oracle/lockstep.hpp"
 
 namespace dtm {
 namespace {
@@ -24,13 +25,15 @@ Instance parse(const std::string& text) {
   return load_instance(buf);
 }
 
-void run_instance(const Network& net, const Instance& inst,
-                  EngineOptions::Mode mode) {
+/// Runs the instance on the production engine, in lockstep with the scan
+/// reference when `lockstep` is set.
+void run_instance(const Network& net, const Instance& inst, bool lockstep) {
   ScriptedWorkload wl(inst.origins, inst.txns);
   GreedyScheduler greedy;
-  RunOptions opts;
-  opts.engine.mode = mode;
-  const RunResult r = run_experiment(net, wl, greedy, opts);
+  const RunResult r =
+      lockstep ? oracle::run_lockstep(net, wl, greedy,
+                                      oracle::LockstepEngine::Reference::kScan)
+               : run_experiment(net, wl, greedy);
   EXPECT_EQ(r.num_txns, static_cast<std::int64_t>(inst.txns.size()));
   ASSERT_EQ(r.committed.size(), inst.txns.size());
   EXPECT_FALSE(
@@ -60,10 +63,8 @@ TEST(TxnStore, SparseNegativeObjectIdsRunThroughSortedSearch) {
   }
   EXPECT_EQ(store.find_obj(1), nullptr);
   EXPECT_EQ(store.find_obj(-900001), nullptr);
-  for (const auto mode : {EngineOptions::Mode::kCalendar,
-                          EngineOptions::Mode::kScan,
-                          EngineOptions::Mode::kVerify})
-    run_instance(net, inst, mode);
+  run_instance(net, inst, /*lockstep=*/false);
+  run_instance(net, inst, /*lockstep=*/true);
 }
 
 TEST(TxnStore, DenseNegativeIdsWithHolesUseTheSlotTable) {
@@ -80,7 +81,7 @@ TEST(TxnStore, DenseNegativeIdsWithHolesUseTheSlotTable) {
   const Instance inst{origins,
                       {txn(0, 5, 0, {-40, 38}), txn(1, 1, 0, {-2}),
                        txn(2, 7, 2, {38, -2}), txn(3, 0, 2, {0, 40})}};
-  run_instance(net, inst, EngineOptions::Mode::kVerify);
+  run_instance(net, inst, /*lockstep=*/true);
 }
 
 TEST(TxnStore, UnknownObjectsAreHardErrors) {

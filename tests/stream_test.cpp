@@ -158,12 +158,12 @@ TEST(StreamSource, ValidatesItsConfig) {
 // StreamRunner
 
 RunSpec stream_spec(const std::string& topo, const std::string& stream,
-                    const std::string& mode = "calendar") {
+                    std::int32_t threads = 1) {
   RunSpec spec;
   spec.topology = parse_spec(topo);
   spec.scheduler = parse_spec("greedy");
   spec.stream = parse_spec(stream);
-  spec.mode = mode;
+  spec.threads = threads;
   spec.seed = 77;
   return spec;
 }
@@ -185,23 +185,26 @@ TEST(StreamRunner, RunsToTargetWithDrainAccounting) {
   EXPECT_EQ(r.latency.count(), r.commits);
 }
 
-TEST(StreamRunner, CommitHashIdenticalAcrossEngineModes) {
+TEST(StreamRunner, CommitHashIdenticalAcrossThreadCounts) {
   const std::string stream =
       "stream:profile=mmpp,rate=2,objects=64,target=1500,window=128,"
       "drain-every=32";
   const Network net = Registry::make_network(parse_spec("line:n=6"));
-  const StreamReport cal =
-      make_stream_runner(net, stream_spec("line:n=6", stream, "calendar"))
-          ->run();
-  const StreamReport scan =
-      make_stream_runner(net, stream_spec("line:n=6", stream, "scan"))
-          ->run();
-  // Byte-identity across the calendar fast path and the scan reference is
-  // the determinism contract; the FNV commit-stream hash carries it without
-  // retaining a single committed entry.
-  EXPECT_EQ(cal.commit_hash, scan.commit_hash);
-  EXPECT_EQ(cal.commits, scan.commits);
-  EXPECT_EQ(cal.end_time, scan.end_time);
+  const StreamReport serial =
+      make_stream_runner(net, stream_spec("line:n=6", stream))->run();
+  // Byte-identity between the serial engine and its sharded reroute
+  // fan-out is the determinism contract; the FNV commit-stream hash
+  // carries it without retaining a single committed entry. (The calendar
+  // bookkeeping itself is checked step by step against the scan reference
+  // in fastpath_equivalence_test.)
+  for (const std::int32_t threads : {2, 4}) {
+    const StreamReport par =
+        make_stream_runner(net, stream_spec("line:n=6", stream, threads))
+            ->run();
+    EXPECT_EQ(par.commit_hash, serial.commit_hash) << "threads " << threads;
+    EXPECT_EQ(par.commits, serial.commits) << "threads " << threads;
+    EXPECT_EQ(par.end_time, serial.end_time) << "threads " << threads;
+  }
 }
 
 TEST(StreamRunner, MaxLiveWatermarkShedsUnderAdversary) {
