@@ -10,9 +10,7 @@
 //   $ ./example_dtm_sim --spec run.json --trials 5
 //   $ ./example_dtm_sim --dump-spec            # print the resolved spec
 //   $ ./example_dtm_sim --list                 # what can be named
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "sim/cli.hpp"
@@ -22,40 +20,28 @@
 #include "util/json.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace dtm;
 
-Json load_json_file(const std::string& path) {
-  std::ifstream f(path);
-  DTM_REQUIRE(f.good(), "cannot open spec file '" << path << "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return Json::parse(buf.str());
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string topology, workload, scheduler, fault, lf, window;
-  std::string spec_file;
+  SpecFlags flags;
   std::string save_instance, save_schedule;
   bool csv = false, dump_spec = false;
 
   Cli cli("dtm_sim", "run one DTM scheduling experiment from a RunSpec");
   cli.add_value("spec", "JSON RunSpec file (flags below override it)",
-                &spec_file);
+                &flags.spec);
   cli.add_value("topology", "topology spec, e.g. cluster:alpha=3,beta=4,gamma=8",
-                &topology);
+                &flags.topology);
   cli.add_value("scheduler", "scheduler spec, e.g. bucket:algo=cluster",
-                &scheduler);
+                &flags.scheduler);
   cli.add_value("workload", "workload spec, e.g. synthetic:objects=64,k=2",
-                &workload);
+                &flags.workload);
   cli.add_value("fault", "fault plan, e.g. fault:drop=0.1,jitter=2 (default "
                 "none)",
-                &fault);
-  cli.add_value("lf", "latency factor (steps per unit distance)", &lf);
-  cli.add_value("window", "Definition-1 ratio window, 0 = off", &window);
+                &flags.fault);
+  cli.add_value("lf", "latency factor (steps per unit distance)", &flags.lf);
+  cli.add_value("window", "Definition-1 ratio window, 0 = off",
+                &flags.window);
   cli.add_flag("dump-spec", "print the resolved RunSpec as JSON and exit",
                &dump_spec);
   cli.add_flag("csv", "emit CSV instead of an aligned table", &csv);
@@ -67,21 +53,7 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    RunSpec spec;
-    if (!spec_file.empty()) spec = RunSpec::from_json(load_json_file(spec_file));
-    if (!topology.empty()) spec.topology = parse_spec(topology);
-    if (!scheduler.empty()) spec.scheduler = parse_spec(scheduler);
-    if (!workload.empty()) spec.workload = parse_spec(workload);
-    if (!fault.empty()) spec.fault = parse_spec(fault);
-    if (!lf.empty()) spec.latency_factor = std::stoll(lf);
-    if (!window.empty()) spec.ratio_window = std::stoll(window);
-    spec.seed = cli.seed(spec.seed);
-    spec.trials = cli.trials(spec.trials);
-    spec.threads = cli.threads(spec.threads);
-    // §V half-speed objects: the distributed protocol's probe-catching
-    // argument needs latency factor >= 2.
-    if (spec.scheduler.kind == "dist-bucket" && spec.latency_factor < 2)
-      spec.latency_factor = 2;
+    const RunSpec spec = resolve_spec(flags, cli);
     (void)Registry::make_fault_plan(spec.fault, spec.seed);  // knob check
 
     if (dump_spec) {
@@ -120,9 +92,7 @@ int main(int argc, char** argv) {
     auto sched =
         Registry::make_scheduler(spec.scheduler, net, &plan, spec.threads);
     RunOptions ropts;
-    ropts.engine.latency_factor = spec.latency_factor;
-    ropts.engine.fault = plan;
-    ropts.engine.threads = spec.threads;
+    ropts.engine = spec.engine_options(plan);
     ropts.ratio_window = spec.ratio_window;
     ropts.validate = spec.validate;
     const RunResult r = run_experiment(net, *wl, *sched, ropts);

@@ -15,18 +15,13 @@ void AdmissionOptions::validate() const {
 }
 
 Json AdmissionStats::to_json() const {
-  Json::Object o;
-  o.emplace("offered", Json(offered));
-  o.emplace("admitted", Json(admitted));
-  o.emplace("shed", Json(shed));
-  o.emplace("shed_tokens", Json(shed_tokens));
-  o.emplace("shed_inflight", Json(shed_inflight));
-  o.emplace("shed_queue_full", Json(shed_queue_full));
-  o.emplace("queued", Json(queued));
-  o.emplace("max_queue_depth", Json(max_queue_depth));
-  o.emplace("max_inflight_seen", Json(max_inflight_seen));
-  o.emplace("max_queue_wait", Json(max_queue_wait));
-  return Json(std::move(o));
+  return Json::Object{
+      {"offered", offered}, {"admitted", admitted}, {"shed", shed},
+      {"shed_tokens", shed_tokens}, {"shed_inflight", shed_inflight},
+      {"shed_queue_full", shed_queue_full}, {"queued", queued},
+      {"max_queue_depth", max_queue_depth},
+      {"max_inflight_seen", max_inflight_seen},
+      {"max_queue_wait", max_queue_wait}};
 }
 
 AdmissionController::AdmissionController(AdmissionOptions opts)

@@ -1,10 +1,9 @@
 // ServeConfig — the "serve:" spec kind's typed form (serve layer;
 // docs/ARCHITECTURE.md §7).
 //
-// Lives in its own header (below sim/registry in the include graph) so the
-// registry can parse "serve:" specs and the server can consume the result
-// without an include cycle. Constructed via Registry::make_serve_config,
-// which hard-errors on unknown knobs like every other spec.
+// Constructed via Registry::make_serve_config, which hard-errors on unknown
+// knobs like every other spec. The registry only declares that factory;
+// serve/server.cpp defines it, so sim/ includes nothing from serve/.
 #pragma once
 
 #include <cstdint>

@@ -14,61 +14,36 @@ namespace dtm {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= kFnvPrime;
-}
-
 /// Windows retained for inspection on unbounded runs; older ones are
 /// dropped (totals keep counting — ServeReport::windows is exact).
 constexpr std::size_t kMaxRetainedWindows = 65536;
 
 Json fastpath_json(const FastPathStats& s) {
-  Json::Object o;
-  o.emplace("inserts", Json(s.inserts));
-  o.emplace("probes", Json(s.probes));
-  o.emplace("memo_hits", Json(s.memo_hits));
-  o.emplace("estimates", Json(s.estimates));
-  o.emplace("levels_skipped", Json(s.levels_skipped));
-  o.emplace("rebuilds", Json(s.rebuilds));
-  o.emplace("refreshes", Json(s.refreshes));
-  o.emplace("appends", Json(s.appends));
-  o.emplace("activations", Json(s.activations));
-  return Json(std::move(o));
+  return Json::Object{
+      {"inserts", s.inserts}, {"probes", s.probes}, {"memo_hits", s.memo_hits},
+      {"estimates", s.estimates}, {"levels_skipped", s.levels_skipped},
+      {"rebuilds", s.rebuilds}, {"refreshes", s.refreshes},
+      {"appends", s.appends}, {"activations", s.activations}};
 }
 
 Json dist_json(const DistStats& s) {
-  Json::Object o;
-  o.emplace("probes", Json(s.probes));
-  o.emplace("probe_hops", Json(s.probe_hops));
-  o.emplace("reports", Json(s.reports));
-  o.emplace("notifications", Json(s.notifications));
-  o.emplace("message_distance", Json(s.message_distance));
-  o.emplace("max_discovery_delay", Json(s.max_discovery_delay));
-  o.emplace("probe_timeouts", Json(s.probe_timeouts));
-  o.emplace("reprobes", Json(s.reprobes));
-  o.emplace("report_retries", Json(s.report_retries));
-  o.emplace("dup_replies", Json(s.dup_replies));
-  o.emplace("dup_reports", Json(s.dup_reports));
-  return Json(std::move(o));
+  return Json::Object{
+      {"probes", s.probes}, {"probe_hops", s.probe_hops},
+      {"reports", s.reports}, {"notifications", s.notifications},
+      {"message_distance", s.message_distance},
+      {"max_discovery_delay", s.max_discovery_delay},
+      {"probe_timeouts", s.probe_timeouts}, {"reprobes", s.reprobes},
+      {"report_retries", s.report_retries}, {"dup_replies", s.dup_replies},
+      {"dup_reports", s.dup_reports}};
 }
 
 Json fault_bus_json(const FaultBusStats* s) {
-  Json::Object o;
-  o.emplace("armed", Json(s != nullptr));
-  if (s != nullptr) {
-    o.emplace("offered", Json(s->offered));
-    o.emplace("dropped", Json(s->dropped));
-    o.emplace("duplicated", Json(s->duplicated));
-    o.emplace("degraded", Json(s->degraded));
-    o.emplace("jitter_total", Json(s->jitter_total));
-    o.emplace("pause_deferred", Json(s->pause_deferred));
-    o.emplace("bytes_duplicated", Json(s->bytes_duplicated));
-  }
-  return Json(std::move(o));
+  if (s == nullptr) return Json::Object{{"armed", false}};
+  return Json::Object{
+      {"armed", true}, {"offered", s->offered}, {"dropped", s->dropped},
+      {"duplicated", s->duplicated}, {"degraded", s->degraded},
+      {"jitter_total", s->jitter_total}, {"pause_deferred", s->pause_deferred},
+      {"bytes_duplicated", s->bytes_duplicated}};
 }
 
 }  // namespace
@@ -92,42 +67,67 @@ void ServeConfig::validate() const {
   admission.validate();
 }
 
+ServeConfig Registry::make_serve_config(const Spec& spec,
+                                        std::uint64_t default_seed) {
+  SpecArgs a(spec);
+  DTM_REQUIRE(a.kind() == "serve",
+              "unknown serve config '" << a.kind()
+                                       << "' (serve:knob=value,...)");
+  ServeConfig c;
+  c.rate = a.real("rate", c.rate);
+  c.duration = a.integer("duration", c.duration);
+  c.window = a.integer("window", c.window);
+  c.drain_every = a.integer("drain-every", c.drain_every);
+  c.admission.rate = a.real("admit-rate", c.admission.rate);
+  c.admission.burst = a.real("burst", c.admission.burst);
+  c.admission.max_inflight =
+      a.integer("max-inflight", c.admission.max_inflight);
+  const std::string policy = a.str("policy", "shed");
+  if (policy == "shed") {
+    c.admission.policy = AdmissionOptions::Policy::kShed;
+  } else if (policy == "queue") {
+    c.admission.policy = AdmissionOptions::Policy::kQueue;
+  } else {
+    throw CheckError("serve: unknown policy '" + policy +
+                     "' (shed | queue)");
+  }
+  c.admission.queue_cap = a.integer("queue-cap", c.admission.queue_cap);
+  c.source = a.str("source", c.source);
+  c.trace_file = a.str("trace", c.trace_file);
+  c.trace_loop = a.integer("trace-loop", c.trace_loop);
+  c.objects = static_cast<std::int32_t>(a.integer("objects", c.objects));
+  c.k = static_cast<std::int32_t>(a.integer("k", c.k));
+  c.zipf = a.real("zipf", c.zipf);
+  c.write_frac = a.real("write-frac", c.write_frac);
+  c.burst_every = a.integer("burst-every", c.burst_every);
+  c.burst_len = a.integer("burst-len", c.burst_len);
+  c.burst_mult = a.real("burst-mult", c.burst_mult);
+  c.slo_p99 = a.integer("slo-p99", c.slo_p99);
+  c.seed = static_cast<std::uint64_t>(
+      a.integer("seed", static_cast<std::int64_t>(default_seed)));
+  a.finish();
+  c.validate();
+  return c;
+}
+
 Json ServeWindow::to_json() const {
-  Json::Object o;
-  o.emplace("start", Json(start));
-  o.emplace("end", Json(end));
-  o.emplace("offered", Json(offered));
-  o.emplace("admitted", Json(admitted));
-  o.emplace("shed", Json(shed));
-  o.emplace("commits", Json(commits));
-  o.emplace("p50", Json(p50));
-  o.emplace("p95", Json(p95));
-  o.emplace("p99", Json(p99));
-  o.emplace("p999", Json(p999));
-  o.emplace("max", Json(max));
-  o.emplace("shed_rate", Json(shed_rate));
-  o.emplace("throughput", Json(throughput));
-  o.emplace("slo_violated", Json(slo_violated));
-  return Json(std::move(o));
+  return Json::Object{
+      {"start", start}, {"end", end}, {"offered", offered},
+      {"admitted", admitted}, {"shed", shed}, {"commits", commits},
+      {"p50", p50}, {"p95", p95}, {"p99", p99}, {"p999", p999}, {"max", max},
+      {"shed_rate", shed_rate}, {"throughput", throughput},
+      {"slo_violated", slo_violated}};
 }
 
 Json ServeReport::to_json() const {
-  Json::Object o;
-  o.emplace("end_time", Json(end_time));
-  o.emplace("active_steps", Json(active_steps));
-  o.emplace("offered", Json(offered));
-  o.emplace("admitted", Json(admitted));
-  o.emplace("shed", Json(shed));
-  o.emplace("commits", Json(commits));
-  o.emplace("drained", Json(drained));
-  o.emplace("peak_committed_log", Json(peak_committed_log));
-  o.emplace("windows", Json(windows));
-  o.emplace("slo_violations", Json(slo_violations));
-  o.emplace("fault_toggles", Json(fault_toggles));
-  o.emplace("commit_hash", Json(std::to_string(commit_hash)));
-  o.emplace("latency", latency.to_json());
-  o.emplace("admission", admission.to_json());
-  return Json(std::move(o));
+  return Json::Object{
+      {"end_time", end_time}, {"active_steps", active_steps},
+      {"offered", offered}, {"admitted", admitted}, {"shed", shed},
+      {"commits", commits}, {"drained", drained},
+      {"peak_committed_log", peak_committed_log}, {"windows", windows},
+      {"slo_violations", slo_violations}, {"fault_toggles", fault_toggles},
+      {"commit_hash", std::to_string(commit_hash)},
+      {"latency", latency.to_json()}, {"admission", admission.to_json()}};
 }
 
 DtmServer::DtmServer(const Network& net, std::unique_ptr<TxnSource> source,
@@ -143,54 +143,45 @@ DtmServer::DtmServer(const Network& net, std::unique_ptr<TxnSource> source,
   cfg_.validate();
   DTM_REQUIRE(source_ != nullptr, "serve: null source");
   DTM_REQUIRE(scheduler_ != nullptr, "serve: null scheduler");
-  engine_ = std::make_unique<SyncEngine>(net_.oracle, source_->objects(),
-                                         engine_opts);
+  DriverOptions d;
+  d.drain_every = DriverOptions::window_cadence(cfg_.drain_every, cfg_.window);
+  driver_.emplace(net_.oracle, source_->objects(), engine_opts, *scheduler_,
+                  static_cast<ArrivalSource&>(*this), d);
   register_metrics();
 }
 
 void DtmServer::register_metrics() {
   metrics_.add("server", [this] {
-    Json::Object o;
-    o.emplace("now", Json(engine_->now()));
-    o.emplace("admitting", Json(admitting_));
-    o.emplace("finished", Json(done_));
-    o.emplace("scheduler", Json(scheduler_->name()));
-    o.emplace("source", Json(source_->name()));
-    o.emplace("inflight", Json(inflight()));
-    o.emplace("queue_depth", Json(admission_.queue_depth()));
-    o.emplace("active_steps", Json(active_steps_));
-    o.emplace("commits", Json(commits_total_));
-    o.emplace("drained", Json(drained_));
-    o.emplace("peak_committed_log", Json(peak_committed_log_));
-    o.emplace("windows", Json(windows_closed_));
-    o.emplace("slo_violations", Json(slo_violations_));
-    o.emplace("fault_toggles", Json(fault_toggles_));
-    return Json(std::move(o));
+    const RunTotals& t = driver_->totals();
+    return Json::Object{
+        {"now", now()}, {"admitting", admitting_},
+        {"finished", driver_->done()}, {"scheduler", scheduler_->name()},
+        {"source", source_->name()}, {"inflight", inflight()},
+        {"queue_depth", admission_.queue_depth()},
+        {"active_steps", t.active_steps}, {"commits", t.commits},
+        {"drained", t.drained}, {"peak_committed_log", t.peak_committed_log},
+        {"windows", windows_closed_}, {"slo_violations", slo_violations_},
+        {"fault_toggles", fault_toggles_}};
   });
   metrics_.add("admission", [this] { return admission_.stats().to_json(); });
   metrics_.add("latency", [this] {
-    Json::Object o;
-    o.emplace("total", total_latency_.to_json());
-    o.emplace("window", window_latency_.to_json());
-    return Json(std::move(o));
+    return Json::Object{
+        {"total", driver_->totals().latency.to_json()},
+        {"window", window_latency_.to_json()}};
   });
   metrics_.add("engine", [this] {
-    Json::Object o;
-    o.emplace("live", Json(engine_->num_live()));
-    o.emplace("committed_log",
-              Json(static_cast<std::int64_t>(engine_->committed().size())));
-    return Json(std::move(o));
+    const SyncEngine& e = driver_->engine();
+    return Json::Object{
+        {"live", e.num_live()},
+        {"committed_log", static_cast<std::int64_t>(e.committed().size())}};
   });
   // Heap-allocation counters (process-wide). All zeros unless the build
   // was configured with -DDTM_ALLOC_TRACK=ON — "tracking" says which.
   metrics_.add("alloc", [] {
-    Json::Object o;
-    o.emplace("tracking", Json(alloc_tracking_enabled()));
     const AllocCounters g = global_alloc_counters();
-    o.emplace("allocs", Json(g.allocs));
-    o.emplace("frees", Json(g.frees));
-    o.emplace("bytes", Json(g.bytes));
-    return Json(std::move(o));
+    return Json::Object{
+        {"tracking", alloc_tracking_enabled()}, {"allocs", g.allocs},
+        {"frees", g.frees}, {"bytes", g.bytes}};
   });
   // Routing: exact oracles have no live counters; landmark oracles expose
   // the cluster-query mix and the intra-cluster cache's hit rate — so
@@ -199,36 +190,25 @@ void DtmServer::register_metrics() {
   if (const auto* lm =
           dynamic_cast<const LandmarkOracle*>(net_.oracle.get())) {
     metrics_.add("routing", [lm] {
-      Json::Object o;
-      o.emplace("mode", Json(std::string("landmark")));
-      o.emplace("landmarks",
-                Json(static_cast<std::int64_t>(
-                    lm->router().num_landmarks())));
-      o.emplace("radius", Json(lm->router().radius()));
-      o.emplace("diameter_bound", Json(lm->router().diameter_bound()));
-      const LandmarkRouter::Stats qs = lm->router().stats();
-      o.emplace("intra_queries", Json(qs.intra_queries));
-      o.emplace("inter_queries", Json(qs.inter_queries));
-      const RoutingTable::CacheStats cs = lm->router().intra_cache_stats();
-      o.emplace("cache_hits", Json(cs.hits));
-      o.emplace("cache_misses", Json(cs.misses));
-      o.emplace("cache_evictions", Json(cs.evictions));
-      o.emplace("cache_hit_rate",
-                Json(cs.hits + cs.misses > 0
-                         ? static_cast<double>(cs.hits) /
-                               static_cast<double>(cs.hits + cs.misses)
-                         : 0.0));
-      o.emplace("memory_bytes",
-                Json(static_cast<std::int64_t>(
-                    lm->router().memory_bytes())));
-      return Json(std::move(o));
+      const LandmarkRouter& r = lm->router();
+      const LandmarkRouter::Stats qs = r.stats();
+      const RoutingTable::CacheStats cs = r.intra_cache_stats();
+      const std::int64_t lookups = cs.hits + cs.misses;
+      const double hit_rate = lookups > 0 ? static_cast<double>(cs.hits) /
+                                                static_cast<double>(lookups)
+                                          : 0.0;
+      return Json::Object{
+          {"mode", "landmark"},
+          {"landmarks", static_cast<std::int64_t>(r.num_landmarks())},
+          {"radius", r.radius()}, {"diameter_bound", r.diameter_bound()},
+          {"intra_queries", qs.intra_queries},
+          {"inter_queries", qs.inter_queries}, {"cache_hits", cs.hits},
+          {"cache_misses", cs.misses}, {"cache_evictions", cs.evictions},
+          {"cache_hit_rate", hit_rate},
+          {"memory_bytes", static_cast<std::int64_t>(r.memory_bytes())}};
     });
   } else {
-    metrics_.add("routing", [] {
-      Json::Object o;
-      o.emplace("mode", Json(std::string("exact")));
-      return Json(std::move(o));
-    });
+    metrics_.add("routing", [] { return Json::Object{{"mode", "exact"}}; });
   }
   if (const auto* db =
           dynamic_cast<const DistributedBucketScheduler*>(scheduler_.get())) {
@@ -268,7 +248,7 @@ void DtmServer::emit_window(Time start, Time end) {
   w.offered = as.offered - last_offered_;
   w.admitted = as.admitted - last_admitted_;
   w.shed = as.shed - last_shed_;
-  w.commits = commits_total_ - last_commits_;
+  w.commits = commits() - last_commits_;
   w.p50 = window_latency_.quantile(0.50);
   w.p95 = window_latency_.quantile(0.95);
   w.p99 = window_latency_.quantile(0.99);
@@ -286,7 +266,7 @@ void DtmServer::emit_window(Time start, Time end) {
   last_offered_ = as.offered;
   last_admitted_ = as.admitted;
   last_shed_ = as.shed;
-  last_commits_ = commits_total_;
+  last_commits_ = commits();
   window_latency_.reset();
   ++windows_closed_;
   windows_.push_back(w);
@@ -294,16 +274,8 @@ void DtmServer::emit_window(Time start, Time end) {
   if (hooks_.on_window) hooks_.on_window(windows_.back());
 }
 
-void DtmServer::maybe_drain_log(Time now) {
-  if (cfg_.drain_every < 0) return;  // disabled (tests only)
-  const Time cadence = cfg_.drain_every > 0 ? cfg_.drain_every : cfg_.window;
-  if (now - last_drain_ < cadence) return;
-  drained_ += static_cast<std::int64_t>(engine_->take_committed().size());
-  last_drain_ = now;
-}
-
-void DtmServer::step_once() {
-  const Time now = engine_->now();
+void DtmServer::arrivals(const SyncEngine& /*engine*/, Time now,
+                         std::vector<Transaction>& out) {
   // Close windows first: this step's commits (exec == now) belong to the
   // window containing `now`, which is still open after this call.
   close_windows_through(now);
@@ -311,105 +283,66 @@ void DtmServer::step_once() {
     admitting_ = false;
 
   admission_.refill(now);
-  std::vector<Transaction> admitted;
   std::vector<AdmissionController::Release> released;
   admission_.release(now, inflight(), released);
-  admitted.reserve(released.size());
   for (const auto& r : released)
-    admitted.push_back(admit_stamp(r.txn, r.offered, now));
+    out.push_back(admit_stamp(r.txn, r.offered, now));
   if (admitting_) {
     for (const auto& t : source_->offers_at(now)) {
       if (admission_.offer(t, now, inflight()) ==
           AdmissionController::Outcome::kAdmit)
-        admitted.push_back(admit_stamp(t, now, now));
+        out.push_back(admit_stamp(t, now, now));
       // kQueued / kShed: the controller did the bookkeeping.
     }
     // A finite source (trace without loop) running dry is a natural drain.
     if (source_->next_offer_time() == kNoTime && admission_.queue_empty())
       admitting_ = false;
   }
+}
 
-  engine_->begin_step(admitted);
-  const auto assignments = scheduler_->on_step(*engine_, admitted);
-  engine_->apply(assignments);
-  const auto commits = engine_->finish_step();
-  ++active_steps_;
+Time DtmServer::on_commit(const SyncEngine::Commit& c) {
+  const auto it = offered_time_.find(c.txn);
+  DTM_CHECK(it != offered_time_.end(),
+            "serve: commit for unknown transaction " << c.txn);
+  const Time offered = it->second;
+  offered_time_.erase(it);
+  window_latency_.record(c.exec - offered);
+  return offered;
+}
 
-  for (const auto& c : commits) {
-    const auto it = offered_time_.find(c.txn);
-    DTM_CHECK(it != offered_time_.end(),
-              "serve: commit for unknown transaction " << c.txn);
-    const Time offered = it->second;
-    offered_time_.erase(it);
-    const Time lat = c.exec - offered;
-    window_latency_.record(lat);
-    total_latency_.record(lat);
-    fnv(commit_hash_, static_cast<std::uint64_t>(c.txn));
-    fnv(commit_hash_, static_cast<std::uint64_t>(c.node));
-    fnv(commit_hash_, static_cast<std::uint64_t>(offered));
-    fnv(commit_hash_, static_cast<std::uint64_t>(c.exec));
-    ++commits_total_;
+Time DtmServer::next_arrival(Time now) const {
+  Time next = kNoTime;
+  if (admitting_) {
+    next = source_->next_offer_time();
+    if (cfg_.duration > 0) next = EventClock::merge(next, cfg_.duration);
   }
+  if (!admission_.queue_empty())
+    next = EventClock::merge(next, admission_.next_token_time(now));
+  return next;
+}
 
-  peak_committed_log_ =
-      std::max(peak_committed_log_,
-               static_cast<std::int64_t>(engine_->committed().size()));
-  maybe_drain_log(engine_->now());
-
-  if (finished()) {
-    done_ = true;
-    // Trailing partial window, then the zero-loss invariant: everything
-    // admitted must have committed by quiescence.
-    const AdmissionStats& as = admission_.stats();
-    if (as.offered != last_offered_ || commits_total_ != last_commits_)
-      emit_window(window_end_ - cfg_.window, engine_->now());
-    DTM_CHECK(offered_time_.empty(),
-              "serve drain lost " << offered_time_.size()
-                                  << " admitted transactions");
-    DTM_CHECK(as.admitted == commits_total_,
-              "serve drain: admitted " << as.admitted << " != commits "
-                                       << commits_total_);
-    if (cfg_.drain_every >= 0) {
-      drained_ += static_cast<std::int64_t>(engine_->take_committed().size());
-      last_drain_ = engine_->now();
-    }
-  }
+void DtmServer::finish() {
+  // Trailing partial window, then the zero-loss invariant: everything
+  // admitted must have committed by quiescence.
+  const AdmissionStats& as = admission_.stats();
+  if (as.offered != last_offered_ || commits() != last_commits_)
+    emit_window(window_end_ - cfg_.window, now());
+  DTM_CHECK(offered_time_.empty(),
+            "serve drain lost " << offered_time_.size()
+                                << " admitted transactions");
+  DTM_CHECK(as.admitted == commits(),
+            "serve drain: admitted " << as.admitted << " != commits "
+                                     << commits());
+  if (cfg_.drain_every >= 0) driver_->drain_log();
 }
 
 bool DtmServer::pump(Time until) {
-  while (!done_ && (until == kNoTime || engine_->now() <= until)) {
-    step_once();
-    if (done_) break;
-
-    const Time now = engine_->now();
-    Time next = kNoTime;
-    const auto merge = [&next](Time t) { next = EventClock::merge(next, t); };
-    if (admitting_) {
-      merge(source_->next_offer_time());
-      if (cfg_.duration > 0) merge(cfg_.duration);
-    }
-    if (!admission_.queue_empty()) merge(admission_.next_token_time(now));
-    merge(engine_->next_exec_due());
-    merge(scheduler_->next_event_hint(now));
-    const std::vector<const EventSource*> sources =
-        scheduler_->event_sources();
-    next = engine_->clock().next_event({next}, sources);
-    DTM_CHECK(next != kNoTime,
-              "serve deadlock: service not drained but no future event (now="
-                  << now << ", inflight=" << inflight()
-                  << ", queued=" << admission_.queue_depth() << ")");
-    if (until != kNoTime && next > until) {
-      // Nothing happens in (now, until]; settle the clock at the pump
-      // horizon so callers pacing by sim time observe progress.
-      if (until > now) {
-        engine_->advance_to(until);
-        close_windows_through(engine_->now());
-      }
-      break;
-    }
-    if (next > now) engine_->advance_to(next);
-  }
-  return !done_;
+  if (driver_->done()) return false;
+  if (driver_->run_until(until))
+    finish();
+  else
+    close_windows_through(now());
+  return !driver_->done();
 }
 
 ServeReport DtmServer::run() {
@@ -418,29 +351,31 @@ ServeReport DtmServer::run() {
 }
 
 ServeReport DtmServer::report() const {
-  DTM_REQUIRE(done_, "serve report requested before the service drained");
+  DTM_REQUIRE(driver_->done(),
+              "serve report requested before the service drained");
   const AdmissionStats& as = admission_.stats();
+  const RunTotals& t = driver_->totals();
   ServeReport r;
-  r.end_time = engine_->now();
-  r.active_steps = active_steps_;
+  r.end_time = now();
+  r.active_steps = t.active_steps;
   r.offered = as.offered;
   r.admitted = as.admitted;
   r.shed = as.shed;
-  r.commits = commits_total_;
-  r.drained = drained_;
-  r.peak_committed_log = peak_committed_log_;
+  r.commits = t.commits;
+  r.drained = t.drained;
+  r.peak_committed_log = t.peak_committed_log;
   r.windows = windows_closed_;
   r.slo_violations = slo_violations_;
   r.fault_toggles = fault_toggles_;
-  r.commit_hash = commit_hash_;
-  r.latency = total_latency_;
+  r.commit_hash = t.commit_hash;
+  r.latency = t.latency;
   r.admission = as;
   return r;
 }
 
 void DtmServer::set_fault(const FaultPlan& plan) {
   plan.validate();
-  engine_->set_fault(plan);
+  driver_->engine().set_fault(plan);
   if (auto* db = dynamic_cast<DistributedBucketScheduler*>(scheduler_.get())) {
     if (db->resilient())
       db->set_fault(plan);
@@ -458,13 +393,6 @@ std::unique_ptr<DtmServer> make_server(const Network& net, const RunSpec& spec,
   const FaultPlan fault = Registry::make_fault_plan(spec.fault, spec.seed);
   auto scheduler =
       Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
-
-  EngineOptions eopts;
-  eopts.latency_factor = spec.latency_factor;
-  if (spec.scheduler.kind == "dist-bucket")
-    eopts.latency_factor = std::max<std::int64_t>(eopts.latency_factor, 2);
-  eopts.fault = fault;
-  eopts.threads = spec.threads;
 
   std::unique_ptr<TxnSource> source;
   if (cfg.source == "trace") {
@@ -488,7 +416,8 @@ std::unique_ptr<DtmServer> make_server(const Network& net, const RunSpec& spec,
 
   return std::make_unique<DtmServer>(net, std::move(source),
                                      std::move(scheduler), std::move(cfg),
-                                     eopts, std::move(hooks));
+                                     spec.engine_options(fault),
+                                     std::move(hooks));
 }
 
 }  // namespace dtm

@@ -1,49 +1,37 @@
-// DtmServer — the long-running service loop (serve layer;
-// docs/ARCHITECTURE.md §7).
+// DtmServer — the long-running service (serve layer; docs/ARCHITECTURE.md
+// §7), a configuration of the run driver (sim/driver.hpp) whose arrival
+// source is admission control:
 //
-// The batch pipeline (sim/runner.*) runs a closed workload to completion
-// and reports afterwards. DtmServer inverts that: an open-ended TxnSource
-// offers transactions, an AdmissionController gates them (token bucket +
-// max-in-flight, shed or queue), admitted transactions feed the same
-// SyncEngine + OnlineScheduler incrementally, and every stat the batch
-// pipeline computed post-hoc is maintained online:
-//
-//   TxnSource --offers--> AdmissionController --admits--> SyncEngine
+//   TxnSource --offers--> AdmissionController --admits--> Driver
 //                              |  (shed/queue)               |  commits
 //                              v                              v
 //        MetricsRegistry <-- window stats <-- LatencyRecorder (per window
-//                                             + cumulative)
+//                                             + the driver's cumulative one)
 //
-// Per-transaction latency is measured from the *offer* step (a queued
-// transaction pays its queue wait), bucketed into fixed windows with
-// p50/p95/p99/p999 each, and checked against an optional p99 SLO. The
-// committed log is drained (TxnStore::take_committed) on a cadence so RSS
-// stays bounded over unbounded runs. Graceful drain = stop taking new
-// offers, keep releasing the wait queue, run to quiescence; the server
-// asserts the zero-loss invariant at that point: every admitted
-// transaction committed. Fault plans can be toggled live (set_fault) for
-// online resilience drills against the PR 4 chaos layer.
-//
-// Everything is simulated-time deterministic: a (RunSpec, ServeConfig)
-// pair reproduces the same commit_hash run after run. Wall-clock concerns
-// (pacing, signals, the control socket) live in tools/dtm_serve.cpp, which
-// drives this class through pump().
+// Latency is measured from the *offer* step (a queued transaction pays its
+// queue wait), bucketed into fixed windows with p50/p95/p99/p999 each and
+// checked against an optional p99 SLO. Graceful drain = stop taking new
+// offers, keep releasing the wait queue, run to quiescence, and assert
+// that every admitted transaction committed. Fault plans toggle live
+// (set_fault). A (RunSpec, ServeConfig) pair reproduces the same
+// commit_hash run after run; wall-clock pacing, signals and the control
+// socket live in tools/dtm_serve.cpp, which drives this class via pump().
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/scheduler.hpp"
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
 #include "serve/config.hpp"
-#include "serve/latency.hpp"
 #include "serve/metrics.hpp"
 #include "serve/source.hpp"
-#include "sim/engine.hpp"
+#include "sim/driver.hpp"
 #include "sim/registry.hpp"
 
 namespace dtm {
@@ -86,7 +74,8 @@ struct ServeReport {
   [[nodiscard]] Json to_json() const;
 };
 
-class DtmServer {
+/// Admission control is the driver's arrival source.
+class DtmServer final : private ArrivalSource {
  public:
   struct Hooks {
     /// Fired when a window closes (bench accumulation, live printing).
@@ -121,14 +110,16 @@ class DtmServer {
   void set_fault(const FaultPlan& plan);
 
   [[nodiscard]] bool finished() const {
-    return !admitting_ && admission_.queue_empty() && engine_->all_done();
+    return exhausted() && driver_->engine().all_done();
   }
   [[nodiscard]] bool admitting() const { return admitting_; }
-  [[nodiscard]] Time now() const { return engine_->now(); }
+  [[nodiscard]] Time now() const { return driver_->engine().now(); }
   [[nodiscard]] std::int64_t inflight() const {
     return static_cast<std::int64_t>(offered_time_.size());
   }
-  [[nodiscard]] std::int64_t commits() const { return commits_total_; }
+  [[nodiscard]] std::int64_t commits() const {
+    return driver_->totals().commits;
+  }
 
   /// Live metrics snapshot (MetricsRegistry pull).
   [[nodiscard]] Json snapshot() const { return metrics_.snapshot(); }
@@ -144,33 +135,38 @@ class DtmServer {
   [[nodiscard]] ServeReport report() const;
 
  private:
+  void arrivals(const SyncEngine& engine, Time now,
+                std::vector<Transaction>& out) override;
+  Time on_commit(const SyncEngine::Commit& c) override;
+  [[nodiscard]] Time next_arrival(Time now) const override;
+  [[nodiscard]] bool exhausted() const override {
+    return !admitting_ && admission_.queue_empty();
+  }
+
   void register_metrics();
-  void step_once();
   /// Stamps an engine-facing copy: fresh id, gen_time = admission step;
   /// remembers the offer step for latency accounting.
   [[nodiscard]] Transaction admit_stamp(const Transaction& t, Time offered,
                                         Time now);
   void close_windows_through(Time now);
   void emit_window(Time start, Time end);
-  void maybe_drain_log(Time now);
+  /// Trailing window, zero-loss checks and the final drain, once the
+  /// driver is done.
+  void finish();
 
   const Network& net_;
   ServeConfig cfg_;
   Hooks hooks_;
   std::unique_ptr<TxnSource> source_;
   std::unique_ptr<OnlineScheduler> scheduler_;
-  std::unique_ptr<SyncEngine> engine_;
   AdmissionController admission_;
   MetricsRegistry metrics_;
 
   bool admitting_ = true;
-  bool done_ = false;
-  std::int64_t active_steps_ = 0;
   TxnId next_engine_id_ = 0;
   std::map<TxnId, Time> offered_time_;  ///< admitted, not yet committed
 
   LatencyRecorder window_latency_;
-  LatencyRecorder total_latency_;
   std::deque<ServeWindow> windows_;
   std::int64_t windows_closed_ = 0;
   std::int64_t slo_violations_ = 0;
@@ -178,19 +174,15 @@ class DtmServer {
   // Totals at the last window close, for per-window deltas.
   std::int64_t last_offered_ = 0, last_admitted_ = 0, last_shed_ = 0,
                last_commits_ = 0;
-
-  std::int64_t commits_total_ = 0;
-  std::int64_t drained_ = 0;
-  std::int64_t peak_committed_log_ = 0;
-  Time last_drain_ = 0;
   std::int64_t fault_toggles_ = 0;
-  std::uint64_t commit_hash_ = 1469598103934665603ULL;
+
+  std::optional<Driver> driver_;  ///< engaged once the arguments check out
 };
 
 /// Builds the full service from a RunSpec whose `serve` spec names the
 /// service shape: topology/scheduler/fault through the usual registry
-/// factories (dist-bucket forces latency factor >= 2, as dtm_sim does),
-/// source + admission from Registry::make_serve_config. `net` must be the
+/// factories, engine options from RunSpec::engine_options, source +
+/// admission from Registry::make_serve_config. `net` must be the
 /// spec's topology (Registry::make_network(spec.topology)) and outlive the
 /// server.
 [[nodiscard]] std::unique_ptr<DtmServer> make_server(

@@ -1,6 +1,8 @@
 #include "sim/cli.hpp"
 
+#include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "sim/registry.hpp"
 #include "util/check.hpp"
@@ -69,29 +71,25 @@ bool Cli::parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      seed_ = std::stoull(value_of(arg));
-      seed_set_ = true;
+      seed_ = number<std::uint64_t>(arg, value_of(arg));
       continue;
     }
     if (arg == "--trials") {
-      trials_ = static_cast<std::int32_t>(std::stol(value_of(arg)));
-      trials_set_ = true;
-      DTM_REQUIRE(trials_ >= 1,
+      trials_ = number<std::int32_t>(arg, value_of(arg));
+      DTM_REQUIRE(*trials_ >= 1,
                   "" << program_ << ": --trials must be >= 1");
       continue;
     }
     if (arg == "--threads") {
-      threads_ = static_cast<std::int32_t>(std::stol(value_of(arg)));
-      threads_set_ = true;
-      DTM_REQUIRE(threads_ >= 0 && threads_ <= 1024,
+      threads_ = number<std::int32_t>(arg, value_of(arg));
+      DTM_REQUIRE(*threads_ >= 0 && *threads_ <= 1024,
                   "" << program_ << ": --threads must be in [0, 1024], got "
-                     << threads_);
+                     << *threads_);
       continue;
     }
     if (arg == "--warmup") {
-      warmup_ = std::stoll(value_of(arg));
-      warmup_set_ = true;
-      DTM_REQUIRE(warmup_ >= 0,
+      warmup_ = number<std::int64_t>(arg, value_of(arg));
+      DTM_REQUIRE(*warmup_ >= 0,
                   "" << program_ << ": --warmup must be >= 0");
       continue;
     }
@@ -109,6 +107,34 @@ bool Cli::parse(int argc, char** argv) {
                             << "' (--help lists flags)");
   }
   return true;
+}
+
+RunSpec resolve_spec(const SpecFlags& flags, const Cli& cli) {
+  RunSpec spec;
+  if (!flags.spec.empty()) {
+    std::ifstream f(flags.spec);
+    DTM_REQUIRE(f.good(), "cannot open spec file '" << flags.spec << "'");
+    spec = RunSpec::from_json(Json::parse(
+        std::string(std::istreambuf_iterator<char>(f), {})));
+  }
+  const auto set = [](Spec& target, const std::string& text) {
+    if (!text.empty()) target = parse_spec(text);
+  };
+  set(spec.topology, flags.topology);
+  set(spec.scheduler, flags.scheduler);
+  set(spec.workload, flags.workload);
+  set(spec.fault, flags.fault);
+  set(spec.serve, flags.serve);
+  set(spec.stream, flags.stream);
+  if (!flags.lf.empty())
+    spec.latency_factor = cli.number<std::int64_t>("--lf", flags.lf);
+  if (!flags.window.empty())
+    spec.ratio_window = cli.number<Time>("--window", flags.window);
+  spec.seed = cli.seed(spec.seed);
+  spec.trials = cli.trials(spec.trials);
+  spec.threads = cli.threads(spec.threads);
+  spec.latency_factor = spec.run_latency_factor();
+  return spec;
 }
 
 }  // namespace dtm

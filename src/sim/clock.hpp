@@ -3,8 +3,8 @@
 // Owns the current step, the execution calendar of scheduled live
 // transactions keyed by exec time (the structure behind the engine's
 // event-driven bookkeeping), and the *merging* of future-event
-// candidates: the runner asks one place "when can anything next happen?",
-// combining the calendar, workload arrivals, scheduler hints, and any
+// candidates: the run driver asks one place "when can anything next
+// happen?", combining the calendar, arrivals, scheduler hints, and any
 // registered EventSource (e.g. the distributed protocol's MessageBus) — so
 // no layer special-cases time skips.
 //

@@ -70,7 +70,7 @@ class SyncEngine final : public SystemView {
     return store_.live_ids();
   }
 
-  // ---- Stepping API (driven by the Runner) ----
+  // ---- Stepping API (driven by the run driver, sim/driver.hpp) ----
 
   /// Registers the transactions generated at the current step.
   void begin_step(std::span<const Transaction> arrivals);
@@ -96,7 +96,7 @@ class SyncEngine final : public SystemView {
   void advance_to(Time t);
 
   /// Earliest execution time among scheduled live transactions, kNoTime if
-  /// none. The Runner never skips past this.
+  /// none. The driver never skips past this.
   [[nodiscard]] Time next_exec_due() const { return clock_.next_scheduled(); }
 
   [[nodiscard]] bool all_done() const { return store_.num_live() == 0; }
@@ -107,11 +107,11 @@ class SyncEngine final : public SystemView {
   [[nodiscard]] const std::vector<ScheduledTxn>& committed() const {
     return store_.committed();
   }
-  /// Drains the committed log (leaving it empty). End-of-run result
-  /// assembly takes it once; the serve loop drains on a cadence so the log
-  /// — the only per-committed state — stays bounded. Stepping continues
-  /// normally afterwards; only post-hoc consumers of the full history
-  /// (validate_schedule, the runner's metrics) must not drain mid-run.
+  /// Drains the committed log (leaving it empty). The driver takes it at
+  /// the end of a run or drains it on a cadence so the log — the only
+  /// per-committed state — stays bounded. Stepping continues normally
+  /// afterwards; only post-hoc consumers of the full history
+  /// (validate_schedule, the lower bound) need it kept.
   [[nodiscard]] std::vector<ScheduledTxn> take_committed() {
     return store_.take_committed();
   }
@@ -127,7 +127,7 @@ class SyncEngine final : public SystemView {
     return store_.origins();
   }
 
-  /// The three layers, exposed read-only for the runner's next-event
+  /// The three layers, exposed read-only for the driver's next-event
   /// merging and for diagnostics.
   [[nodiscard]] const EventClock& clock() const { return clock_; }
   [[nodiscard]] const TxnStore& store() const { return store_; }

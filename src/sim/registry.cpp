@@ -11,37 +11,18 @@
 #include "sim/app_workloads.hpp"
 #include "sim/io.hpp"
 #include "util/batch_math.hpp"
+#include "util/parse.hpp"
 
 namespace dtm {
 
 namespace {
 
 std::int64_t to_int(const std::string& key, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t n = std::stoll(v, &used);
-    DTM_REQUIRE(used == v.size(), "spec: bad integer for '"
-                                      << key << "': '" << v << "'");
-    return n;
-  } catch (const CheckError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw CheckError("spec: bad integer for '" + key + "': '" + v + "'");
-  }
+  return parse_number<std::int64_t>(v, "spec: bad integer for '" + key + "'");
 }
 
 double to_double(const std::string& key, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const double d = std::stod(v, &used);
-    DTM_REQUIRE(used == v.size(),
-                "spec: bad number for '" << key << "': '" << v << "'");
-    return d;
-  } catch (const CheckError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw CheckError("spec: bad number for '" + key + "': '" + v + "'");
-  }
+  return parse_number<double>(v, "spec: bad number for '" + key + "'");
 }
 
 /// Parses "3x4x2" into grid/torus extents.
@@ -343,83 +324,6 @@ const std::vector<Registry::Entry>& Registry::stream_configs() {
   return kEntries;
 }
 
-StreamConfig Registry::make_stream_config(const Spec& spec,
-                                          std::uint64_t default_seed) {
-  SpecArgs a(spec);
-  DTM_REQUIRE(a.kind() == "stream",
-              "unknown stream config '" << a.kind()
-                                        << "' (stream:knob=value,...)");
-  StreamConfig c;
-  c.profile = a.str("profile", c.profile);
-  c.rate = a.real("rate", c.rate);
-  c.objects = static_cast<std::int32_t>(a.integer("objects", c.objects));
-  c.k = static_cast<std::int32_t>(a.integer("k", c.k));
-  c.zipf = a.real("zipf", c.zipf);
-  c.write_frac = a.real("write-frac", c.write_frac);
-  c.rotate_every = a.integer("rotate-every", c.rotate_every);
-  c.period = a.integer("period", c.period);
-  c.duty = a.real("duty", c.duty);
-  c.low_mult = a.real("low-mult", c.low_mult);
-  c.dwell_on = a.integer("dwell-on", c.dwell_on);
-  c.dwell_off = a.integer("dwell-off", c.dwell_off);
-  c.hi_mult = a.real("hi-mult", c.hi_mult);
-  c.burst = a.real("burst", c.burst);
-  c.target = a.integer("target", c.target);
-  c.duration = a.integer("duration", c.duration);
-  c.window = a.integer("window", c.window);
-  c.drain_every = a.integer("drain-every", c.drain_every);
-  c.max_live = a.integer("max-live", c.max_live);
-  c.ratio_every = a.integer("ratio-every", c.ratio_every);
-  c.seed = static_cast<std::uint64_t>(
-      a.integer("seed", static_cast<std::int64_t>(default_seed)));
-  a.finish();
-  c.validate();
-  return c;
-}
-
-ServeConfig Registry::make_serve_config(const Spec& spec,
-                                        std::uint64_t default_seed) {
-  SpecArgs a(spec);
-  DTM_REQUIRE(a.kind() == "serve",
-              "unknown serve config '" << a.kind()
-                                       << "' (serve:knob=value,...)");
-  ServeConfig c;
-  c.rate = a.real("rate", c.rate);
-  c.duration = a.integer("duration", c.duration);
-  c.window = a.integer("window", c.window);
-  c.drain_every = a.integer("drain-every", c.drain_every);
-  c.admission.rate = a.real("admit-rate", c.admission.rate);
-  c.admission.burst = a.real("burst", c.admission.burst);
-  c.admission.max_inflight =
-      a.integer("max-inflight", c.admission.max_inflight);
-  const std::string policy = a.str("policy", "shed");
-  if (policy == "shed") {
-    c.admission.policy = AdmissionOptions::Policy::kShed;
-  } else if (policy == "queue") {
-    c.admission.policy = AdmissionOptions::Policy::kQueue;
-  } else {
-    throw CheckError("serve: unknown policy '" + policy +
-                     "' (shed | queue)");
-  }
-  c.admission.queue_cap = a.integer("queue-cap", c.admission.queue_cap);
-  c.source = a.str("source", c.source);
-  c.trace_file = a.str("trace", c.trace_file);
-  c.trace_loop = a.integer("trace-loop", c.trace_loop);
-  c.objects = static_cast<std::int32_t>(a.integer("objects", c.objects));
-  c.k = static_cast<std::int32_t>(a.integer("k", c.k));
-  c.zipf = a.real("zipf", c.zipf);
-  c.write_frac = a.real("write-frac", c.write_frac);
-  c.burst_every = a.integer("burst-every", c.burst_every);
-  c.burst_len = a.integer("burst-len", c.burst_len);
-  c.burst_mult = a.real("burst-mult", c.burst_mult);
-  c.slo_p99 = a.integer("slo-p99", c.slo_p99);
-  c.seed = static_cast<std::uint64_t>(
-      a.integer("seed", static_cast<std::int64_t>(default_seed)));
-  a.finish();
-  c.validate();
-  return c;
-}
-
 FaultPlan Registry::make_fault_plan(const Spec& spec,
                                     std::uint64_t default_seed) {
   SpecArgs a(spec);
@@ -696,6 +600,20 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
 // ---------------------------------------------------------------------------
 // Spec-driven runs
 
+std::int64_t RunSpec::run_latency_factor() const {
+  return scheduler.kind == "dist-bucket"
+             ? std::max<std::int64_t>(latency_factor, 2)
+             : latency_factor;
+}
+
+EngineOptions RunSpec::engine_options(const FaultPlan& plan) const {
+  EngineOptions e;
+  e.latency_factor = run_latency_factor();
+  e.fault = plan;
+  e.threads = threads;
+  return e;
+}
+
 RunResult run_spec(const RunSpec& spec, bool collect_schedule) {
   const Network net = Registry::make_network(spec.topology);
   auto wl = Registry::make_workload(spec.workload, net, spec.seed);
@@ -703,9 +621,7 @@ RunResult run_spec(const RunSpec& spec, bool collect_schedule) {
   auto sched =
       Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
   RunOptions opts;
-  opts.engine.latency_factor = spec.latency_factor;
-  opts.engine.fault = fault;
-  opts.engine.threads = spec.threads;
+  opts.engine = spec.engine_options(fault);
   opts.ratio_window = spec.ratio_window;
   opts.validate = spec.validate;
   opts.collect_schedule = collect_schedule;
@@ -713,32 +629,13 @@ RunResult run_spec(const RunSpec& spec, bool collect_schedule) {
 }
 
 TrialSummary run_spec_trials(const RunSpec& spec) {
-  OnlineStats ratio, mk, lat, lb, wr;
-  std::int64_t txns = 0;
-  const Network net = Registry::make_network(spec.topology);
+  std::vector<RunResult> runs;
   for (std::int32_t t = 0; t < std::max<std::int32_t>(spec.trials, 1); ++t) {
-    const std::uint64_t seed =
-        spec.seed + static_cast<std::uint64_t>(t) * 7919;
-    auto wl = Registry::make_workload(spec.workload, net, seed);
-    const FaultPlan fault = Registry::make_fault_plan(spec.fault, seed);
-    auto sched =
-        Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
-    RunOptions opts;
-    opts.engine.latency_factor = spec.latency_factor;
-    opts.engine.fault = fault;
-    opts.engine.threads = spec.threads;
-    opts.ratio_window = spec.ratio_window;
-    opts.validate = spec.validate;
-    opts.collect_schedule = false;
-    const RunResult r = run_experiment(net, *wl, *sched, opts);
-    ratio.add(r.ratio);
-    mk.add(static_cast<double>(r.makespan));
-    lat.add(r.latency.mean());
-    lb.add(static_cast<double>(r.lb.best()));
-    wr.add(r.windowed_ratio);
-    txns = r.num_txns;
+    RunSpec one = spec;
+    one.seed = spec.seed + static_cast<std::uint64_t>(t) * 7919;
+    runs.push_back(run_spec(one, /*collect_schedule=*/false));
   }
-  return {ratio.mean(), mk.mean(), lat.mean(), lb.mean(), txns, wr.mean()};
+  return summarize(runs);
 }
 
 }  // namespace dtm

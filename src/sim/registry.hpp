@@ -24,14 +24,15 @@
 #include "core/scheduler.hpp"
 #include "fault/plan.hpp"
 #include "net/topology.hpp"
-#include "serve/config.hpp"
 #include "sim/runner.hpp"
-#include "stream/config.hpp"
 #include "sim/trials.hpp"
 #include "sim/workload.hpp"
 #include "util/json.hpp"
 
 namespace dtm {
+
+struct ServeConfig;   // serve/config.hpp
+struct StreamConfig;  // stream/config.hpp
 
 /// A named component: registry kind plus string-valued parameters.
 struct Spec {
@@ -105,6 +106,12 @@ struct RunSpec {
   [[nodiscard]] EngineOptions::Mode engine_mode() const {
     return EngineOptions::Mode::kCalendar;
   }
+  /// The latency factor the spec runs at: dist-bucket's probe-catching
+  /// argument needs half-speed objects (§V), so at least 2 for it.
+  [[nodiscard]] std::int64_t run_latency_factor() const;
+  /// Engine options every entry point runs the spec under:
+  /// run_latency_factor(), `plan` (built from `fault`), and threads.
+  [[nodiscard]] EngineOptions engine_options(const FaultPlan& plan) const;
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static RunSpec from_json(const Json& j);
 
@@ -164,15 +171,17 @@ class Registry {
 
   /// Builds a ServeConfig from a "serve:..." spec. Unknown knobs are hard
   /// errors; ranges are validated. `default_seed` seeds the source unless
-  /// the spec carries its own "seed" parameter.
+  /// the spec carries its own "seed" parameter. Defined by the serve layer
+  /// (serve/server.cpp), like make_stream_config by the stream layer
+  /// (stream/config.cpp), so that sim/ depends on neither.
   [[nodiscard]] static ServeConfig make_serve_config(
-      const Spec& spec, std::uint64_t default_seed = ServeConfig{}.seed);
+      const Spec& spec, std::uint64_t default_seed = 42);
 
   /// Builds a StreamConfig from a "stream:..." spec. Unknown knobs are hard
   /// errors; ranges are validated. `default_seed` seeds the source unless
   /// the spec carries its own "seed" parameter.
   [[nodiscard]] static StreamConfig make_stream_config(
-      const Spec& spec, std::uint64_t default_seed = StreamConfig{}.seed);
+      const Spec& spec, std::uint64_t default_seed = 42);
 };
 
 /// Builds everything the RunSpec names and runs one experiment (the spec's
@@ -181,8 +190,8 @@ class Registry {
 [[nodiscard]] RunResult run_spec(const RunSpec& spec,
                                  bool collect_schedule = true);
 
-/// Runs spec.trials independent seeds (seed + t * 7919) and averages the
-/// headline metrics.
+/// Runs spec.trials independent seeds (seed + t * 7919) through run_spec
+/// and averages the headline metrics.
 [[nodiscard]] TrialSummary run_spec_trials(const RunSpec& spec);
 
 }  // namespace dtm

@@ -2,57 +2,34 @@
 
 #include <algorithm>
 
+#include "sim/driver.hpp"
+
 namespace dtm {
 
 namespace {
 
-/// Per-window bookkeeping for the Definition-1 ratio proxy.
-struct WindowTracker {
-  Time window = 0;
-  Time next_boundary = 0;
-  std::vector<std::vector<ObjectOrigin>> snapshots;  ///< per window start
+/// The closed-loop Workload as the driver's arrival source.
+class WorkloadSource final : public ArrivalSource {
+ public:
+  explicit WorkloadSource(Workload& workload) : workload_(workload) {}
 
-  void maybe_snapshot(const SyncEngine& engine,
-                      const std::vector<ObjectOrigin>& origins) {
-    if (window <= 0) return;
-    while (engine.now() >= next_boundary) {
-      std::vector<ObjectOrigin> snap;
-      snap.reserve(origins.size());
-      for (const auto& o : origins) {
-        const ObjectState& s = engine.object(o.id);
-        // In-transit objects are attributed to their destination — by the
-        // window's end they will be at or past it; a coarser position only
-        // weakens (never invalidates) the lower bound's certificate role.
-        snap.push_back({o.id, s.in_transit() ? s.dest() : s.at(), 0});
-      }
-      snapshots.push_back(std::move(snap));
-      next_boundary += window;
-    }
+  void arrivals(const SyncEngine& /*engine*/, Time now,
+                std::vector<Transaction>& out) override {
+    out = workload_.arrivals_at(now);
+  }
+  Time on_commit(const SyncEngine::Commit& c) override {
+    workload_.on_commit(c.txn, c.exec);
+    return c.gen;
+  }
+  [[nodiscard]] Time next_arrival(Time /*now*/) const override {
+    return workload_.next_arrival_time();
+  }
+  [[nodiscard]] bool exhausted() const override {
+    return workload_.finished();
   }
 
-  void finalize(RunResult& r, const std::vector<ScheduledTxn>& committed,
-                const DistanceOracle& oracle, std::int64_t latency_factor) {
-    if (window <= 0 || snapshots.empty()) return;
-    std::vector<std::vector<Transaction>> per_window(snapshots.size());
-    std::vector<Time> worst_latency(snapshots.size(), 0);
-    for (const auto& s : committed) {
-      const auto w = static_cast<std::size_t>(
-          std::min<Time>(s.txn.gen_time / window,
-                         static_cast<Time>(snapshots.size()) - 1));
-      per_window[w].push_back(s.txn);
-      worst_latency[w] =
-          std::max(worst_latency[w], s.exec - s.txn.gen_time);
-    }
-    for (std::size_t w = 0; w < snapshots.size(); ++w) {
-      if (per_window[w].empty()) continue;
-      const auto lb = makespan_lower_bound(per_window[w], snapshots[w],
-                                           oracle, latency_factor);
-      r.windowed_ratio = std::max(
-          r.windowed_ratio, static_cast<double>(worst_latency[w]) /
-                                static_cast<double>(lb.best()));
-      ++r.num_windows;
-    }
-  }
+ private:
+  Workload& workload_;
 };
 
 }  // namespace
@@ -65,84 +42,34 @@ RunResult run_experiment(const Network& net, Workload& workload,
                 "drain_every requires validate=false (validation replays "
                 "the full committed schedule)");
     DTM_REQUIRE(opts.ratio_window == 0,
-                "drain_every requires ratio_window=0 (windowed accounting "
-                "replays the full committed schedule)");
+                "drain_every requires ratio_window=0");
     DTM_REQUIRE(!opts.collect_schedule,
                 "drain_every requires collect_schedule=false");
   }
-  SyncEngine engine(net.oracle, workload.objects(), opts.engine);
+  WorkloadSource source(workload);
+  DriverOptions d;
+  d.max_steps = opts.max_steps;
+  d.drain_every = opts.drain_every;
+  d.ratio_window = opts.ratio_window;
+  Driver driver(net.oracle, workload.objects(), opts.engine, scheduler,
+                source, d);
+  (void)driver.run_until();
+  if (opts.drain_every > 0) driver.drain_log();  // whatever the cadence left
 
-  WindowTracker windows;
-  windows.window = opts.ratio_window;
-
+  const RunTotals& t = driver.totals();
+  const SyncEngine& engine = driver.engine();
   RunResult r;
-  Time last_drain = 0;
-  std::int64_t iterations = 0;
-  while (true) {
-    windows.maybe_snapshot(engine, engine.origins());
-    const auto arrivals = workload.arrivals_at(engine.now());
-    engine.begin_step(arrivals);
-    const auto assignments = scheduler.on_step(engine, arrivals);
-    engine.apply(assignments);
-    const auto commits = engine.finish_step();
-    for (const auto& c : commits) workload.on_commit(c.txn, c.exec);
-    if (opts.drain_every > 0) {
-      // Headline metrics accumulate at commit time; the log entries are
-      // about to be discarded.
-      for (const auto& c : commits) {
-        r.makespan = std::max(r.makespan, c.exec);
-        r.latency.add(static_cast<double>(c.exec - c.gen));
-        ++r.num_txns;
-      }
-      r.peak_committed_log =
-          std::max(r.peak_committed_log,
-                   static_cast<std::int64_t>(engine.committed().size()));
-      if (engine.now() - last_drain >= opts.drain_every) {
-        r.drained +=
-            static_cast<std::int64_t>(engine.take_committed().size());
-        last_drain = engine.now();
-      }
-    }
-
-    if (workload.finished() && engine.all_done()) break;
-    DTM_CHECK(++iterations < opts.max_steps,
-              "run exceeded " << opts.max_steps << " active steps");
-
-    // Fast-forward to the next step where anything can happen: an arrival,
-    // a due execution, a scheduler-internal event (bucket activation), or a
-    // pending delivery on any of the scheduler's event sources. The
-    // EventClock owns the merge; every candidate is a step we must land on
-    // exactly.
-    const Time now = engine.now();
-    const std::vector<const EventSource*> sources =
-        scheduler.event_sources();
-    const Time next = engine.clock().next_event(
-        {workload.next_arrival_time(), engine.next_exec_due(),
-         scheduler.next_event_hint(now)},
-        sources);
-    DTM_CHECK(next != kNoTime,
-              "deadlock: live transactions but no future event (now=" << now
-                                                                      << ")");
-    DTM_CHECK(next >= now, "next event " << next << " in the past");
-    if (next > now) engine.advance_to(next);
-  }
-
   r.scheduler = scheduler.name();
   r.network = net.name;
-  r.active_steps = iterations + 1;  // iterations counts non-final steps
-  if (opts.drain_every > 0) {
-    // Final drain: whatever the cadence left behind. After this, drained
-    // accounts for every commit and the log is empty.
-    r.drained += static_cast<std::int64_t>(engine.take_committed().size());
+  r.num_txns = t.commits;
+  r.active_steps = t.active_steps;
+  r.makespan = t.makespan;
+  r.latency = t.latency;
+  r.drained = t.drained;
+  r.peak_committed_log = t.peak_committed_log;
+  if (opts.drain_every > 0)
     DTM_CHECK(r.drained == r.num_txns,
               "drain lost commits: " << r.drained << " != " << r.num_txns);
-  } else {
-    r.num_txns = static_cast<std::int64_t>(engine.committed().size());
-    for (const auto& s : engine.committed()) {
-      r.makespan = std::max(r.makespan, s.exec);
-      r.latency.add(static_cast<double>(s.exec - s.txn.gen_time));
-    }
-  }
   if (opts.validate) {
     const auto err =
         validate_schedule(engine.committed(), engine.origins(), *net.oracle,
@@ -153,11 +80,11 @@ RunResult run_experiment(const Network& net, Workload& workload,
                               *net.oracle, opts.engine.latency_factor);
   r.ratio = static_cast<double>(r.makespan) /
             static_cast<double>(std::max<Time>(r.lb.best(), 1));
-  windows.finalize(r, engine.committed(), *net.oracle,
-                   opts.engine.latency_factor);
+  r.windowed_ratio = driver.ratio().ratio_max();
+  r.num_windows = driver.ratio().windows_finalized();
   if (opts.collect_schedule) {
     r.origins = engine.origins();
-    r.committed = engine.take_committed();  // moved, never copied
+    r.committed = driver.take_log();  // moved, never copied
   }
   return r;
 }

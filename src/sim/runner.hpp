@@ -1,7 +1,7 @@
 // Experiment runner: wires a network, a workload, and an online scheduler
-// into the synchronous engine, fast-forwards idle stretches, validates the
-// resulting schedule, and reports metrics (makespan, latency, certified
-// lower bound, and the competitive-ratio proxy makespan / LB).
+// into the run driver (sim/driver.hpp), validates the resulting schedule,
+// and reports metrics (makespan, latency, certified lower bound, and the
+// competitive-ratio proxy makespan / LB).
 #pragma once
 
 #include <string>
@@ -11,7 +11,7 @@
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
-#include "util/stats.hpp"
+#include "util/latency.hpp"
 
 namespace dtm {
 
@@ -26,20 +26,17 @@ struct RunOptions {
   /// Window length for the paper's Definition-1 competitive ratio proxy:
   /// arrivals are grouped into windows of this many steps; each window's
   /// worst latency is divided by a lower bound computed against the actual
-  /// object positions at the window's start (snapshotted from the engine).
+  /// object positions at the window's start (StreamingRatioTracker).
   /// 0 disables windowed accounting.
   Time ratio_window = 0;
   /// Populate RunResult::committed / ::origins (moved out of the engine,
   /// never copied). Averaging loops that only read the headline metrics
   /// turn this off and skip the allocation entirely.
   bool collect_schedule = true;
-  /// When > 0, drain the engine's committed log every this-many simulated
-  /// steps (TxnStore::take_committed): headline metrics are accumulated
-  /// incrementally at commit time and the entries are discarded, so the
-  /// run's memory footprint stays bounded by the drain cadence instead of
-  /// the workload size. Incompatible with everything that needs the full
-  /// log retained — requires !validate, ratio_window == 0, and
-  /// !collect_schedule (hard errors otherwise). 0 keeps the log (default).
+  /// When > 0, the driver drains the committed log every this-many
+  /// simulated steps, so the run's memory stays bounded by the cadence
+  /// instead of the workload size. Requires !validate, ratio_window == 0,
+  /// and !collect_schedule (hard errors otherwise). 0 keeps the log.
   Time drain_every = 0;
 };
 
@@ -51,7 +48,7 @@ struct RunResult {
   /// fast-forwarded); the denominator for steps/sec throughput reporting.
   std::int64_t active_steps = 0;
   Time makespan = 0;          ///< last commit time
-  OnlineStats latency;        ///< per-transaction exec - gen
+  LatencyRecorder latency;    ///< per-transaction exec - gen
   LowerBoundBreakdown lb;     ///< certified bound on the optimal makespan
   double ratio = 0.0;         ///< makespan / lb.best()  (>= true comp. ratio)
 
@@ -61,10 +58,10 @@ struct RunResult {
   double windowed_ratio = 0.0;
   std::int64_t num_windows = 0;
 
-  /// Drain accounting (only when RunOptions::drain_every > 0): committed
-  /// entries discarded (every commit, after the final drain — checked
-  /// against num_txns), and the largest the retained log ever grew — the
-  /// bounded-memory evidence the cadence is meant to buy.
+  /// Committed entries drained (every commit when RunOptions::drain_every
+  /// > 0, checked against num_txns; 0 otherwise), and the largest the
+  /// retained log ever grew — the bounded-memory evidence the cadence is
+  /// meant to buy.
   std::int64_t drained = 0;
   std::int64_t peak_committed_log = 0;
 

@@ -139,10 +139,10 @@ class TxnStore {
     return committed_;
   }
   /// Drains the committed log, leaving it empty (std::exchange, not a bare
-  /// move, so repeated drains are well-defined). End-of-run result assembly
-  /// takes it once; the serve loop calls this periodically so memory stays
-  /// bounded over unbounded runs — the store keeps no other per-committed
-  /// state, so draining never affects future steps.
+  /// move, so repeated drains are well-defined). The run driver takes it
+  /// at the end of a run or on a cadence so memory stays bounded over
+  /// unbounded runs — the store keeps no other per-committed state, so
+  /// draining never affects future steps.
   [[nodiscard]] std::vector<ScheduledTxn> take_committed() {
     return std::exchange(committed_, {});
   }

@@ -27,11 +27,14 @@ TrialSummary run_seeded_trials(const Network& net, const SyntheticOptions& wopts
     ropts.collect_schedule = false;  // summaries only — skip the copy
     return run_experiment(net, wl, *sched, ropts);
   };
-  const std::vector<RunResult> results = parallel_map<RunResult>(
-      opts.trials, run_one, resolve_threads(opts.threads));
+  return summarize(parallel_map<RunResult>(opts.trials, run_one,
+                                           resolve_threads(opts.threads)));
+}
+
+TrialSummary summarize(std::span<const RunResult> runs) {
   OnlineStats ratio, mk, lat, lb, wr;
   std::int64_t txns = 0;
-  for (const RunResult& r : results) {
+  for (const RunResult& r : runs) {
     ratio.add(r.ratio);
     mk.add(static_cast<double>(r.makespan));
     lat.add(r.latency.mean());

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -39,6 +40,9 @@ struct TrialOptions {
   /// only reads shared immutable state, so this holds by construction.
   std::int32_t threads = 1;
 };
+
+/// Averages the headline metrics of independent trial runs.
+[[nodiscard]] TrialSummary summarize(std::span<const RunResult> runs);
 
 using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 

@@ -1,10 +1,9 @@
 // StreamConfig — the "stream:" spec kind's typed form (streaming subsystem;
 // docs/ARCHITECTURE.md §10).
 //
-// Like ServeConfig it lives below sim/registry in the include graph so the
-// registry can parse "stream:" specs (Registry::make_stream_config, hard
-// errors on unknown knobs) and the stream runner can consume the result
-// without an include cycle.
+// Constructed via Registry::make_stream_config (hard errors on unknown
+// knobs), which stream/config.cpp defines, like ServeConfig's factory, so
+// sim/ includes nothing from stream/.
 //
 // A stream run differs from a serve run in what it measures: no admission
 // control (arrivals are the experiment, shaped by `profile`), a committed-

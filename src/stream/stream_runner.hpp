@@ -1,33 +1,28 @@
-// StreamRunner — the streaming run loop (streaming subsystem;
-// docs/ARCHITECTURE.md §10).
+// StreamRunner — the streaming run (streaming subsystem;
+// docs/ARCHITECTURE.md §10), a configuration of the run driver
+// (sim/driver.hpp) whose arrival source is the stream's offers.
 //
-// Drives a StreamSource through the engine to a committed-transaction
-// target (or a duration) with every piece of per-transaction state bounded:
-//   - the committed log is drained on a cadence (TxnStore::take_committed;
-//     counted, hashed at commit time, then discarded),
-//   - the execution calendar is the ring wheel (sim/clock.hpp) whose
-//     occupancy the report pins,
-//   - windowed competitive-ratio estimates come from StreamingRatioTracker,
-//     which frees each window as soon as its arrivals commit,
-//   - an optional max_live watermark sheds offers while the live set is
-//     saturated, so adversarial profiles cannot grow memory without bound.
-// The report carries the FNV-1a hash of the full commit sequence (txn,
-// node, gen, exec), so streaming determinism is checkable across engine
-// modes and thread counts without retaining a single committed entry.
+// Drives a StreamSource to a committed-transaction target (or a duration)
+// with every piece of per-transaction state bounded: the driver drains the
+// committed log on a cadence and frees each ratio window once its arrivals
+// commit, the execution calendar is the ring wheel whose occupancy the
+// report pins, and an optional max_live watermark sheds offers while the
+// live set is saturated. The report's FNV-1a hash over (txn, node, gen,
+// exec) makes determinism checkable across thread counts without retaining
+// a single committed entry.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/scheduler.hpp"
 #include "net/topology.hpp"
-#include "serve/latency.hpp"
-#include "sim/engine.hpp"
+#include "sim/driver.hpp"
 #include "sim/registry.hpp"
 #include "stream/config.hpp"
 #include "stream/stream_source.hpp"
-#include "stream/stream_stats.hpp"
 #include "util/json.hpp"
 
 namespace dtm {
@@ -65,7 +60,9 @@ struct StreamReport {
   [[nodiscard]] Json to_json() const;
 };
 
-class StreamRunner {
+/// The stream offers (target, duration, max_live shedding) are the
+/// driver's arrival source.
+class StreamRunner final : private ArrivalSource {
  public:
   /// `net` must outlive the runner.
   StreamRunner(const Network& net, std::unique_ptr<StreamSource> source,
@@ -77,38 +74,31 @@ class StreamRunner {
   [[nodiscard]] StreamReport run();
 
  private:
-  void step_once();
-  void maybe_drain_log(Time now);
+  void arrivals(const SyncEngine& engine, Time now,
+                std::vector<Transaction>& out) override;
+  Time on_commit(const SyncEngine::Commit& c) override { return c.gen; }
+  [[nodiscard]] Time next_arrival(Time now) const override;
+  [[nodiscard]] bool exhausted() const override { return !offering_; }
 
   const Network& net_;
   StreamConfig cfg_;
   std::unique_ptr<StreamSource> source_;
   std::unique_ptr<OnlineScheduler> scheduler_;
-  std::unique_ptr<SyncEngine> engine_;
-  StreamingRatioTracker ratio_;
 
   bool offering_ = true;
-  bool done_ = false;
-  std::int64_t active_steps_ = 0;
   TxnId next_engine_id_ = 0;
-
   std::int64_t offered_ = 0;
   std::int64_t shed_ = 0;
   std::int64_t accepted_ = 0;
-  std::int64_t commits_ = 0;
-  std::int64_t drained_ = 0;
-  std::int64_t peak_committed_log_ = 0;
-  std::int64_t peak_live_ = 0;
-  Time last_drain_ = 0;
-  std::uint64_t commit_hash_ = 1469598103934665603ULL;
-  LatencyRecorder latency_;
+
+  std::optional<Driver> driver_;  ///< engaged once the arguments check out
 };
 
 /// Builds the full streaming run from a RunSpec whose `stream` spec names
 /// the run shape (Registry::make_stream_config); topology/scheduler/fault
-/// through the usual registry factories, dist-bucket forcing latency
-/// factor >= 2 as everywhere else. `net` must be the spec's topology and
-/// outlive the runner.
+/// through the usual registry factories, engine options from
+/// RunSpec::engine_options. `net` must be the spec's topology and outlive
+/// the runner.
 [[nodiscard]] std::unique_ptr<StreamRunner> make_stream_runner(
     const Network& net, const RunSpec& spec);
 

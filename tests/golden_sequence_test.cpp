@@ -21,6 +21,7 @@
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "stream/stream_runner.hpp"
 #include "oracle/lockstep.hpp"
 #include "oracle/naive_insertion.hpp"
 
@@ -315,6 +316,25 @@ TEST(GoldenSequence, ServeModePinned) {
   const ServeReport r = make_server(net, spec)->run();
   EXPECT_EQ(r.commit_hash, kPin);
   EXPECT_EQ(r.admitted, r.commits);
+}
+
+TEST(GoldenSequence, StreamModePinned) {
+  // Stream-mode pin: the quick size of bench/e2e's stream-greedy-clique
+  // workload at its default seed. The hash covers every commit's (id, node,
+  // gen, exec), so it pins the stream source, the greedy colouring and the
+  // drained run loop together; bench/e2e/run.sh checks the same value.
+  const std::uint64_t kPin = 6637613284864579516ULL;
+  RunSpec spec;
+  spec.topology = parse_spec("clique:n=256");
+  spec.scheduler = parse_spec("greedy");
+  spec.stream = parse_spec(
+      "stream:profile=steady,rate=6,objects=4096,k=2,zipf=0.9,target=15000,"
+      "window=1024,drain-every=256");
+  spec.seed = 2026;
+  const Network net = Registry::make_network(spec.topology);
+  const StreamReport r = make_stream_runner(net, spec)->run();
+  EXPECT_EQ(r.commits, 15000);
+  EXPECT_EQ(r.commit_hash, kPin);
 }
 
 }  // namespace

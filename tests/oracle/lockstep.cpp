@@ -117,7 +117,7 @@ RunResult run_lockstep(const Network& net, Workload& workload,
   r.num_txns = static_cast<std::int64_t>(engine.committed().size());
   for (const auto& s : engine.committed()) {
     r.makespan = std::max(r.makespan, s.exec);
-    r.latency.add(static_cast<double>(s.exec - s.txn.gen_time));
+    r.latency.record(s.exec - s.txn.gen_time);
   }
   if (opts.validate) {
     const auto err =

@@ -402,6 +402,27 @@ TEST(RunSpec, UnknownFaultKnobIsHardError) {
   EXPECT_THROW((void)run_spec(spec), CheckError);
 }
 
+TEST(RunSpec, DistBucketRunsAtHalfSpeedByDefault) {
+  // dist-bucket needs latency factor >= 2 (§V). run_spec derives it from
+  // the spec like every CLI does, so the default latency factor runs the
+  // same schedule as an explicit 2 instead of failing in on_step.
+  RunSpec spec;
+  spec.topology = parse_spec("cluster:alpha=2,beta=3,gamma=4");
+  spec.scheduler = parse_spec("dist-bucket");
+  spec.workload = parse_spec("synthetic:objects=10,k=2,rounds=2");
+  spec.seed = 606;
+  ASSERT_EQ(spec.latency_factor, 1);
+  const RunResult by_default = run_spec(spec);
+  spec.latency_factor = 2;
+  const RunResult explicit_lf = run_spec(spec);
+  ASSERT_GT(by_default.num_txns, 0);
+  ASSERT_EQ(by_default.committed.size(), explicit_lf.committed.size());
+  for (std::size_t i = 0; i < by_default.committed.size(); ++i) {
+    EXPECT_EQ(by_default.committed[i].txn.id, explicit_lf.committed[i].txn.id);
+    EXPECT_EQ(by_default.committed[i].exec, explicit_lf.committed[i].exec);
+  }
+}
+
 TEST(RunSpec, TrialsAverageMatchesManualSeeds) {
   RunSpec spec;
   spec.topology = parse_spec("line:n=10");

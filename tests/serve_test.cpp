@@ -12,7 +12,7 @@
 #include "fault/plan.hpp"
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
-#include "serve/latency.hpp"
+#include "util/latency.hpp"
 #include "serve/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/source.hpp"
@@ -274,6 +274,25 @@ TEST(Serve, DeterministicCommitHashAcrossRuns) {
   EXPECT_EQ(a.shed, b.shed);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.latency.quantile(0.99), b.latency.quantile(0.99));
+}
+
+TEST(Serve, CommitHashIdenticalAcrossThreadCounts) {
+  // The GoldenSequence.ServeModePinned service at every thread count: the
+  // engine's sharded reroute and dist-bucket's parallel insertion must
+  // reproduce the serial commit sequence, admission order included.
+  RunSpec spec = serve_spec(
+      "cluster:alpha=2,beta=3,gamma=4", "dist-bucket",
+      "serve:rate=3,duration=512,window=128,admit-rate=4,max-inflight=64",
+      "fault:drop=0.05,jitter=2");
+  spec.latency_factor = 2;
+  spec.seed = 2026;
+  const Network net = Registry::make_network(spec.topology);
+  for (const std::int32_t threads : {1, 2, 4}) {
+    spec.threads = threads;
+    const ServeReport r = make_server(net, spec)->run();
+    EXPECT_EQ(r.commit_hash, 1560900743787214076ULL) << "threads " << threads;
+    EXPECT_EQ(r.admitted, r.commits) << "threads " << threads;
+  }
 }
 
 TEST(Serve, CommittedLogStaysBounded) {

@@ -8,9 +8,10 @@
 // in simulated time; this binary adds the wall-clock skin — pacing,
 // signals, metrics dumps, and a line-oriented control socket.
 //
-//   $ ./dtm_serve --topology cluster:alpha=3,beta=4,gamma=8 \
-//         --scheduler dist-bucket --fault fault:drop=0.05 \
+//   $ ./dtm_serve --topology cluster:alpha=3,beta=4,gamma=8
+//         --scheduler dist-bucket --fault fault:drop=0.05
 //         --serve serve:rate=6,duration=8192,admit-rate=8,window=256
+//         (one line)
 //   $ ./dtm_serve --spec service.json --socket /tmp/dtm.sock --pace 2000
 //
 // Control socket commands (one per line):
@@ -48,14 +49,6 @@ void on_terminate(int) {
 }
 void on_usr1(int) { g_snapshot = 1; }
 
-Json load_json_file(const std::string& path) {
-  std::ifstream f(path);
-  DTM_REQUIRE(f.good(), "cannot open spec file '" << path << "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return Json::parse(buf.str());
-}
-
 std::string control_command(DtmServer& server, const std::string& line,
                             bool& quit) {
   std::istringstream is(line);
@@ -85,7 +78,7 @@ std::string control_command(DtmServer& server, const std::string& line,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string spec_file, topology, scheduler, fault, serve, lf;
+  SpecFlags flags;
   std::string socket_path, metrics_out, report_out, pace;
   bool dump_spec = false, print_windows = false;
 
@@ -93,15 +86,15 @@ int main(int argc, char** argv) {
           "long-running DTM scheduling service with admission control, "
           "latency SLOs, and live observability");
   cli.add_value("spec", "JSON RunSpec file (flags below override it)",
-                &spec_file);
-  cli.add_value("topology", "topology spec (see --list)", &topology);
-  cli.add_value("scheduler", "scheduler spec (see --list)", &scheduler);
+                &flags.spec);
+  cli.add_value("topology", "topology spec (see --list)", &flags.topology);
+  cli.add_value("scheduler", "scheduler spec (see --list)", &flags.scheduler);
   cli.add_value("fault", "fault plan armed at startup (default none)",
-                &fault);
+                &flags.fault);
   cli.add_value("serve",
                 "service shape, e.g. serve:rate=6,duration=8192,admit-rate=8",
-                &serve);
-  cli.add_value("lf", "latency factor (steps per unit distance)", &lf);
+                &flags.serve);
+  cli.add_value("lf", "latency factor (steps per unit distance)", &flags.lf);
   cli.add_value("socket", "AF_UNIX control socket path (stats/fault/drain)",
                 &socket_path);
   cli.add_value("pace",
@@ -120,24 +113,15 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    RunSpec spec;
-    if (!spec_file.empty())
-      spec = RunSpec::from_json(load_json_file(spec_file));
-    if (!topology.empty()) spec.topology = parse_spec(topology);
-    if (!scheduler.empty()) spec.scheduler = parse_spec(scheduler);
-    if (!fault.empty()) spec.fault = parse_spec(fault);
-    if (!serve.empty()) spec.serve = parse_spec(serve);
-    if (!lf.empty()) spec.latency_factor = std::stoll(lf);
-    spec.seed = cli.seed(spec.seed);
-    if (spec.scheduler.kind == "dist-bucket" && spec.latency_factor < 2)
-      spec.latency_factor = 2;
+    const RunSpec spec = resolve_spec(flags, cli);
 
     if (dump_spec) {
       std::cout << spec.to_json().dump(2) << "\n";
       return 0;
     }
 
-    const double pace_hz = pace.empty() ? 0.0 : std::stod(pace);
+    const double pace_hz =
+        pace.empty() ? 0.0 : cli.number<double>("--pace", pace);
     DTM_REQUIRE(pace_hz >= 0.0, "--pace must be >= 0");
 
     std::ofstream metrics_file;
