@@ -1,16 +1,50 @@
 #include "batch/batch_problem.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 
 namespace dtm {
 
 const BatchObject& BatchProblem::object(ObjId id) const {
   const auto it =
-      std::find_if(objects.begin(), objects.end(),
+      std::find_if(objects.rbegin(), objects.rend(),
                    [id](const BatchObject& o) { return o.id == id; });
-  DTM_CHECK(it != objects.end(), "batch problem missing object " << id);
+  DTM_CHECK(it != objects.rend(), "batch problem missing object " << id);
   return *it;
+}
+
+void sorted_objects(std::span<const BatchObject> objects,
+                    std::vector<BatchObject>& out) {
+  out.assign(objects.begin(), objects.end());
+  const auto not_ascending = [](const BatchObject& a, const BatchObject& b) {
+    return a.id >= b.id;
+  };
+  if (std::adjacent_find(out.begin(), out.end(), not_ascending) == out.end())
+    return;
+  std::stable_sort(out.begin(), out.end(),
+                   [](const BatchObject& a, const BatchObject& b) {
+                     return a.id < b.id;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (kept > 0 && out[kept - 1].id == out[i].id)
+      out[kept - 1] = out[i];
+    else
+      out[kept++] = out[i];
+  }
+  out.resize(kept);
+}
+
+void check_permutation(std::span<const std::size_t> order, std::size_t n) {
+  DTM_CHECK(order.size() == n,
+            "order visits " << order.size() << " of " << n << " txns");
+  static thread_local std::vector<std::uint8_t> seen;
+  seen.assign(n, 0);
+  for (const std::size_t i : order) {
+    DTM_CHECK(i < n && seen[i] == 0, "order repeats or overruns txn " << i);
+    seen[i] = 1;
+  }
 }
 
 Time BatchResult::exec_of(TxnId id) const {
@@ -72,8 +106,8 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   DTM_CHECK(r.assignments.size() == p.txns.size(),
             "batch result has " << r.assignments.size() << " assignments for "
                                 << p.txns.size() << " txns");
-  // Sorted flat scratch tables, reused per thread: every batch algorithm
-  // validates its output, so this runs under every F_A estimate.
+  // Sorted flat scratch tables, reused per thread: every schedule a batch
+  // algorithm returns is validated here.
   struct Scratch {
     std::vector<Assignment> exec;  ///< sorted by txn id
     std::vector<BatchObject> cur;  ///< per-object chain cursor, by id
@@ -102,21 +136,8 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
     DTM_CHECK(s.exec[i - 1].txn != s.exec[i].txn,
               "duplicate assignment for txn " << s.exec[i].txn);
 
-  // Per-object chain feasibility from the availability point (a repeated
-  // object id keeps its last row).
-  s.cur.assign(p.objects.begin(), p.objects.end());
-  std::stable_sort(s.cur.begin(), s.cur.end(),
-                   [](const BatchObject& a, const BatchObject& b) {
-                     return a.id < b.id;
-                   });
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < s.cur.size(); ++i) {
-    if (kept > 0 && s.cur[kept - 1].id == s.cur[i].id)
-      s.cur[kept - 1] = s.cur[i];
-    else
-      s.cur[kept++] = s.cur[i];
-  }
-  s.cur.resize(kept);
+  // Per-object chain feasibility from the availability point.
+  sorted_objects(p.objects, s.cur);
 
   // One row per (transaction, object) use, sorted by object and then
   // execution order: each object's chain is one contiguous run.

@@ -81,6 +81,8 @@ struct BatchProblem {
   [[nodiscard]] Time travel(NodeId u, NodeId v) const {
     return latency_factor * oracle->dist(u, v);
   }
+  /// The availability row of `id` (the last one if the id repeats, as in
+  /// sorted_objects). Linear scan.
   [[nodiscard]] const BatchObject& object(ObjId id) const;
 };
 
@@ -90,6 +92,17 @@ struct BatchResult {
 
   [[nodiscard]] Time exec_of(TxnId id) const;
 };
+
+/// `objects` sorted by id, a repeated id keeping its LAST row: the one rule
+/// for a repeated object row, shared by the chain kernels, the SoA build,
+/// check_batch_result and the suffix wrapper. Strictly sorted input (every
+/// problem the bucket core builds) is copied in one O(m) pass, no sort.
+void sorted_objects(std::span<const BatchObject> objects,
+                    std::vector<BatchObject>& out);
+
+/// Throws CheckError unless `order` is a permutation of [0, n): a chain
+/// order that visits each of n transactions exactly once. O(n).
+void check_permutation(std::span<const std::size_t> order, std::size_t n);
 
 /// Verifies that `r` is feasible for `p` (object chains from availability,
 /// all txns assigned, exec >= now) and that makespan matches. Throws

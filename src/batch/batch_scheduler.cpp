@@ -1,7 +1,6 @@
 #include "batch/batch_scheduler.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <numeric>
 #include <optional>
 
@@ -17,8 +16,7 @@ Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
       horizon = std::max(horizon, o.ready - p.now);
     return horizon;
   }
-  const BatchResult r = a.schedule(p, rng);
-  Time f = r.makespan;
+  Time f = a.makespan(p, rng);
   // F_A covers *all* transactions in the combined set, including the pinned
   // ones folded into availability: an object whose ready time lies in the
   // future keeps the system busy until then even if no new txn touches it
@@ -27,77 +25,86 @@ Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
   return f;
 }
 
-BatchResult chain_evaluate(const BatchProblem& p,
-                           const std::vector<std::size_t>& order,
-                           bool validate) {
-  if (p.math == BatchMathMode::kScalar)
-    return chain_evaluate_scalar(p, order, validate);
-  // SoA path: use the owner's prebuilt view when present, else build into
-  // a thread-local scratch (one-shot callers like OrderedChainBatch).
-  static thread_local BatchProblemSoA scratch;
-  const BatchProblemSoA* s = p.soa.get();
-  if (s == nullptr || !s->matches(p)) {
-    scratch.build(p);
-    s = &scratch;
-  }
-  BatchResult r = chain_evaluate_soa(p, *s, order);
-  if (validate) check_batch_result(p, r);
-  return r;
-}
+namespace {
 
-BatchResult chain_evaluate_scalar(const BatchProblem& p,
-                                  const std::vector<std::size_t>& order,
-                                  bool validate) {
-  DTM_REQUIRE(order.size() == p.txns.size(),
-              "order size " << order.size() << " != " << p.txns.size());
-  struct Cursor {
-    ObjId id;
-    NodeId node;
-    Time free_at;
-    bool from_txn;
-  };
+/// The scalar chain walk behind chain_evaluate and chain_makespan: visits
+/// `order`, each transaction executing as soon as every one of its object
+/// chains arrives, and hands each (txn index, exec) to `emit`. Returns the
+/// makespan.
+template <typename Emit>
+Time walk_scalar(const BatchProblem& p, const std::vector<std::size_t>& order,
+                 Emit emit) {
+  check_permutation(order, p.txns.size());
   // Flat sorted cursor table instead of a node-based map: this runs under
-  // every F_A estimate, and the per-call rebuild of a std::map used to be
-  // the single largest allocation source in the bucket schedulers. The
-  // thread_local scratch keeps the capacity across calls.
-  static thread_local std::vector<Cursor> cur;
-  cur.clear();
-  cur.reserve(p.objects.size());
-  for (const auto& o : p.objects)
-    cur.push_back({o.id, o.node, o.ready, o.from_txn});
-  std::sort(cur.begin(), cur.end(),
-            [](const Cursor& a, const Cursor& b) { return a.id < b.id; });
-  const auto find = [&](ObjId o) -> Cursor& {
+  // every F_A estimate. The thread_local scratch keeps its capacity.
+  static thread_local std::vector<BatchObject> cur;
+  sorted_objects(p.objects, cur);
+  const auto find = [&](ObjId o) -> BatchObject& {
     const auto it = std::lower_bound(
         cur.begin(), cur.end(), o,
-        [](const Cursor& c, ObjId v) { return c.id < v; });
+        [](const BatchObject& c, ObjId v) { return c.id < v; });
     DTM_CHECK(it != cur.end() && it->id == o,
               "object " << o << " missing from problem");
     return *it;
   };
-
-  BatchResult r;
-  r.assignments.reserve(p.txns.size());
+  Time makespan = 0;
   for (const std::size_t idx : order) {
     const BatchTxn& t = p.txns[idx];
     Time e = p.now;
     for (const ObjId o : t.objects) {
-      const Cursor& c = find(o);
-      Time arrive = c.free_at + p.travel(c.node, t.node);
-      if (c.from_txn) arrive = std::max(arrive, c.free_at + 1);
+      const BatchObject& c = find(o);
+      Time arrive = c.ready + p.travel(c.node, t.node);
+      if (c.from_txn) arrive = std::max(arrive, c.ready + 1);
       e = std::max(e, arrive);
     }
     for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
-    r.assignments.push_back({t.id, e});
-    r.makespan = std::max(r.makespan, e - p.now);
+    emit(idx, e);
+    makespan = std::max(makespan, e - p.now);
   }
-  if (validate) check_batch_result(p, r);
+  return makespan;
+}
+
+/// p's SoA view: the owner's prebuilt one when set, else a thread-local
+/// build (one-shot callers like OrderedChainBatch).
+const BatchProblemSoA& soa_view(const BatchProblem& p) {
+  static thread_local BatchProblemSoA scratch;
+  const BatchProblemSoA* s = p.soa.get();
+  if (s != nullptr && s->matches(p)) return *s;
+  scratch.build(p);
+  return scratch;
+}
+
+}  // namespace
+
+BatchResult chain_evaluate(const BatchProblem& p,
+                           const std::vector<std::size_t>& order) {
+  BatchResult r;
+  if (p.math == BatchMathMode::kScalar) {
+    r.assignments.reserve(order.size());
+    r.makespan = walk_scalar(p, order, [&](std::size_t idx, Time e) {
+      r.assignments.push_back({p.txns[idx].id, e});
+    });
+  } else {
+    r = chain_evaluate_soa(p, soa_view(p), order);
+  }
+  check_batch_result(p, r);
   return r;
+}
+
+Time chain_makespan(const BatchProblem& p,
+                    const std::vector<std::size_t>& order) {
+  if (p.math == BatchMathMode::kScalar)
+    return walk_scalar(p, order, [](std::size_t, Time) {});
+  return chain_makespan_soa(p, soa_view(p), order);
 }
 
 BatchResult OrderedChainBatch::schedule(const BatchProblem& p,
                                         Rng& rng) const {
   return chain_evaluate(p, policy_(p, rng));
+}
+
+Time OrderedChainBatch::makespan(const BatchProblem& p, Rng& rng) const {
+  return chain_makespan(p, policy_(p, rng));
 }
 
 namespace {
@@ -112,7 +119,8 @@ std::vector<std::size_t> identity_order(std::size_t n) {
 /// Each key is computed once, then (key, id, index) rows are sorted: a
 /// total order, so the unstable sort reproduces the stable one exactly.
 template <typename KeyFn>
-std::vector<std::size_t> order_by_key(const BatchProblem& p, KeyFn key) {
+std::vector<std::size_t> order_by_key(const BatchProblem& p,
+                                      const KeyFn& key) {
   using Key = decltype(key(p.txns[0]));
   struct Row {
     Key key;
@@ -133,6 +141,21 @@ std::vector<std::size_t> order_by_key(const BatchProblem& p, KeyFn key) {
   for (std::size_t i = 0; i < rows.size(); ++i) order[i] = rows[i].index;
   return order;
 }
+
+}  // namespace
+
+std::unique_ptr<OrderedChainBatch> OrderedChainBatch::key_ordered(
+    std::string policy_name, TxnKey key) {
+  auto a = std::make_unique<OrderedChainBatch>(
+      std::move(policy_name),
+      [key = std::move(key)](const BatchProblem& p, Rng&) {
+        return order_by_key(p, key);
+      });
+  a->suffix_tight_ = true;
+  return a;
+}
+
+namespace {
 
 /// Random ranks for the groups the transactions fall into (cliques, rays):
 /// the distinct group ids in ascending order are shuffled with `rng`, and a
@@ -172,13 +195,11 @@ class ShuffledRanks {
 }  // namespace
 
 std::unique_ptr<BatchScheduler> make_line_batch() {
-  return std::make_unique<OrderedChainBatch>(
-      "line-sweep", [](const BatchProblem& p, Rng&) {
-        // Left-to-right along the line: every object performs one sweep, so
-        // its total travel is O(n) against a spread lower bound — the O(1)
-        // approximation structure of [SPAA'17]'s line scheduler.
-        return order_by_key(p, [](const BatchTxn& t) { return t.node; });
-      });
+  // Left-to-right along the line: every object performs one sweep, so its
+  // total travel is O(n) against a spread lower bound — the O(1)
+  // approximation structure of [SPAA'17]'s line scheduler.
+  return OrderedChainBatch::key_ordered(
+      "line-sweep", [](const BatchTxn& t) { return std::int64_t{t.node}; });
 }
 
 std::unique_ptr<BatchScheduler> make_clique_batch() {
@@ -243,41 +264,35 @@ std::unique_ptr<BatchScheduler> make_star_batch(NodeId beta) {
 
 std::unique_ptr<BatchScheduler> make_grid_snake_batch(
     std::vector<NodeId> extents) {
-  return std::make_unique<OrderedChainBatch>(
-      "grid-snake", [extents](const BatchProblem& p, Rng&) {
-        // Boustrophedon: row-major, alternating direction per row, so that
-        // consecutive transactions are adjacent in the grid.
-        std::vector<NodeId> c(extents.size());
-        return order_by_key(p, [&](const BatchTxn& t) {
-          NodeId id = t.node;
-          // Decode row-major coordinates, then snake-fold the last axis.
-          for (std::size_t d = extents.size(); d-- > 0;) {
-            c[d] = id % extents[d];
-            id /= extents[d];
-          }
-          NodeId key = 0;
-          bool flip = false;
-          for (std::size_t d = 0; d < extents.size(); ++d) {
-            const NodeId v = flip ? extents[d] - 1 - c[d] : c[d];
-            key = key * extents[d] + v;
-            flip = (c[d] % 2) == 1 ? !flip : flip;
-          }
-          return key;
-        });
+  // Row-major strides: coordinate d of node u is (u / stride[d]) % extent.
+  std::vector<NodeId> stride(extents.size(), 1);
+  for (std::size_t d = extents.size(); d-- > 1;)
+    stride[d - 1] = stride[d] * extents[d];
+  // Boustrophedon: row-major, alternating direction per row, so that
+  // consecutive transactions are adjacent in the grid.
+  return OrderedChainBatch::key_ordered(
+      "grid-snake", [extents = std::move(extents),
+                     stride = std::move(stride)](const BatchTxn& t) {
+        std::int64_t key = 0;
+        bool flip = false;
+        for (std::size_t d = 0; d < extents.size(); ++d) {
+          const NodeId c = (t.node / stride[d]) % extents[d];
+          key = key * extents[d] + (flip ? extents[d] - 1 - c : c);
+          if (c % 2 == 1) flip = !flip;
+        }
+        return key;
       });
 }
 
 std::unique_ptr<BatchScheduler> make_hypercube_gray_batch() {
-  return std::make_unique<OrderedChainBatch>(
-      "hypercube-gray", [](const BatchProblem& p, Rng&) {
-        // Inverse Gray code: consecutive ranks differ in one bit, so the
-        // visiting order is a Hamiltonian walk of the cube.
-        return order_by_key(p, [](const BatchTxn& t) {
-          std::uint32_t g = static_cast<std::uint32_t>(t.node);
-          std::uint32_t b = 0;
-          for (; g; g >>= 1) b ^= g;
-          return b;
-        });
+  // Inverse Gray code: consecutive ranks differ in one bit, so the visiting
+  // order is a Hamiltonian walk of the cube.
+  return OrderedChainBatch::key_ordered(
+      "hypercube-gray", [](const BatchTxn& t) {
+        auto g = static_cast<std::uint32_t>(t.node);
+        std::uint32_t b = 0;
+        for (; g; g >>= 1) b ^= g;
+        return std::int64_t{b};
       });
 }
 
@@ -323,20 +338,15 @@ class SequentialBatch final : public BatchScheduler {
  public:
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng&) const override {
-    // Flat cursor table sorted by object id (a repeated id keeps its last
-    // row, as an assignment into a map would).
-    std::vector<BatchObject> cur(p.objects.begin(), p.objects.end());
-    std::stable_sort(cur.begin(), cur.end(),
-                     [](const BatchObject& a, const BatchObject& b) {
-                       return a.id < b.id;
-                     });
+    std::vector<BatchObject> cur;
+    sorted_objects(p.objects, cur);
     const auto find = [&](ObjId o) -> BatchObject& {
-      const auto it = std::upper_bound(
+      const auto it = std::lower_bound(
           cur.begin(), cur.end(), o,
-          [](ObjId v, const BatchObject& c) { return v < c.id; });
-      DTM_CHECK(it != cur.begin() && std::prev(it)->id == o,
+          [](const BatchObject& c, ObjId v) { return c.id < v; });
+      DTM_CHECK(it != cur.end() && it->id == o,
                 "object " << o << " missing from problem");
-      return *std::prev(it);
+      return *it;
     };
     BatchResult r;
     Time prev = p.now;

@@ -10,6 +10,7 @@
 // which the experiment suite measures against certified lower bounds.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,31 +36,45 @@ class BatchScheduler {
   /// a few times and keeps the best (paper §IV-D's "repeat the offline
   /// algorithm" remedy for the bad event).
   [[nodiscard]] virtual bool randomized() const { return false; }
+
+  /// The makespan of the schedule schedule(p, rng) returns, from the same
+  /// draws (rng ends in the same state), without building that schedule:
+  /// what F_A probes and suffix candidates need. The default runs
+  /// schedule(); OrderedChainBatch overrides it with a makespan-only chain
+  /// walk.
+  [[nodiscard]] virtual Time makespan(const BatchProblem& p, Rng& rng) const {
+    return schedule(p, rng).makespan;
+  }
+
+  /// True if re-running this algorithm on any suffix of its own schedule
+  /// (in execution order, from the availability its prefix leaves)
+  /// reproduces that suffix exactly, so the §IV-A suffix pass can never
+  /// adopt a candidate and SuffixWrapper skips it. Declared only by
+  /// OrderedChainBatch::key_ordered algorithms.
+  [[nodiscard]] virtual bool suffix_tight() const { return false; }
 };
 
 /// The paper's F_A(X): time to execute all transactions of `p` using
-/// algorithm `a`, relative to p.now.
+/// algorithm `a`, relative to p.now. Reads only a.makespan().
 [[nodiscard]] Time estimate_fa(const BatchScheduler& a, const BatchProblem& p,
                                Rng& rng);
 
 /// Evaluates the earliest feasible execution times for `p.txns` visited in
-/// the given order (object chains from availability). The workhorse shared
-/// by every ordering-based scheduler; exposed for tests. `validate` runs
-/// check_batch_result on the output — search loops that evaluate many
-/// candidate orders and validate only the winner pass false.
+/// the given order (object chains from availability) and validates them
+/// with check_batch_result. The workhorse shared by every ordering-based
+/// scheduler; exposed for tests.
 ///
-/// Dispatches on p.math: kScalar runs the sorted-cursor path below; kSoA
-/// evaluates through the structure-of-arrays view (p.soa when the owner
-/// prebuilt one, a thread-local build otherwise). Both are byte-equal.
+/// Dispatches on p.math: kScalar walks a sorted cursor table; kSoA walks
+/// the structure-of-arrays view (p.soa when the owner prebuilt one, a
+/// thread-local build otherwise). Both are byte-equal.
 [[nodiscard]] BatchResult chain_evaluate(const BatchProblem& p,
-                                         const std::vector<std::size_t>& order,
-                                         bool validate = true);
+                                         const std::vector<std::size_t>& order);
 
-/// The scalar path of chain_evaluate, independent of p.math. Exposed for
-/// soa_test and bench_simd.
-[[nodiscard]] BatchResult chain_evaluate_scalar(
-    const BatchProblem& p, const std::vector<std::size_t>& order,
-    bool validate = true);
+/// chain_evaluate(p, order).makespan without building or validating the
+/// assignments: the same chain walk (same dispatch on p.math), emitting
+/// nothing. Checks that `order` is a permutation of p's transactions.
+[[nodiscard]] Time chain_makespan(const BatchProblem& p,
+                                  const std::vector<std::size_t>& order);
 
 /// A batch scheduler defined by an ordering policy over the problem's
 /// transactions. The policy returns a permutation of indices into p.txns.
@@ -67,6 +82,8 @@ class OrderedChainBatch : public BatchScheduler {
  public:
   using OrderPolicy = std::function<std::vector<std::size_t>(
       const BatchProblem&, Rng&)>;
+  /// A fixed per-transaction sort key: a function of the row alone.
+  using TxnKey = std::function<std::int64_t(const BatchTxn&)>;
 
   OrderedChainBatch(std::string policy_name, OrderPolicy policy,
                     bool is_randomized = false)
@@ -74,15 +91,26 @@ class OrderedChainBatch : public BatchScheduler {
         policy_(std::move(policy)),
         randomized_(is_randomized) {}
 
+  /// Deterministic chain order by ascending `key`, ties by txn id — the
+  /// only kind of chain algorithm that is suffix_tight(). Each object's
+  /// users then execute in key order, so an execution-order prefix leaves
+  /// every object where the full walk had it before the suffix's first
+  /// user, and the walk over the suffix alone repeats the full one.
+  [[nodiscard]] static std::unique_ptr<OrderedChainBatch> key_ordered(
+      std::string policy_name, TxnKey key);
+
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng& rng) const override;
+  [[nodiscard]] Time makespan(const BatchProblem& p, Rng& rng) const override;
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] bool randomized() const override { return randomized_; }
+  [[nodiscard]] bool suffix_tight() const override { return suffix_tight_; }
 
  private:
   std::string name_;
   OrderPolicy policy_;
   bool randomized_;
+  bool suffix_tight_ = false;
 };
 
 // ---- Per-topology schedulers (factories return ready-to-use instances) ----

@@ -36,16 +36,18 @@ class ExhaustiveBatch final : public BatchScheduler {
                  : (p.soa.get() != nullptr && p.soa.get()->matches(p)
                         ? p.soa.get()
                         : &soa_scratch);
-    const auto eval = [&](const std::vector<std::size_t>& ord) {
-      if (!use_soa) return chain_evaluate_scalar(p, ord, /*validate=*/false);
-      return chain_evaluate_soa(p, *soa, ord);
+    // Orders are scored by the makespan-only chain walk; only the winner
+    // is built (and validated).
+    const auto score = [&](const std::vector<std::size_t>& ord) {
+      return use_soa ? chain_makespan_soa(p, *soa, ord)
+                     : chain_makespan(p, ord);
     };
     std::vector<std::size_t> best_order = order;
     Time best = -1;
     do {
-      const BatchResult r = eval(order);
-      if (best < 0 || r.makespan < best) {
-        best = r.makespan;
+      const Time m = score(order);
+      if (best < 0 || m < best) {
+        best = m;
         best_order = order;
       }
     } while (std::next_permutation(order.begin(), order.end()));

@@ -4,9 +4,10 @@
 // per-topology heuristics on small batch problems, and a calibration point
 // for how loose the certified lower bounds are (see bench_baselines).
 //
-// On the SoA math path the inner loop gets two kernel assists, neither of
-// which changes a single decision:
-//   - candidate orders evaluate through chain_evaluate_soa against ONE
+// Candidate orders are scored by the makespan-only chain walk; only the
+// final order is built and validated. On the SoA math path the inner loop
+// gets two kernel assists, neither of which changes a single decision:
+//   - candidate orders are scored through chain_makespan_soa against ONE
 //     BatchProblemSoA built up front (the scalar path rebuilds its cursor
 //     table per evaluation either way, but the SoA arrays beat the sorted
 //     lookups);
@@ -43,13 +44,10 @@ class LocalSearchBatch final : public BatchScheduler {
         soa = &soa_scratch;
       }
     }
-    // One evaluation seam for the whole search: scalar or SoA.
-    const auto eval = [&](const std::vector<std::size_t>& order,
-                          bool validate) {
-      if (!use_soa) return chain_evaluate_scalar(p, order, validate);
-      BatchResult r = chain_evaluate_soa(p, *soa, order);
-      if (validate) check_batch_result(p, r);
-      return r;
+    // One scoring seam for the whole search: scalar or SoA.
+    const auto score = [&](const std::vector<std::size_t>& order) {
+      return use_soa ? chain_makespan_soa(p, *soa, order)
+                     : chain_makespan(p, order);
     };
 
     // Seed order: the coloring schedule's execution order — already good
@@ -61,11 +59,11 @@ class LocalSearchBatch final : public BatchScheduler {
     std::vector<std::size_t> order;
     order_by_exec(p, seed_exec, order);
 
-    BatchResult best = eval(order, /*validate=*/true);
+    Time best = score(order);
     // First-improvement adjacent-and-random swaps. Adjacent swaps fix
     // local inversions cheaply; random swaps escape plateaus.
-    // Invariant used by the prune: the current order always evaluates to
-    // best.makespan (improving swaps are kept, others reverted).
+    // Invariant used by the prune and the final build: the current order
+    // always scores best (improving swaps are kept, others reverted).
     for (std::int32_t round = 0; round < max_rounds_; ++round) {
       bool improved = false;
       for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -75,10 +73,8 @@ class LocalSearchBatch final : public BatchScheduler {
           continue;
         }
         std::swap(order[i], order[i + 1]);
-        // Inner-loop evaluations skip validation; the winning order is
-        // checked once below.
-        const BatchResult cand = eval(order, /*validate=*/false);
-        if (cand.makespan < best.makespan) {
+        const Time cand = score(order);
+        if (cand < best) {
           best = cand;
           improved = true;
         } else {
@@ -92,8 +88,8 @@ class LocalSearchBatch final : public BatchScheduler {
             rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
         if (i == j) continue;
         std::swap(order[i], order[j]);
-        const BatchResult cand = eval(order, /*validate=*/false);
-        if (cand.makespan < best.makespan) {
+        const Time cand = score(order);
+        if (cand < best) {
           best = cand;
           improved = true;
         } else {
@@ -102,8 +98,7 @@ class LocalSearchBatch final : public BatchScheduler {
       }
       if (!improved) break;
     }
-    check_batch_result(p, best);
-    return best;
+    return chain_evaluate(p, order);
   }
 
   [[nodiscard]] std::string name() const override { return "local-search"; }

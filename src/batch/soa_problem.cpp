@@ -5,30 +5,22 @@
 namespace dtm {
 
 void BatchProblemSoA::build(const BatchProblem& p) {
+  // Object arrays in sorted-id order, a repeated id keeping its last row.
+  static thread_local std::vector<BatchObject> objs;
+  sorted_objects(p.objects, objs);
   n_ = p.txns.size();
-  m_ = p.objects.size();
+  m_ = objs.size();
+  rows_ = p.objects.size();
 
-  // Object arrays in sorted-id order: BatchProblem::objects is sorted in
-  // the bucket core's cached problems but not guaranteed elsewhere, so
-  // sort a rank permutation rather than assuming.
   obj_id_.resize(m_);
   obj_node_.resize(m_);
   obj_ready_.resize(m_);
   obj_from_.resize(m_);
-  static thread_local std::vector<std::size_t> rank;
-  rank.resize(m_);
-  for (std::size_t j = 0; j < m_; ++j) rank[j] = j;
-  std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-    return p.objects[a].id < p.objects[b].id;
-  });
   for (std::size_t j = 0; j < m_; ++j) {
-    const BatchObject& o = p.objects[rank[j]];
-    obj_id_[j] = o.id;
-    obj_node_[j] = o.node;
-    obj_ready_[j] = o.ready;
-    obj_from_[j] = o.from_txn ? 1 : 0;
-    DTM_CHECK(j == 0 || obj_id_[j - 1] != o.id,
-              "duplicate object " << o.id << " in batch problem");
+    obj_id_[j] = objs[j].id;
+    obj_node_[j] = objs[j].node;
+    obj_ready_[j] = objs[j].ready;
+    obj_from_[j] = objs[j].from_txn ? 1 : 0;
   }
 
   txn_id_.resize(n_);
@@ -88,18 +80,21 @@ std::size_t BatchProblemSoA::obj_index(ObjId id) const {
 }
 
 bool BatchProblemSoA::matches(const BatchProblem& p) const {
-  if (n_ != p.txns.size() || m_ != p.objects.size()) return false;
+  if (n_ != p.txns.size() || rows_ != p.objects.size()) return false;
   if (n_ > 0 &&
       (txn_id_[0] != p.txns[0].id || txn_id_[n_ - 1] != p.txns[n_ - 1].id))
     return false;
   return true;
 }
 
-BatchResult chain_evaluate_soa(const BatchProblem& p,
-                               const BatchProblemSoA& s,
-                               const std::vector<std::size_t>& order) {
-  DTM_REQUIRE(order.size() == s.num_txns(),
-              "order size " << order.size() << " != " << s.num_txns());
+namespace {
+
+/// The SoA twin of the scalar chain walk (batch_scheduler.cpp): the same
+/// visit, hands each (txn index, exec) to `emit`, returns the makespan.
+template <typename Emit>
+Time walk_soa(const BatchProblem& p, const BatchProblemSoA& s,
+              const std::vector<std::size_t>& order, Emit emit) {
+  check_permutation(order, s.num_txns());
   // Dense cursor arrays indexed by the SoA object index — the SoA analogue
   // of the scalar path's sorted cursor table, with O(1) lookups.
   static thread_local std::vector<NodeId> cur_node;
@@ -110,9 +105,7 @@ BatchResult chain_evaluate_soa(const BatchProblem& p,
   cur_from.assign(s.obj_from_txn().begin(), s.obj_from_txn().end());
 
   const auto node = s.txn_node();
-  const auto ids = s.txn_ids();
-  BatchResult r;
-  r.assignments.reserve(order.size());
+  Time makespan = 0;
   for (const std::size_t idx : order) {
     const NodeId tn = node[idx];
     Time e = p.now;
@@ -126,10 +119,29 @@ BatchResult chain_evaluate_soa(const BatchProblem& p,
       cur_free[j] = e;
       cur_from[j] = 1;
     }
-    r.assignments.push_back({ids[idx], e});
-    r.makespan = std::max(r.makespan, e - p.now);
+    emit(idx, e);
+    makespan = std::max(makespan, e - p.now);
   }
+  return makespan;
+}
+
+}  // namespace
+
+BatchResult chain_evaluate_soa(const BatchProblem& p,
+                               const BatchProblemSoA& s,
+                               const std::vector<std::size_t>& order) {
+  const auto ids = s.txn_ids();
+  BatchResult r;
+  r.assignments.reserve(order.size());
+  r.makespan = walk_soa(p, s, order, [&](std::size_t idx, Time e) {
+    r.assignments.push_back({ids[idx], e});
+  });
   return r;
+}
+
+Time chain_makespan_soa(const BatchProblem& p, const BatchProblemSoA& s,
+                        const std::vector<std::size_t>& order) {
+  return walk_soa(p, s, order, [](std::size_t, Time) {});
 }
 
 }  // namespace dtm

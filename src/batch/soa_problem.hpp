@@ -37,7 +37,8 @@ class BatchProblemSoA {
   [[nodiscard]] std::size_t num_txns() const { return n_; }
   [[nodiscard]] std::size_t num_objects() const { return m_; }
 
-  // ---- Object arrays (dense index = rank among sorted object ids) ----
+  // ---- Object arrays (dense index = rank among sorted object ids; a
+  // repeated id keeps its last row, as in sorted_objects) ----
   [[nodiscard]] std::span<const ObjId> obj_ids() const { return obj_id_; }
   [[nodiscard]] std::span<const NodeId> obj_node() const { return obj_node_; }
   [[nodiscard]] std::span<const Time> obj_ready() const { return obj_ready_; }
@@ -85,6 +86,7 @@ class BatchProblemSoA {
 
  private:
   std::size_t n_ = 0, m_ = 0;
+  std::size_t rows_ = 0;  ///< p.objects.size(): repeated ids are one object
 
   std::vector<ObjId> obj_id_;
   std::vector<NodeId> obj_node_;
@@ -104,12 +106,19 @@ class BatchProblemSoA {
   std::vector<BitWord> user_scratch_;  ///< per-object user mask (build only)
 };
 
-/// chain_evaluate over the SoA view: identical arithmetic to the scalar
-/// path (same read-then-write access pattern per transaction), with dense
-/// cursor arrays instead of the sorted cursor table. Exposed for consumers
-/// that amortize one build over many orders (local search, exhaustive).
+/// The chain walk of chain_evaluate over the SoA view, unvalidated:
+/// identical arithmetic to the scalar walk (same read-then-write access
+/// pattern per transaction), with dense cursor arrays instead of the sorted
+/// cursor table. Exposed for consumers that amortize one build over many
+/// orders (local search, exhaustive).
 [[nodiscard]] BatchResult chain_evaluate_soa(
     const BatchProblem& p, const BatchProblemSoA& s,
     const std::vector<std::size_t>& order);
+
+/// chain_evaluate_soa(p, s, order).makespan from the same walk, building
+/// no assignments; checks that `order` is a permutation.
+[[nodiscard]] Time chain_makespan_soa(const BatchProblem& p,
+                                      const BatchProblemSoA& s,
+                                      const std::vector<std::size_t>& order);
 
 }  // namespace dtm

@@ -6,24 +6,6 @@ namespace dtm {
 
 namespace {
 
-/// p.objects sorted by id, a repeated id keeping its last row: the
-/// availability before any transaction of the schedule has run.
-void sorted_availability(const BatchProblem& p, std::vector<BatchObject>& out) {
-  out.assign(p.objects.begin(), p.objects.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const BatchObject& a, const BatchObject& b) {
-                     return a.id < b.id;
-                   });
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (kept > 0 && out[kept - 1].id == out[i].id)
-      out[kept - 1] = out[i];
-    else
-      out[kept++] = out[i];
-  }
-  out.resize(kept);
-}
-
 /// Runs transaction `t` (executing at `exec`) on the sorted availability
 /// table: each of its objects is now free at t's node from `exec` on.
 void run_on(const BatchTxn& t, Time exec, std::vector<BatchObject>& avail) {
@@ -49,7 +31,7 @@ std::vector<BatchObject> SuffixWrapper::availability_after_prefix(
   order_by_exec(p, exec, order);
   DTM_REQUIRE(prefix_len <= order.size(), "prefix " << prefix_len);
   std::vector<BatchObject> avail;
-  sorted_availability(p, avail);
+  sorted_objects(p.objects, avail);
   for (std::size_t i = 0; i < prefix_len; ++i)
     run_on(p.txns[order[i]], exec[order[i]], avail);
   return avail;
@@ -58,7 +40,9 @@ std::vector<BatchObject> SuffixWrapper::availability_after_prefix(
 BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
   BatchResult cur = inner_->schedule(p, rng);
   const std::size_t n = p.txns.size();
-  if (n <= 1) return cur;
+  // A suffix-tight inner reproduces every suffix exactly, so no candidate
+  // can be strictly shorter: the pass would only burn budget.
+  if (n <= 1 || inner_->suffix_tight()) return cur;
   std::int32_t budget = opts_.max_inner_calls > 0
                             ? opts_.max_inner_calls
                             : static_cast<std::int32_t>(4 * n + 8);
@@ -88,7 +72,7 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
     suffix_span[n] = 0;
     for (std::size_t i = n; i-- > 0;)
       suffix_span[i] = std::max(suffix_span[i + 1], exec[order[i]] - p.now);
-    sorted_availability(p, avail);
+    sorted_objects(p.objects, avail);
     // Longest proper suffix first, as in the paper.
     for (std::size_t start = 1; start < n && budget > 0; ++start) {
       run_on(p.txns[order[start - 1]], exec[order[start - 1]], avail);
@@ -97,8 +81,17 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
       for (std::size_t i = start; i < n; ++i)
         sub.txns[i - start] = p.txns[order[i]];
       --budget;
-      const BatchResult redo = inner_->schedule(sub, rng);
-      if (redo.makespan < suffix_span[start]) {
+      // Candidates are compared by makespan alone; only an adopted one is
+      // built, re-run from the same draws so the stream stays unchanged.
+      const Rng before = rng;
+      const Time span = inner_->makespan(sub, rng);
+      if (span < suffix_span[start]) {
+        rng = before;
+        const BatchResult redo = inner_->schedule(sub, rng);
+        DTM_CHECK(redo.makespan == span,
+                  "suffix candidate of " << inner_->name() << ": schedule() "
+                                         << redo.makespan << " != makespan() "
+                                         << span);
         // Adopt the tighter suffix schedule; prefix stays untouched.
         exec_in_problem_order(sub, redo, redo_exec);
         for (std::size_t i = start; i < n; ++i)

@@ -6,7 +6,10 @@
 // As in the paper, the property is established by repeatedly re-running A on
 // violating suffixes, longest first, until no suffix violates it. The
 // wrapper preserves feasibility at every step (suffix re-schedules are
-// computed against availability induced by the prefix).
+// computed against availability induced by the prefix). Candidates are
+// compared through A's makespan(); only an adopted one is built. For a
+// suffix_tight() A (key-ordered chain algorithms) every re-run reproduces
+// its suffix exactly, so the pass is skipped.
 #pragma once
 
 #include <memory>

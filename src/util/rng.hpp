@@ -34,6 +34,9 @@ class Rng {
 
   result_type operator()() { return next(); }
 
+  /// Equal states produce equal streams from here on.
+  [[nodiscard]] bool operator==(const Rng&) const = default;
+
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     DTM_REQUIRE(lo <= hi, "uniform_int range [" << lo << "," << hi << "]");

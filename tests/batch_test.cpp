@@ -73,6 +73,11 @@ TEST(ChainEvaluate, RejectsBadOrderSize) {
   const Network net = make_line(10);
   const BatchProblem p = line_problem(net);
   EXPECT_THROW((void)chain_evaluate(p, {0, 1}), CheckError);
+  // The makespan-only walk validates no schedule, so it checks the order.
+  EXPECT_THROW((void)chain_makespan(p, {0, 1}), CheckError);
+  EXPECT_THROW((void)chain_makespan(p, {0, 2, 0}), CheckError);
+  EXPECT_EQ(chain_makespan(p, {0, 1, 2}),
+            chain_evaluate(p, {0, 1, 2}).makespan);
 }
 
 TEST(EstimateFa, EmptyProblemUsesHorizon) {
@@ -162,6 +167,18 @@ TEST_P(BatchSchedulerSweep, FeasibleAndAboveLowerBound) {
       t.accesses = write_set({objs[0], objs[1]});
       txns.push_back(t);
     }
+    // makespan() answers schedule()'s makespan from the same draws and
+    // leaves the Rng where schedule() leaves it, on both math paths.
+    for (const BatchMathMode math :
+         {BatchMathMode::kScalar, BatchMathMode::kSoA}) {
+      p.math = math;
+      Rng a = rng;
+      Rng b = rng;
+      EXPECT_EQ(algo->makespan(p, a), algo->schedule(p, b).makespan)
+          << c.label;
+      EXPECT_TRUE(a == b) << c.label;
+    }
+    p.math = BatchMathMode::kScalar;
     // schedule() internally runs check_batch_result (feasibility); if it
     // returns, the schedule is valid.
     const BatchResult r = algo->schedule(p, rng);
@@ -207,6 +224,14 @@ TEST(ClusterStarBatch, RandomizedFlagSet) {
   EXPECT_TRUE(make_star_batch(3)->randomized());
   EXPECT_FALSE(make_line_batch()->randomized());
   EXPECT_FALSE(make_coloring_batch()->randomized());
+  // Only key-ordered chain algorithms skip the suffix pass.
+  EXPECT_TRUE(make_line_batch()->suffix_tight());
+  EXPECT_TRUE(make_grid_snake_batch({3, 4})->suffix_tight());
+  EXPECT_TRUE(make_hypercube_gray_batch()->suffix_tight());
+  EXPECT_FALSE(make_cluster_batch(3)->suffix_tight());
+  EXPECT_FALSE(make_clique_batch()->suffix_tight());
+  EXPECT_FALSE(make_tsp_batch()->suffix_tight());
+  EXPECT_FALSE(make_coloring_batch()->suffix_tight());
 }
 
 TEST(ColoringBatch, CliqueRespectsLoadBound) {

@@ -24,6 +24,7 @@
 #include "stream/stream_runner.hpp"
 #include "oracle/lockstep.hpp"
 #include "oracle/naive_insertion.hpp"
+#include "oracle/validating_batch.hpp"
 
 namespace dtm {
 namespace {
@@ -171,12 +172,23 @@ SyntheticOptions bucket_workload() {
   return w;
 }
 
+/// The registry's A for `net`; with `validating`, behind the oracle
+/// decorator that checks every F_A makespan against a validated schedule
+/// and makes the suffix pass run even for key-ordered A.
+std::shared_ptr<const BatchScheduler> auto_algo(const Network& net,
+                                                bool validating) {
+  auto a = Registry::make_batch_algo("auto", net);
+  if (!validating) return a;
+  return std::make_shared<oracle::ValidatingBatch>(std::move(a));
+}
+
 std::uint64_t run_bucket_case(const Network& net, Path path,
-                              BatchMathMode math = BatchMathMode::kScalar) {
+                              BatchMathMode math = BatchMathMode::kScalar,
+                              bool validating = false) {
   SyntheticWorkload wl(net, bucket_workload());
   BucketOptions o;
   o.batch_math = math;
-  BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
+  BucketScheduler sched(auto_algo(net, validating), o);
   return hash_result(run_path(net, wl, sched, {}, path));
 }
 
@@ -213,6 +225,12 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
     EXPECT_EQ(run_bucket_case(c.net, Path::kProduction, BatchMathMode::kSoA),
               c.pin)
         << c.label << " batch_math soa";
+    for (const BatchMathMode math :
+         {BatchMathMode::kScalar, BatchMathMode::kSoA})
+      EXPECT_EQ(run_bucket_case(c.net, Path::kProduction, math,
+                                /*validating=*/true),
+                c.pin)
+          << c.label << " validating A, math " << static_cast<int>(math);
     EXPECT_EQ(run_differential_case(c.net, /*drive_naive=*/false), c.pin)
         << c.label << " core checked against the naive scan";
     EXPECT_EQ(run_differential_case(c.net, /*drive_naive=*/true), c.pin)
@@ -228,7 +246,8 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
 // arithmetic, or the retry protocol flips it.
 std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
                             Path path,
-                            BatchMathMode math = BatchMathMode::kScalar) {
+                            BatchMathMode math = BatchMathMode::kScalar,
+                            bool validating = false) {
   SyntheticOptions w;
   w.num_objects = 10;
   w.k = 2;
@@ -239,8 +258,7 @@ std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
   o.seed = 77;
   o.fault = plan;
   o.batch_math = math;
-  DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
-                                   o);
+  DistributedBucketScheduler sched(net, auto_algo(net, validating), o);
   RunOptions opts;
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
@@ -255,6 +273,10 @@ TEST(GoldenSequence, DistBucketNullPlanPinned) {
   for (const Path path : kPaths)
     EXPECT_EQ(run_dist_case(net, FaultPlan{}, path), kPin)
         << "path " << static_cast<int>(path);
+  EXPECT_EQ(run_dist_case(net, FaultPlan{}, Path::kProduction,
+                          BatchMathMode::kScalar, /*validating=*/true),
+            kPin)
+      << "validating A";
 }
 
 TEST(GoldenSequence, DistBucketChaosPlanPinned) {
@@ -269,6 +291,10 @@ TEST(GoldenSequence, DistBucketChaosPlanPinned) {
   for (const Path path : kPaths)
     EXPECT_EQ(run_dist_case(net, plan, path), kPin)
         << "path " << static_cast<int>(path);
+  EXPECT_EQ(run_dist_case(net, plan, Path::kProduction,
+                          BatchMathMode::kScalar, /*validating=*/true),
+            kPin)
+      << "validating A";
 }
 
 TEST(GoldenSequence, DistBucketFastPathModesMatchTheSamePins) {

@@ -25,6 +25,7 @@
 #include "util/parallel.hpp"
 #include "oracle/lockstep.hpp"
 #include "oracle/naive_insertion.hpp"
+#include "oracle/validating_batch.hpp"
 
 namespace dtm {
 namespace {
@@ -117,12 +118,19 @@ SyntheticOptions bucket_workload() {
   return w;
 }
 
-std::uint64_t run_bucket(const Network& net, Path path,
-                         std::int32_t threads) {
+/// With `validating`, A runs behind the oracle decorator: every F_A
+/// makespan (wave probes included) is checked against a validated
+/// schedule, and the suffix pass runs even for key-ordered A.
+std::uint64_t run_bucket(const Network& net, Path path, std::int32_t threads,
+                         bool validating = false) {
   SyntheticWorkload wl(net, bucket_workload());
   BucketOptions o;
   o.threads = threads;
-  BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
+  std::shared_ptr<const BatchScheduler> algo =
+      Registry::make_batch_algo("auto", net);
+  if (validating)
+    algo = std::make_shared<oracle::ValidatingBatch>(std::move(algo));
+  BucketScheduler sched(std::move(algo), o);
   RunOptions opts;
   opts.engine.threads = threads;
   return hash_result(run_path(net, wl, sched, opts, path));
@@ -137,6 +145,9 @@ TEST(ParallelEngine, BucketClusterMatchesGoldenPinAtEveryThreadCount) {
     for (const std::int32_t t : thread_ladder())
       EXPECT_EQ(run_bucket(net, path, t), kPin)
           << "path " << static_cast<int>(path) << " threads " << t;
+  for (const std::int32_t t : thread_ladder())
+    EXPECT_EQ(run_bucket(net, Path::kProduction, t, /*validating=*/true), kPin)
+        << "validating A, threads " << t;
 }
 
 TEST(ParallelEngine, BucketLinePinHoldsAndVerifyFastPathStaysSerial) {
@@ -144,6 +155,8 @@ TEST(ParallelEngine, BucketLinePinHoldsAndVerifyFastPathStaysSerial) {
   const Network net = make_line(12);
   for (const std::int32_t t : thread_ladder()) {
     EXPECT_EQ(run_bucket(net, Path::kProduction, t), kPin) << "threads " << t;
+    EXPECT_EQ(run_bucket(net, Path::kProduction, t, /*validating=*/true), kPin)
+        << "validating A, threads " << t;
     // The differential scheduler checks every level choice of a serial
     // core against the naive scan; it must keep landing on the same pin
     // with a parallel engine underneath.

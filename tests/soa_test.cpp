@@ -109,8 +109,11 @@ Network fuzz_network(Rng& rng) {
   }
 }
 
+/// Random problem; with `repeat_objects`, one or two object rows are
+/// repeated at the end with other availability (the last row counts).
 BatchProblem fuzz_problem(const Network& net, Rng& rng,
-                          std::int64_t max_txns = 12) {
+                          std::int64_t max_txns = 12,
+                          bool repeat_objects = false) {
   BatchProblem p;
   p.oracle = net.oracle.get();
   p.latency_factor = rng.uniform_int(1, 2);
@@ -123,6 +126,14 @@ BatchProblem fuzz_problem(const Network& net, Rng& rng,
                          static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1)),
                          p.now + rng.uniform_int(0, 10), from_txn});
   }
+  if (repeat_objects)
+    for (auto k = rng.uniform_int(1, 2); k > 0; --k) {
+      BatchObject dup = p.objects[static_cast<std::size_t>(
+          rng.uniform_int(0, n_obj - 1))];
+      dup.node = static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1));
+      dup.ready = p.now + rng.uniform_int(0, 10);
+      p.objects.push_back(dup);
+    }
   const auto n_txn = rng.uniform_int(1, max_txns);
   for (TxnId t = 1; t <= n_txn; ++t) {
     BatchTxn bt;
@@ -201,7 +212,7 @@ TEST(SoaProblem, ChainEvaluateSoaMatchesScalar) {
   Rng rng(0xC4A1);
   for (int it = 0; it < 150; ++it) {
     const Network net = fuzz_network(rng);
-    const BatchProblem p = fuzz_problem(net, rng);
+    BatchProblem p = fuzz_problem(net, rng, 12, /*repeat_objects=*/it % 2 == 1);
     BatchProblemSoA soa;
     soa.build(p);
     std::vector<std::size_t> order(p.txns.size());
@@ -210,7 +221,7 @@ TEST(SoaProblem, ChainEvaluateSoaMatchesScalar) {
       std::swap(order[i - 1],
                 order[static_cast<std::size_t>(
                     rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-    const BatchResult ref = chain_evaluate_scalar(p, order);
+    const BatchResult ref = chain_evaluate(p, order);  // p.math is scalar
     const BatchResult got = chain_evaluate_soa(p, soa, order);
     ASSERT_EQ(got.makespan, ref.makespan);
     ASSERT_EQ(got.assignments.size(), ref.assignments.size());
@@ -218,6 +229,12 @@ TEST(SoaProblem, ChainEvaluateSoaMatchesScalar) {
       EXPECT_EQ(got.assignments[i].txn, ref.assignments[i].txn);
       EXPECT_EQ(got.assignments[i].exec, ref.assignments[i].exec);
     }
+    // The makespan-only walks answer what the built schedules say, on both
+    // math paths.
+    EXPECT_EQ(chain_makespan(p, order), ref.makespan);
+    EXPECT_EQ(chain_makespan_soa(p, soa, order), ref.makespan);
+    p.math = BatchMathMode::kSoA;
+    EXPECT_EQ(chain_makespan(p, order), ref.makespan);
   }
 }
 
