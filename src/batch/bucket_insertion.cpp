@@ -1,6 +1,8 @@
 #include "batch/bucket_insertion.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
@@ -45,6 +47,18 @@ std::uint64_t finish_fp(std::uint64_t txn_fp, std::uint64_t avail_fp,
                       static_cast<std::uint64_t>(latency_factor));
 }
 
+/// ActivationGate size class: ⌊log2 rows⌋.
+std::size_t size_class(std::size_t rows) {
+  return rows <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(rows)) - 1;
+}
+
+/// Weight of a new sample in a class's running cost.
+constexpr double kCostWeight = 0.25;
+
+double running(double cost, double sample) {
+  return cost == 0.0 ? sample : cost + kCostWeight * (sample - cost);
+}
+
 }  // namespace
 
 std::uint64_t problem_fingerprint(const BatchProblem& p) {
@@ -69,9 +83,10 @@ std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp) {
 BucketInsertionCore::BucketInsertionCore(
     std::shared_ptr<const BatchScheduler> algo, std::uint64_t seed,
     std::int32_t threads, BatchMathMode math)
-    : algo_(std::move(algo)), seed_(seed), threads_(threads), math_(math) {
+    : algo_(std::move(algo)), seed_(seed), math_(math) {
   DTM_REQUIRE(algo_ != nullptr, "bucket insertion core needs a batch algo");
-  DTM_REQUIRE(threads_ >= 0, "bucket insertion threads " << threads_);
+  DTM_REQUIRE(threads >= 0, "bucket insertion threads " << threads);
+  par_ = resolve_threads(threads);
   run_scratch_.math = math_;
 }
 
@@ -206,9 +221,6 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
       std::min(cand_.lb <= 1 ? 0 : ceil_log2_i64(cand_.lb), top);
   stats_.levels_skipped += start;
 
-  const unsigned par = resolve_threads(threads_);
-  if (par > 1 && start < top)
-    return choose_level_waves(view, start, top, levels, extra, par);
   for (std::int32_t i = start; i <= top; ++i) {
     const LevelView lv = levels(i);
     CachedBucket& cb = cached(lv.id);
@@ -221,100 +233,6 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
     if (f <= (Time{1} << i)) return i;
   }
   return top;  // over-horizon tail parks in the top bucket
-}
-
-std::int32_t BucketInsertionCore::choose_level_waves(
-    const SystemView& view, std::int32_t start, std::int32_t top,
-    const LevelFn& levels, const ExtraAssignments& extra, unsigned par) {
-  for (std::int32_t lo = start; lo <= top;
-       lo += static_cast<std::int32_t>(par)) {
-    const std::int32_t hi =
-        std::min<std::int32_t>(lo + static_cast<std::int32_t>(par) - 1, top);
-    const std::size_t n = static_cast<std::size_t>(hi - lo + 1);
-    if (wave_.size() < n) wave_.resize(n);
-
-    // Phase 1 (serial): materialize each level's probe problem — a copy of
-    // the cached bucket with the candidate appended, so caches stay
-    // untouched and workers never share a problem — and resolve memo hits.
-    // The fingerprint is chained exactly as probe_cached chains it, so the
-    // memo keys (and the derived estimate seeds) are path-invariant.
-    wave_miss_.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int32_t i = lo + static_cast<std::int32_t>(j);
-      const LevelView lv = levels(i);
-      CachedBucket& cb = cached(lv.id);
-      DTM_CHECK(cb.p.txns.size() == lv.members.size(),
-                "bucket cache out of sync at level "
-                    << i << ": " << cb.p.txns.size() << " cached vs "
-                    << lv.members.size() << " members");
-      ensure_fresh(view, cb, extra);
-      ProbeSlot& s = wave_[j];
-      s.level = i;
-      s.p.oracle = cb.p.oracle;
-      s.p.latency_factor = cb.p.latency_factor;
-      s.p.now = cb.p.now;
-      s.p.math = cb.p.math;
-      s.p.soa = nullptr;  // slot problems persist across waves; drop any
-                          // view of the slot's previous contents
-      s.p.txns = cb.p.txns;
-      s.p.txns.push_back(cand_.row);
-      s.p.objects = cb.p.objects;
-      for (const BatchObject& bo : cand_.avail) {
-        const auto it = std::lower_bound(
-            s.p.objects.begin(), s.p.objects.end(), bo.id,
-            [](const BatchObject& a, ObjId b) { return a.id < b; });
-        if (it != s.p.objects.end() && it->id == bo.id) continue;
-        s.p.objects.insert(it, bo);
-      }
-      std::uint64_t avail_fp = kBasis;
-      for (const BatchObject& o : s.p.objects)
-        avail_fp = avail_chain(avail_fp, o, s.p.now);
-      s.fp = finish_fp(hash_combine(cb.txn_fp, cand_.row_hash), avail_fp,
-                       s.p.latency_factor);
-      ++stats_.probes;
-      const auto mit = memo_.find(s.fp);
-      s.memo_hit = mit != memo_.end();
-      if (s.memo_hit) {
-        ++stats_.memo_hits;
-        s.f = mit->second;
-      } else {
-        wave_miss_.push_back(j);
-      }
-    }
-
-    // Phase 2 (parallel): the misses run A concurrently. Estimates are
-    // pure functions of (problem, derived seed), so speculative evaluation
-    // of levels the serial scan would have skipped cannot change anything
-    // but the stats.
-    stats_.estimates += static_cast<std::int64_t>(wave_miss_.size());
-    ThreadPool::shared().run(
-        static_cast<std::int64_t>(wave_miss_.size()),
-        [&](std::int64_t k) {
-          ProbeSlot& s = wave_[wave_miss_[static_cast<std::size_t>(k)]];
-          if (math_ != BatchMathMode::kScalar && !s.p.txns.empty()) {
-            // Slot-local view: one build amortized over the whole A run,
-            // touched by exactly this worker (no sharing, no races).
-            s.soa.build(s.p);
-            s.p.soa = &s.soa;
-          }
-          s.f = estimate_fa_seeded(*algo_, s.p, probe_seed(seed_, s.fp));
-          s.p.soa = nullptr;
-        },
-        par, 1);
-
-    // Phase 3 (serial, ascending): memoize the fresh estimates and stop at
-    // the lowest fitting level — the same first-fit the serial scan takes.
-    for (std::size_t j = 0; j < n; ++j) {
-      const ProbeSlot& s = wave_[j];
-      if (!s.memo_hit) {
-        if (memo_.size() >= kMemoCap) memo_.clear();
-        memo_.emplace(s.fp, s.f);
-      }
-      last_scan_.push_back({s.level, s.f, s.memo_hit});
-      if (s.f <= (Time{1} << s.level)) return s.level;
-    }
-  }
-  return top;
 }
 
 void BucketInsertionCore::on_inserted(const SystemView& view, BucketId id,
@@ -352,6 +270,32 @@ const BatchProblem& BucketInsertionCore::activation_problem(
   return cb.p;
 }
 
+bool ActivationGate::fan_out(std::size_t rows) const {
+  const std::size_t k = size_class(rows);
+  if (k >= classes_.size()) return true;  // a new class fans out first
+  const SizeClass& c = classes_[k];
+  if (c.serial == 0.0) return c.fanned == 0.0;  // then runs serially once
+  return c.lost_at == 0.0 || c.serial >= 2.0 * c.lost_at;
+}
+
+void ActivationGate::record(std::size_t rows, bool fanned,
+                            double seconds_per_trial) {
+  const std::size_t k = size_class(rows);
+  if (k >= classes_.size()) classes_.resize(k + 1);
+  SizeClass& c = classes_[k];
+  // A clock tick of 0 would read as "unmeasured".
+  const double sample = std::max(seconds_per_trial, 1e-9);
+  if (fanned) {
+    // A retry after a loss measures afresh: the old figure is from
+    // problems half as costly.
+    c.fanned = c.lost_at > 0.0 ? sample : running(c.fanned, sample);
+  } else {
+    c.serial = running(c.serial, sample);
+    if (c.lost_at > 0.0) return;  // a loss stands until serial cost doubles
+  }
+  c.lost_at = c.fanned >= c.serial ? c.serial : 0.0;
+}
+
 BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
                                                 const BatchScheduler& runner,
                                                 std::int32_t retries) {
@@ -368,34 +312,44 @@ BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
     run_scratch_.soa = &run_soa_;
     run = &run_scratch_;
   }
-  if (runner.randomized() && retries > 1 && resolve_threads(threads_) > 1) {
-    // Trial r's schedule depends only on (seed_, fp, r) — batch schedulers
-    // are const with thread-local scratch — so all retries evaluate
-    // concurrently. Keeping the FIRST index achieving the minimum makespan
-    // reproduces the serial strict-< scan's winner exactly.
-    std::vector<BatchResult> trials = parallel_map<BatchResult>(
-        retries,
-        [&](std::int64_t r) {
-          Rng trial(derive_seed(seed_, kTrialSalt, fp,
-                                static_cast<std::uint64_t>(r)));
-          return runner.schedule(*run, trial);
-        },
-        resolve_threads(threads_));
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < trials.size(); ++r)
-      if (trials[r].makespan < trials[best].makespan) best = r;
-    return std::move(trials[best]);
-  }
-  Rng rng(derive_seed(seed_, kTrialSalt, fp, 0));
-  BatchResult best = runner.schedule(*run, rng);
-  if (runner.randomized()) {
-    for (std::int32_t r = 1; r < retries; ++r) {
-      Rng trial(derive_seed(seed_, kTrialSalt, fp,
-                            static_cast<std::uint64_t>(r)));
-      BatchResult alt = runner.schedule(*run, trial);
+  const auto trial = [&](std::int64_t r) {
+    Rng rng(derive_seed(seed_, kTrialSalt, fp, static_cast<std::uint64_t>(r)));
+    return runner.schedule(*run, rng);
+  };
+  const std::int32_t trials = runner.randomized() ? std::max(retries, 1) : 1;
+  const auto serial = [&] {
+    BatchResult best = trial(0);
+    for (std::int32_t r = 1; r < trials; ++r) {
+      BatchResult alt = trial(r);
       if (alt.makespan < best.makespan) best = std::move(alt);
     }
+    return best;
+  };
+  // Without a choice to make (one trial, one thread, or already inside a
+  // pool task, where a nested fan-out would run inline) no clock is read.
+  if (trials == 1 || par_ <= 1 || ThreadPool::inside_pool()) return serial();
+
+  const bool fan = gate_.fan_out(p.txns.size());
+  const auto t0 = std::chrono::steady_clock::now();
+  BatchResult best;
+  if (fan) {
+    // Trial r's schedule depends only on (seed_, fp, r) — batch schedulers
+    // are const with thread-local scratch — so the trials run concurrently.
+    // Keeping the FIRST index achieving the minimum makespan reproduces the
+    // serial strict-< scan's winner exactly.
+    ++stats_.fanouts;
+    std::vector<BatchResult> all =
+        parallel_map<BatchResult>(trials, trial, par_);
+    std::size_t win = 0;
+    for (std::size_t r = 1; r < all.size(); ++r)
+      if (all[r].makespan < all[win].makespan) win = r;
+    best = std::move(all[win]);
+  } else {
+    best = serial();
   }
+  const std::chrono::duration<double> spent =
+      std::chrono::steady_clock::now() - t0;
+  gate_.record(p.txns.size(), fan, spent.count() / trials);
   return best;
 }
 

@@ -40,21 +40,18 @@
 // checks every level choice and every activation problem against this
 // core.
 //
-// That same purity is what makes the core parallelizable without touching
-// a single decision (ARCHITECTURE.md §8): with threads > 1,
-//   - activation retries evaluate concurrently (each trial's stream
-//     depends only on (seed, fingerprint, trial index)) and merge as
-//     min-by-(makespan, trial index) — exactly the serial strict-< scan;
-//   - the incremental level scan probes levels in waves of `threads`
-//     speculative F_A estimates (memo hits resolved serially first), then
-//     picks the lowest fitting level in ascending order — the same level
-//     the one-at-a-time scan stops at, because estimates are pure.
-// Speculative probes can run A for levels the serial scan would never
-// reach, so FastPathStats counters (probes/estimates/memo_hits) are
-// thread-count-DEPENDENT introspection; decisions, schedules, and
-// last_lower_bound() are thread-count-invariant.
+// Activation retries are the core's one parallel surface (ARCHITECTURE.md
+// §8). Trial r's stream depends only on (seed, fingerprint, r), so with
+// threads > 1 the retries may run concurrently and merge as
+// min-by-(makespan, trial index), exactly the serial strict-< scan.
+// Whether they do is measured, not modelled: ActivationGate runs each size
+// class in whichever mode has cost less wall time per trial. The level
+// scan is serial. The gate only chooses where trials run, so decisions,
+// schedules and every FastPathStats counter except `fanouts` are equal at
+// every thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -81,6 +78,34 @@ struct FastPathStats {
   std::int64_t refreshes = 0;       ///< cached availability refreshes
   std::int64_t appends = 0;         ///< incremental member appends
   std::int64_t activations = 0;     ///< activation problems produced
+  /// Activations whose trials ran concurrently. Introspection only: the
+  /// one counter that depends on the thread count and on host timing.
+  std::int64_t fanouts = 0;
+};
+
+/// Serial-or-fan-out choice for the trials of one activation, from measured
+/// wall time (the gate only chooses where trials run, never what they
+/// compute). Activations group into size classes ⌊log2 rows⌋; each class
+/// keeps a running wall time per trial for serial and for fanned-out
+/// activations. A class fans out first and runs serially once, so both
+/// are measured, then runs whichever mode measured cheaper. Once fan-out
+/// has lost, it is tried again only after the class's serial cost has
+/// doubled. Fanning out first matters when a class's first activation is
+/// its costliest: serial-first would forfeit exactly that one.
+class ActivationGate {
+ public:
+  /// Whether the next activation of a `rows`-row problem should fan out.
+  [[nodiscard]] bool fan_out(std::size_t rows) const;
+  /// Folds in one activation's measured wall time per trial.
+  void record(std::size_t rows, bool fanned, double seconds_per_trial);
+
+ private:
+  struct SizeClass {
+    double serial = 0.0;   ///< running s/trial run serially; 0 = unmeasured
+    double fanned = 0.0;   ///< running s/trial fanned out; 0 = unmeasured
+    double lost_at = 0.0;  ///< `serial` when fan-out lost; 0 = it has not
+  };
+  std::vector<SizeClass> classes_;
 };
 
 /// Canonical 64-bit content fingerprint of a batch problem: transaction
@@ -118,7 +143,7 @@ class BucketInsertionCore {
   using LevelFn = std::function<LevelView(std::int32_t)>;
 
   /// `threads`: 1 = serial (default), 0 = all hardware threads, N = up to
-  /// N participants for wave probing and activation retries.
+  /// N participants for the activation retries ActivationGate fans out.
   /// `math`: batch arithmetic backend stamped on every problem this core
   /// builds (registry knob `batch_math=scalar|soa`); both are
   /// byte-identical, kSoA additionally attaches shared BatchProblemSoA
@@ -170,7 +195,8 @@ class BucketInsertionCore {
   /// Best-of-`retries` schedule of `p` under `runner` (the suffix-wrapped
   /// algorithm when the scheduler enforces the suffix property). Each trial
   /// draws from an independent stream derived from the problem fingerprint
-  /// and the trial index; deterministic runners run once.
+  /// and the trial index; deterministic runners run once. With threads > 1
+  /// the gate decides whether the trials run concurrently.
   [[nodiscard]] BatchResult run_activation(const BatchProblem& p,
                                            const BatchScheduler& runner,
                                            std::int32_t retries);
@@ -219,32 +245,13 @@ class BucketInsertionCore {
   /// for the duration of the A run (detached before returning).
   Time estimate(BatchProblem& p, std::uint64_t fp);
 
-  /// One level's speculative probe during a parallel wave: a materialized
-  /// copy of the cached problem with the candidate appended (copies keep
-  /// the caches untouched while workers estimate concurrently).
-  struct ProbeSlot {
-    BatchProblem p;
-    BatchProblemSoA soa;  ///< slot-local SoA view (built by the worker)
-    std::uint64_t fp = 0;
-    std::int32_t level = -1;
-    Time f = 0;
-    bool memo_hit = false;
-  };
-
-  /// The incremental scan with `par` speculative probes per wave; returns
-  /// the same level as the serial scan (estimates are pure, and the lowest
-  /// fitting level wins in ascending order).
-  std::int32_t choose_level_waves(const SystemView& view, std::int32_t start,
-                                  std::int32_t top, const LevelFn& levels,
-                                  const ExtraAssignments& extra, unsigned par);
-
   std::shared_ptr<const BatchScheduler> algo_;
   std::uint64_t seed_;
-  std::int32_t threads_ = 1;
+  unsigned par_ = 1;  ///< resolved thread count for activation retries
   BatchMathMode math_ = BatchMathMode::kScalar;
   std::uint64_t world_ = 1;
 
-  BatchProblemSoA probe_soa_;  ///< SoA view for serial estimate() runs
+  BatchProblemSoA probe_soa_;  ///< SoA view for estimate() runs
   BatchProblem run_scratch_;   ///< run_activation copy carrying a shared SoA
   BatchProblemSoA run_soa_;    ///< ... built once, read by all retry trials
   Candidate cand_;
@@ -255,8 +262,7 @@ class BucketInsertionCore {
   bool last_memo_hit_ = false;
   std::vector<std::size_t> probe_inserted_;  ///< rollback scratch
   std::vector<AvailPoint> lb_pts_;           ///< lower-bound scratch
-  std::vector<ProbeSlot> wave_;              ///< parallel-probe scratch
-  std::vector<std::size_t> wave_miss_;       ///< memo misses of the wave
+  ActivationGate gate_;
   FastPathStats stats_;
 };
 

@@ -42,9 +42,9 @@ struct BucketOptions {
     /// separation that Lemma 4 relies on — the ablation bench quantifies
     /// what the bucket hierarchy actually buys.
     std::int32_t force_level = -1;
-    /// Worker threads for the insertion core's wave probing and activation
-    /// retries (1 = serial, 0 = all hardware threads). Decisions are
-    /// thread-count-invariant (ARCHITECTURE.md §8).
+    /// Worker threads for the insertion core's activation retries, fanned
+    /// out where measured faster (1 = serial, 0 = all hardware threads).
+    /// Decisions are thread-count-invariant (ARCHITECTURE.md §8).
     std::int32_t threads = 1;
     /// Batch arithmetic backend (registry knob `batch_math=scalar|soa`):
     /// kScalar runs the pointer-chasing kernels, kSoA scores through bitset

@@ -33,9 +33,10 @@
 // (tests/oracle/stretch_oracle.hpp).
 //
 // RoutingTable is not thread-safe: queries mutate its cache, so give each
-// thread its own table. LandmarkRouter is: the engine's sharded reroute
-// calls dist() from pool workers, so the shared intra-cluster table sits
-// behind a mutex and the query counters are relaxed atomics.
+// thread its own table. LandmarkRouter is: concurrent activation trials
+// of the bucket schedulers call dist() from pool workers, so the shared
+// intra-cluster table sits behind a mutex and the query counters are
+// relaxed atomics.
 #pragma once
 
 #include <atomic>

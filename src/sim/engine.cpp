@@ -84,8 +84,7 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
     }
   }
   // Re-route after all assignments land so each object sees the final
-  // earliest-deadline user of this step. The request list goes through
-  // reroute_many so the transport can shard it by object ownership.
+  // earliest-deadline user of this step.
   reroute_scratch_.clear();
   for (const Assignment& a : assignments)
     for (const auto& acc : store_.live_txn(a.txn).txn.accesses)

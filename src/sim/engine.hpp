@@ -25,11 +25,9 @@
 // reference engine (tests/oracle/scan_engine.hpp), and the lockstep harness
 // there steps it beside this engine and compares every step.
 //
-// With EngineOptions::threads > 1 the reroute fan-outs of apply() and
-// finish_step() run sharded across the process-wide ThreadPool (object
-// ownership by dense index, per-worker settle buffers merged after the
-// barrier — ARCHITECTURE.md §8); commit sequences stay byte-identical at
-// every thread count.
+// The engine is serial at every thread count: a step's reroutes are a few
+// microseconds of pointer work, less than one pool dispatch
+// (ARCHITECTURE.md §8).
 #pragma once
 
 #include <memory>

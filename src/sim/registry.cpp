@@ -610,7 +610,6 @@ EngineOptions RunSpec::engine_options(const FaultPlan& plan) const {
   EngineOptions e;
   e.latency_factor = run_latency_factor();
   e.fault = plan;
-  e.threads = threads;
   return e;
 }
 

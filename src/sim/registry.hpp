@@ -93,8 +93,8 @@ struct RunSpec {
   std::int64_t latency_factor = 1;
   std::uint64_t seed = 42;
   std::int32_t trials = 1;
-  /// Worker threads for the simulation kernel (engine reroute sharding,
-  /// bucket wave probing, activation retries, trial fan-out). 1 = serial,
+  /// Worker threads for bucket / dist-bucket activation retries (fanned
+  /// out only where measured faster) and for trial fan-out. 1 = serial,
   /// 0 = all hardware threads. Results are byte-identical at every value
   /// (ARCHITECTURE.md §8).
   std::int32_t threads = 1;
@@ -110,7 +110,7 @@ struct RunSpec {
   /// argument needs half-speed objects (§V), so at least 2 for it.
   [[nodiscard]] std::int64_t run_latency_factor() const;
   /// Engine options every entry point runs the spec under:
-  /// run_latency_factor(), `plan` (built from `fault`), and threads.
+  /// run_latency_factor() and `plan` (built from `fault`).
   [[nodiscard]] EngineOptions engine_options(const FaultPlan& plan) const;
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static RunSpec from_json(const Json& j);

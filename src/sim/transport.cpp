@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/parallel.hpp"
-
 namespace dtm {
 
 TxnId SyncObjectTransport::reroute_target(TxnStore::ObjEntry& e) {
@@ -28,8 +26,7 @@ TxnId SyncObjectTransport::reroute_target(TxnStore::ObjEntry& e) {
   return kNoTxn;
 }
 
-void SyncObjectTransport::reroute_impl(TxnStore::ObjEntry& e, Time now,
-                                       SettleBuffer* out) {
+void SyncObjectTransport::reroute(TxnStore::ObjEntry& e, Time now) {
   const TxnId best = reroute_target(e);
   if (best == kNoTxn) return;
   // Leg signature before routing, to detect a genuinely new/redirected leg.
@@ -45,51 +42,12 @@ void SyncObjectTransport::reroute_impl(TxnStore::ObjEntry& e, Time now,
        e.state.depart_time() != old_depart ||
        e.state.arrive_time() != old_arrive))
     maybe_stall(e);
-  if (e.state.in_transit()) {
-    if (out != nullptr)
-      out->emplace_back(e.state.arrive_time(), store_->obj_index(e));
-    else
-      settle_queue_.emplace(e.state.arrive_time(), store_->obj_index(e));
-  }
+  if (e.state.in_transit())
+    settle_queue_.emplace(e.state.arrive_time(), store_->obj_index(e));
 }
 
 void SyncObjectTransport::reroute_many(std::span<const ObjId> objs, Time now) {
-  const unsigned shards = std::min<std::uint64_t>(
-      {resolve_threads(threads_), objs.size(), 64});
-  // Stall injection draws one RNG value per fresh leg in request order —
-  // a shared sequential stream — so an active stall plan forces the serial
-  // path (chaos runs are thread-count-invariant by construction).
-  if (shards <= 1 || stalling_) {
-    for (const ObjId o : objs)
-      reroute_impl(store_->obj_entry(o), now, nullptr);
-    return;
-  }
-  // Ownership sharding: object with dense index i belongs to worker
-  // i % shards. Every worker scans the full request list and handles only
-  // its own objects, preserving each object's request order, so the final
-  // per-object state is identical to the serial loop's. Settle pushes are
-  // buffered per worker and merged after the barrier — the queue is a heap
-  // keyed on unique (time, index) pairs, so insertion order is invisible.
-  shard_idx_.clear();
-  shard_idx_.reserve(objs.size());
-  for (const ObjId o : objs)
-    shard_idx_.push_back(store_->obj_index(store_->obj_entry(o)));
-  if (shard_settles_.size() < shards) shard_settles_.resize(shards);
-  ThreadPool::shared().run(
-      shards,
-      [&](std::int64_t w) {
-        SettleBuffer& buf = shard_settles_[static_cast<std::size_t>(w)];
-        buf.clear();
-        for (std::size_t r = 0; r < shard_idx_.size(); ++r) {
-          if (shard_idx_[r] % static_cast<std::int32_t>(shards) != w)
-            continue;
-          reroute_impl(store_->obj_at(shard_idx_[r]), now, &buf);
-        }
-      },
-      shards, 1);
-  for (unsigned w = 0; w < shards; ++w)
-    for (const auto& [at, idx] : shard_settles_[w])
-      settle_queue_.emplace(at, idx);
+  for (const ObjId o : objs) reroute(store_->obj_entry(o), now);
 }
 
 void SyncObjectTransport::maybe_stall(TxnStore::ObjEntry& e) {

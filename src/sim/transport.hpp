@@ -8,8 +8,6 @@
 #pragma once
 
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "fault/plan.hpp"
 #include "sim/store.hpp"
@@ -27,10 +25,9 @@ struct EngineOptions {
   enum class Mode { kCalendar };
   Mode mode = Mode::kCalendar;
 
-  /// Worker threads for the sharded reroute fan-out: 1 = serial (default),
-  /// 0 = all hardware threads, N = exactly N participants. Every thread
-  /// count produces byte-identical commit sequences — sharding is by object
-  /// ownership, and per-worker results merge in canonical order
+  /// Validated (>= 0) and otherwise unread: the engine runs serially at
+  /// every value. It survives because the frozen bench/e2e drivers assign
+  /// it; thread counts reach the schedulers through RunSpec::threads
   /// (ARCHITECTURE.md §8).
   std::int32_t threads = 1;
 
@@ -51,17 +48,13 @@ class SyncObjectTransport {
       : store_(&store),
         oracle_(&oracle),
         latency_factor_(opts.latency_factor),
-        threads_(opts.threads),
         fault_(opts.fault),
         stall_rng_(fault_.transport_rng()),
         stalling_(fault_.stall > 0.0) {}
 
-  /// Reroutes every object in `objs`, duplicates included, preserving the
-  /// per-object request order. Sharded by object ownership when
-  /// EngineOptions::threads > 1 (each object's requests are handled by
-  /// exactly one worker, so the final state is worker-count-invariant);
-  /// serial under an active stall plan: the stall stream draws in request
-  /// order, and chaos golden pins depend on that exact sequence.
+  /// Reroutes every object in `objs`, duplicates included, in request
+  /// order: the stall stream draws in that order, and chaos golden pins
+  /// depend on the exact sequence.
   void reroute_many(std::span<const ObjId> objs, Time now);
 
   /// Materializes every arrival due by `now` by draining the settle queue.
@@ -78,20 +71,13 @@ class SyncObjectTransport {
   }
 
  private:
-  /// (arrive time, object index) pairs buffered by one worker during a
-  /// parallel reroute phase, merged into settle_queue_ after the barrier.
-  using SettleBuffer = std::vector<std::pair<Time, std::int32_t>>;
-
   /// The earliest scheduled user (cache, else the pruned heap); kNoTxn when
   /// none.
   [[nodiscard]] TxnId reroute_target(TxnStore::ObjEntry& e);
 
   /// Sends `e` toward the pending scheduled user with the earliest
   /// execution time (no-op when already heading there / resting there).
-  /// `out == nullptr` pushes settle entries straight into settle_queue_
-  /// (serial path, stall hook armed); non-null buffers them per worker
-  /// (parallel path, which only runs with the stall hook off).
-  void reroute_impl(TxnStore::ObjEntry& e, Time now, SettleBuffer* out);
+  void reroute(TxnStore::ObjEntry& e, Time now);
 
   /// Fault hook: maybe stretches a freshly laid transit leg for `e`, bounded
   /// by the slack before its target's execution (e.best_exec) so
@@ -101,7 +87,6 @@ class SyncObjectTransport {
   TxnStore* store_;
   const DistanceOracle* oracle_;
   std::int64_t latency_factor_;
-  std::int32_t threads_;
 
   /// Transfer-stall injection state. The RNG stream is salted per the
   /// FaultPlan; with stall == 0 the hook is a single branch and zero draws,
@@ -114,11 +99,6 @@ class SyncObjectTransport {
   /// array). Entries outlive redirects; settle() is idempotent, so early
   /// pops are no-ops.
   EventClock::MinHeap<std::int32_t> settle_queue_;
-
-  /// Parallel reroute scratch: dense object indices of the current request
-  /// list and the per-worker settle buffers.
-  std::vector<std::int32_t> shard_idx_;
-  std::vector<SettleBuffer> shard_settles_;
 };
 
 }  // namespace dtm

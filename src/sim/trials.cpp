@@ -20,9 +20,6 @@ TrialSummary run_seeded_trials(const Network& net, const SyntheticOptions& wopts
     auto sched = make_scheduler();
     RunOptions ropts;
     ropts.engine.latency_factor = opts.latency_factor;
-    // Engine-level parallelism composes: with one trial it gets the pool to
-    // itself; with many, nested run() calls degrade to inline serial.
-    ropts.engine.threads = opts.threads;
     ropts.ratio_window = opts.ratio_window;
     ropts.collect_schedule = false;  // summaries only — skip the copy
     return run_experiment(net, wl, *sched, ropts);

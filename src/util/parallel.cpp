@@ -49,33 +49,30 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::ensure_workers_locked(unsigned n) {
-  while (threads_.size() < n && !stop_) {
-    const unsigned index = static_cast<unsigned>(threads_.size());
-    threads_.emplace_back([this, index, e = epoch_] { worker_main(index, e); });
-  }
+  while (threads_.size() < n && !stop_)
+    threads_.emplace_back([this, e = epoch_] { worker_main(e); });
 }
 
-void ThreadPool::worker_main(unsigned index, std::uint64_t start_epoch) {
+void ThreadPool::worker_main(std::uint64_t start_epoch) {
   tls_inside_pool = true;
   std::uint64_t seen = start_epoch;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    Job* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      // Workers are gated by their spawn-order index: only the first
-      // job_workers_ of them join, so max_threads honestly bounds
-      // concurrency instead of just bounding the chunk fan-out.
-      if (index >= job_workers_) continue;
-      job = job_;
-    }
+    // Join only an open job with a free slot, and each job at most once: a
+    // worker woken after the caller closed the job, or after the slots
+    // filled, goes back to sleep without holding anyone up.
+    cv_.wait(lock, [&] {
+      return stop_ || (job_ != nullptr && free_slots_ > 0 && epoch_ != seen);
+    });
+    if (stop_) return;
+    seen = epoch_;
+    --free_slots_;
+    ++active_;
+    Job* job = job_;
+    lock.unlock();
     work(*job);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
-    }
+    lock.lock();
+    if (--active_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -99,7 +96,7 @@ void ThreadPool::work(Job& job) {
 void ThreadPool::run_impl(std::int64_t count, unsigned participants,
                           std::int64_t chunk, Thunk thunk, void* ctx) {
   // One fork-join at a time: concurrent top-level callers queue here. The
-  // epoch barrier below assumes a single in-flight job.
+  // open-job state below (job_, free_slots_, active_) describes one job.
   const std::lock_guard<std::mutex> run_lock(run_mu_);
   if (chunk <= 0) {
     // ~4 chunks per participant balances steal granularity against cursor
@@ -112,24 +109,29 @@ void ThreadPool::run_impl(std::int64_t count, unsigned participants,
   job.chunk = chunk;
   job.thunk = thunk;
   job.ctx = ctx;
+  const unsigned helpers = participants - 1;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    ensure_workers_locked(participants - 1);
+    ensure_workers_locked(helpers);
     job_ = &job;
-    job_workers_ = participants - 1;
-    pending_ = job_workers_;
+    free_slots_ = helpers;
     ++epoch_;
   }
-  cv_.notify_all();
+  // Wake only as many workers as the job has slots for; the rest stay
+  // parked.
+  for (unsigned i = 0; i < helpers; ++i) cv_.notify_one();
 
   tls_inside_pool = true;  // nested run() from fn executes inline
   work(job);
   tls_inside_pool = false;
 
   {
+    // The caller ran out of indices: close the job to late wakers and wait
+    // only for the workers that joined it.
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return pending_ == 0; });
     job_ = nullptr;
+    free_slots_ = 0;
+    done_cv_.wait(lock, [&] { return active_ == 0; });
   }
   if (job.error) std::rethrow_exception(job.error);
 }

@@ -5,9 +5,11 @@
 // which is fine for a handful of bench sweeps but hopeless inside the
 // simulation kernel, where a run() fires on every engine step. The pool
 // keeps its workers parked on a condition variable between jobs; a job
-// hands out [begin, end) index chunks from a shared atomic cursor, the
-// caller participates as the extra worker, and an epoch barrier separates
-// consecutive jobs.
+// wakes only the workers it asks for, hands out [begin, end) index chunks
+// from a shared atomic cursor, and the caller participates as the extra
+// worker. A worker joins a job only while the job is open and has a free
+// slot; once the caller has run out of indices the job closes, and the
+// join waits only for the workers that joined.
 //
 // Determinism contract: the pool schedules *which thread* runs an index,
 // never *what the index computes* — callers own canonical-order merges of
@@ -106,18 +108,18 @@ class ThreadPool {
   void run_impl(std::int64_t count, unsigned participants, std::int64_t chunk,
                 Thunk thunk, void* ctx);
   void work(Job& job);
-  void worker_main(unsigned index, std::uint64_t start_epoch);
+  void worker_main(std::uint64_t start_epoch);
   /// Spawns workers until at least `n` exist (caller holds mu_).
   void ensure_workers_locked(unsigned n);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;       ///< wakes workers on a new epoch
+  std::condition_variable cv_;       ///< wakes workers for an open job
   std::condition_variable done_cv_;  ///< wakes the caller at join
   std::vector<std::thread> threads_;
-  Job* job_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  unsigned job_workers_ = 0;  ///< background participants of job_
-  unsigned pending_ = 0;      ///< background participants still running
+  Job* job_ = nullptr;       ///< the open job; null once the caller closes it
+  std::uint64_t epoch_ = 0;  ///< job counter: a worker joins each job once
+  unsigned free_slots_ = 0;  ///< background participants job_ still takes
+  unsigned active_ = 0;      ///< workers that joined and are still running
   bool stop_ = false;
 
   std::mutex run_mu_;  ///< serializes whole jobs (one fork-join at a time)

@@ -24,7 +24,6 @@ namespace {
 
 using oracle::DifferentialBucketScheduler;
 using oracle::DifferentialOptions;
-using oracle::LockstepEngine;
 
 using testing::origin;
 using testing::random_topology;
@@ -175,9 +174,7 @@ RunResult run_bucket(const Network& net, const SyntheticOptions& wopts,
   BucketScheduler sched(Registry::make_batch_algo("auto", net));
   RunOptions opts;
   opts.validate = true;
-  return lockstep ? oracle::run_lockstep(net, wl, sched,
-                                         LockstepEngine::Reference::kScan,
-                                         opts)
+  return lockstep ? oracle::run_lockstep(net, wl, sched, opts)
                   : run_experiment(net, wl, sched, opts);
 }
 
@@ -278,9 +275,7 @@ RunResult run_dist(const Network& net, const FaultPlan& plan, bool lockstep) {
                                    o);
   RunOptions opts = dist_run_options(plan);
   opts.validate = true;
-  return lockstep ? oracle::run_lockstep(net, wl, sched,
-                                         LockstepEngine::Reference::kScan,
-                                         opts)
+  return lockstep ? oracle::run_lockstep(net, wl, sched, opts)
                   : run_experiment(net, wl, sched, opts);
 }
 
@@ -355,6 +350,40 @@ TEST(BucketFastPath, SeededEstimateIsAPureFunctionOfSeed) {
   const Time a = estimate_fa_seeded(*algo, p, 42);
   const Time b = estimate_fa_seeded(*algo, p, 42);
   EXPECT_EQ(a, b);
+}
+
+// The activation gate's choices, from fed costs (seconds per trial).
+TEST(ActivationGate, MeasuresBothModesThenRunsTheCheaper) {
+  ActivationGate g;
+  // A size class fans out first, then runs serially once.
+  EXPECT_TRUE(g.fan_out(5));
+  g.record(5, /*fanned=*/true, 2e-6);
+  EXPECT_FALSE(g.fan_out(6));  // 5 and 6 rows share class ⌊log2⌋ = 2
+  EXPECT_TRUE(g.fan_out(8));   // class 3 has not fanned out yet
+  // Fan-out measured cheaper: it stays on.
+  g.record(6, /*fanned=*/false, 4e-6);
+  EXPECT_TRUE(g.fan_out(7));
+  g.record(7, /*fanned=*/true, 2e-6);
+  EXPECT_TRUE(g.fan_out(4));
+}
+
+TEST(ActivationGate, RetriesFanOutOnlyOnceSerialCostDoubled) {
+  ActivationGate g;
+  g.record(1, /*fanned=*/true, 12e-6);
+  g.record(1, /*fanned=*/false, 10e-6);  // fan-out lost at serial = 10 µs
+  EXPECT_FALSE(g.fan_out(1));
+  g.record(1, /*fanned=*/false, 20e-6);  // running serial cost 12.5 µs,
+  EXPECT_FALSE(g.fan_out(1));            // above the stale fanned 12 µs
+  for (int i = 0; i < 8 && !g.fan_out(1); ++i)
+    g.record(1, /*fanned=*/false, 40e-6);
+  ASSERT_TRUE(g.fan_out(1));  // the running serial cost reached 20 µs
+  // The retry measures afresh: 15 µs beats the running serial cost.
+  g.record(1, /*fanned=*/true, 15e-6);
+  EXPECT_TRUE(g.fan_out(1));
+  // A fanned cost that climbs above the serial one loses again.
+  for (int i = 0; i < 16 && g.fan_out(1); ++i)
+    g.record(1, /*fanned=*/true, 200e-6);
+  EXPECT_FALSE(g.fan_out(1));
 }
 
 }  // namespace

@@ -47,9 +47,7 @@ ChaosRun run_dist(const Network& net, const FaultPlan& plan,
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
   const RunResult r =
-      lockstep ? oracle::run_lockstep(net, wl, sched,
-                                      oracle::LockstepEngine::Reference::kScan,
-                                      opts)
+      lockstep ? oracle::run_lockstep(net, wl, sched, opts)
                : run_experiment(net, wl, sched, opts);
   ChaosRun out{r, sched.stats(), sched.fault_bus_stats() != nullptr, {}};
   if (const FaultBusStats* fb = sched.fault_bus_stats()) out.bus = *fb;

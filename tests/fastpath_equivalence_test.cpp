@@ -32,9 +32,7 @@ RunResult run_engine(const Network& net, const SyntheticOptions& wopts,
   RunOptions opts;
   opts.engine.latency_factor = latency_factor;
   opts.validate = true;
-  return lockstep ? oracle::run_lockstep(net, wl, *sched,
-                                         LockstepEngine::Reference::kScan,
-                                         opts)
+  return lockstep ? oracle::run_lockstep(net, wl, *sched, opts)
                   : run_experiment(net, wl, *sched, opts);
 }
 
@@ -101,33 +99,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FastPathEquivalence, ::testing::Range(0, 6));
 // A hand-built scenario pinning the subtle cases: redirects mid-flight,
 // fast-forwarded idle stretches, and same-step independent commits.
 TEST(FastPathEquivalence, ScriptedRedirectScenario) {
-  for (const auto ref : {LockstepEngine::Reference::kScan,
-                         LockstepEngine::Reference::kSerial}) {
-    const Network net = make_line(10);
-    LockstepEngine e(net.oracle, {origin(0, 0), origin(1, 9)}, {}, ref);
-    e.begin_step({{txn(1, 9, 0, {0}), txn(2, 5, 0, {1})}});
-    e.apply({{Assignment{1, 20}, Assignment{2, 4}}});
+  const Network net = make_line(10);
+  LockstepEngine e(net.oracle, {origin(0, 0), origin(1, 9)}, {});
+  e.begin_step({{txn(1, 9, 0, {0}), txn(2, 5, 0, {1})}});
+  e.apply({{Assignment{1, 20}, Assignment{2, 4}}});
+  e.finish_step();
+  EXPECT_EQ(e.next_exec_due(), 4);
+  e.begin_step({{txn(3, 1, 1, {0})}});
+  const Time promised = e.object(0).time_to(1, 1, *net.oracle);
+  e.apply({{Assignment{3, 1 + promised}}});
+  e.finish_step();
+  e.advance_to(e.next_exec_due());
+  while (!e.all_done()) {
+    e.begin_step({});
     e.finish_step();
-    EXPECT_EQ(e.next_exec_due(), 4);
-    e.begin_step({{txn(3, 1, 1, {0})}});
-    const Time promised = e.object(0).time_to(1, 1, *net.oracle);
-    e.apply({{Assignment{3, 1 + promised}}});
-    e.finish_step();
-    e.advance_to(e.next_exec_due());
-    while (!e.all_done()) {
-      e.begin_step({});
-      e.finish_step();
-      const Time due = e.next_exec_due();
-      if (due != kNoTime && due > e.now()) e.advance_to(due);
-    }
-    ASSERT_EQ(e.committed().size(), 3u);
-    EXPECT_EQ(e.committed()[0].txn.id, 3);  // redirected, exec 1 + promised
-    EXPECT_EQ(e.committed()[1].txn.id, 2);
-    EXPECT_EQ(e.committed()[1].exec, 4);
-    EXPECT_EQ(e.committed()[2].txn.id, 1);
-    EXPECT_EQ(e.committed()[2].exec, 20);
-    EXPECT_GT(e.steps_checked(), 3);
+    const Time due = e.next_exec_due();
+    if (due != kNoTime && due > e.now()) e.advance_to(due);
   }
+  ASSERT_EQ(e.committed().size(), 3u);
+  EXPECT_EQ(e.committed()[0].txn.id, 3);  // redirected, exec 1 + promised
+  EXPECT_EQ(e.committed()[1].txn.id, 2);
+  EXPECT_EQ(e.committed()[1].exec, 4);
+  EXPECT_EQ(e.committed()[2].txn.id, 1);
+  EXPECT_EQ(e.committed()[2].exec, 20);
+  EXPECT_GT(e.steps_checked(), 3);
 }
 
 }  // namespace

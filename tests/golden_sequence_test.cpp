@@ -29,7 +29,6 @@
 namespace dtm {
 namespace {
 
-using oracle::LockstepEngine;
 using oracle::run_lockstep;
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
@@ -61,8 +60,7 @@ RunResult run_path(const Network& net, Workload& wl, OnlineScheduler& sched,
                    const RunOptions& opts, Path path) {
   return path == Path::kProduction
              ? run_experiment(net, wl, sched, opts)
-             : run_lockstep(net, wl, sched, LockstepEngine::Reference::kScan,
-                            opts);
+             : run_lockstep(net, wl, sched, opts);
 }
 
 std::uint64_t run_case(const Network& net, const SyntheticOptions& w,

@@ -6,34 +6,24 @@ namespace dtm::oracle {
 
 LockstepEngine::LockstepEngine(std::shared_ptr<const DistanceOracle> oracle,
                                std::vector<ObjectOrigin> origins,
-                               EngineOptions opts, Reference ref)
-    : primary_(oracle, origins, opts) {
-  if (ref == Reference::kScan) {
-    scan_ = std::make_unique<ScanEngine>(std::move(oracle),
-                                         std::move(origins), opts);
-  } else {
-    EngineOptions serial = opts;
-    serial.threads = 1;
-    serial_ = std::make_unique<SyncEngine>(std::move(oracle),
-                                           std::move(origins), serial);
-  }
-}
+                               EngineOptions opts)
+    : primary_(oracle, origins, opts),
+      scan_(std::move(oracle), std::move(origins), opts) {}
 
 void LockstepEngine::begin_step(std::span<const Transaction> arrivals) {
   primary_.begin_step(arrivals);
-  on_reference([&](auto& e) { e.begin_step(arrivals); });
+  scan_.begin_step(arrivals);
 }
 
 void LockstepEngine::apply(std::span<const Assignment> assignments) {
   primary_.apply(assignments);
-  on_reference([&](auto& e) { e.apply(assignments); });
+  scan_.apply(assignments);
 }
 
 std::vector<SyncEngine::Commit> LockstepEngine::finish_step() {
   const Time step = now();
   std::vector<SyncEngine::Commit> commits = primary_.finish_step();
-  const std::vector<SyncEngine::Commit> ref =
-      on_reference([](auto& e) { return e.finish_step(); });
+  const std::vector<SyncEngine::Commit> ref = scan_.finish_step();
   DTM_CHECK(commits.size() == ref.size(),
             "lockstep: engine committed " << commits.size()
                                           << " txns at step " << step
@@ -57,10 +47,7 @@ std::vector<SyncEngine::Commit> LockstepEngine::finish_step() {
 void LockstepEngine::check_objects(Time step) const {
   for (const ObjectOrigin& o : primary_.origins()) {
     const ObjectState& a = primary_.object(o.id);
-    const ObjectState& b =
-        on_reference([&](const auto& e) -> const ObjectState& {
-          return e.object(o.id);
-        });
+    const ObjectState& b = scan_.object(o.id);
     DTM_CHECK(a == b, "lockstep: object " << o.id << " diverges after step "
                                           << step);
   }
@@ -68,13 +55,12 @@ void LockstepEngine::check_objects(Time step) const {
 
 void LockstepEngine::advance_to(Time t) {
   primary_.advance_to(t);
-  on_reference([&](auto& e) { e.advance_to(t); });
+  scan_.advance_to(t);
 }
 
 Time LockstepEngine::next_exec_due() const {
   const Time due = primary_.next_exec_due();
-  const Time ref =
-      on_reference([](const auto& e) { return e.next_exec_due(); });
+  const Time ref = scan_.next_exec_due();
   DTM_CHECK(due == ref, "lockstep: next_exec_due " << due << " vs reference "
                                                    << ref << " (now " << now()
                                                    << ")");
@@ -82,11 +68,10 @@ Time LockstepEngine::next_exec_due() const {
 }
 
 RunResult run_lockstep(const Network& net, Workload& workload,
-                       OnlineScheduler& scheduler,
-                       LockstepEngine::Reference ref, const RunOptions& opts) {
+                       OnlineScheduler& scheduler, const RunOptions& opts) {
   DTM_REQUIRE(opts.drain_every == 0 && opts.ratio_window == 0,
               "lockstep runs keep the whole log and skip windowed ratios");
-  LockstepEngine engine(net.oracle, workload.objects(), opts.engine, ref);
+  LockstepEngine engine(net.oracle, workload.objects(), opts.engine);
   std::int64_t iterations = 0;
   while (true) {
     const auto arrivals = workload.arrivals_at(engine.now());

@@ -1,15 +1,12 @@
-// Lockstep harness: steps the production SyncEngine and a reference engine
-// with the same arrivals and the same scheduler assignments, and after
-// every step DTM_CHECKs that they agree — the commits of the step (ids,
-// nodes, generation and execution times, in order), next_exec_due(), and
-// every object's full ObjectState.
+// Lockstep harness: steps the production SyncEngine and the reference
+// engine with the same arrivals and the same scheduler assignments, and
+// after every step DTM_CHECKs that they agree — the commits of the step
+// (ids, nodes, generation and execution times, in order), next_exec_due(),
+// and every object's full ObjectState.
 //
-// Two references:
-//   kScan    the paper's synchronous model read literally (ScanEngine) —
-//            proves the calendar, settle queue, scheduled-user heaps and
-//            cached reroute targets change nothing observable;
-//   kSerial  a threads=1 SyncEngine — proves the sharded reroute fan-out of
-//            a threads=N engine changes nothing observable.
+// The reference is the paper's synchronous model read literally
+// (ScanEngine): it proves the calendar, settle queue, scheduled-user heaps
+// and cached reroute targets change nothing observable.
 //
 // The scheduler sees the production engine; the reference only receives
 // its decisions. A fault plan in the engine options applies to both sides.
@@ -27,11 +24,8 @@ namespace dtm::oracle {
 
 class LockstepEngine final : public SystemView {
  public:
-  enum class Reference { kScan, kSerial };
-
   LockstepEngine(std::shared_ptr<const DistanceOracle> oracle,
-                 std::vector<ObjectOrigin> origins, EngineOptions opts,
-                 Reference ref);
+                 std::vector<ObjectOrigin> origins, EngineOptions opts);
 
   // ---- SystemView: the production engine's ----
   [[nodiscard]] Time now() const override { return primary_.now(); }
@@ -77,20 +71,10 @@ class LockstepEngine final : public SystemView {
   [[nodiscard]] std::int64_t steps_checked() const { return steps_checked_; }
 
  private:
-  /// Calls f on the reference engine, whichever kind it is.
-  template <typename F>
-  decltype(auto) on_reference(F&& f) const {
-    return scan_ ? f(*scan_) : f(*serial_);
-  }
-  template <typename F>
-  decltype(auto) on_reference(F&& f) {
-    return scan_ ? f(*scan_) : f(*serial_);
-  }
   void check_objects(Time step) const;
 
   SyncEngine primary_;
-  std::unique_ptr<ScanEngine> scan_;
-  std::unique_ptr<SyncEngine> serial_;
+  ScanEngine scan_;
   std::int64_t steps_checked_ = 0;
 };
 
@@ -101,7 +85,6 @@ class LockstepEngine final : public SystemView {
 /// CheckError at the step where it appears.
 [[nodiscard]] RunResult run_lockstep(const Network& net, Workload& workload,
                                      OnlineScheduler& scheduler,
-                                     LockstepEngine::Reference ref,
                                      const RunOptions& opts = {});
 
 }  // namespace dtm::oracle

@@ -22,7 +22,6 @@ namespace dtm::oracle {
 
 class ScanEngine final : public SystemView {
  public:
-  /// `opts.threads` is ignored: the reference always runs serially.
   ScanEngine(std::shared_ptr<const DistanceOracle> oracle,
              std::vector<ObjectOrigin> origins, EngineOptions opts = {});
 

@@ -1,13 +1,11 @@
-// Parallel-kernel determinism: the commit stream must be byte-identical at
+// Thread-count determinism: the commit stream must be byte-identical at
 // EVERY thread count — not merely self-consistent, but equal to the exact
-// golden pins captured from the serial pre-parallel engine
-// (golden_sequence_test.cpp). The matrix crosses scheduler kinds (engine
-// reroute sharding, bucket wave probing + activation retries, the
-// distributed twin), the production and lockstep-vs-scan paths, fault
-// plans (chaos forces the transport serial — thread counts must still
-// agree), and thread counts {1, 2, 4, hardware}. The lockstep harness
-// against a serial twin (tests/oracle/lockstep.hpp) additionally compares
-// every step of a threads=N engine with a threads=1 one.
+// golden pins captured from the serial engine (golden_sequence_test.cpp).
+// The engine is serial; the parallel surfaces are the bucket cores'
+// gated activation-retry fan-out (ActivationGate) and the trial fan-out.
+// The matrix crosses scheduler kinds (greedy, bucket, the distributed
+// twin), the production and lockstep-vs-scan paths, fault plans, and
+// thread counts {1, 2, 4, hardware}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +19,6 @@
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
-#include "stream/stream_runner.hpp"
 #include "util/parallel.hpp"
 #include "oracle/lockstep.hpp"
 #include "oracle/naive_insertion.hpp"
@@ -29,8 +26,6 @@
 
 namespace dtm {
 namespace {
-
-using Reference = oracle::LockstepEngine::Reference;
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -64,23 +59,18 @@ std::vector<std::int32_t> thread_ladder() {
   return t;
 }
 
-/// The production run, and lockstep runs against each reference.
-enum class Path { kProduction, kLockstepScan, kLockstepSerial };
+/// The production run, and the lockstep run against the scan reference.
+enum class Path { kProduction, kLockstepScan };
 constexpr Path kPaths[] = {Path::kProduction, Path::kLockstepScan};
 
 RunResult run_path(const Network& net, Workload& wl, OnlineScheduler& sched,
                    const RunOptions& opts, Path path) {
-  switch (path) {
-    case Path::kLockstepScan:
-      return oracle::run_lockstep(net, wl, sched, Reference::kScan, opts);
-    case Path::kLockstepSerial:
-      return oracle::run_lockstep(net, wl, sched, Reference::kSerial, opts);
-    default:
-      return run_experiment(net, wl, sched, opts);
-  }
+  return path == Path::kLockstepScan
+             ? oracle::run_lockstep(net, wl, sched, opts)
+             : run_experiment(net, wl, sched, opts);
 }
 
-// --- Engine-only sharding: greedy scheduler, golden pin "star33-greedy" ---
+// --- Greedy: no parallel surface; golden pin "star33-greedy" ---
 
 std::uint64_t run_greedy(Path path, std::int32_t threads) {
   const Network net = make_star(3, 3);
@@ -94,7 +84,7 @@ std::uint64_t run_greedy(Path path, std::int32_t threads) {
   GreedyScheduler sched;
   RunOptions opts;
   opts.engine.latency_factor = 2;
-  opts.engine.threads = threads;
+  opts.engine.threads = threads;  // validated, and inert: the engine is serial
   return hash_result(run_path(net, wl, sched, opts, path));
 }
 
@@ -106,7 +96,7 @@ TEST(ParallelEngine, GreedyMatchesGoldenPinAtEveryThreadCount) {
           << "path " << static_cast<int>(path) << " threads " << t;
 }
 
-// --- Bucket core: wave probing + parallel retries, golden fastpath pin ---
+// --- Bucket core: gated activation retries, golden fastpath pin ---
 
 SyntheticOptions bucket_workload() {
   SyntheticOptions w;
@@ -119,10 +109,12 @@ SyntheticOptions bucket_workload() {
 }
 
 /// With `validating`, A runs behind the oracle decorator: every F_A
-/// makespan (wave probes included) is checked against a validated
-/// schedule, and the suffix pass runs even for key-ordered A.
+/// makespan is checked against a validated schedule, and the suffix pass
+/// runs even for key-ordered A. `stats`, when given, receives the core's
+/// counters.
 std::uint64_t run_bucket(const Network& net, Path path, std::int32_t threads,
-                         bool validating = false) {
+                         bool validating = false,
+                         FastPathStats* stats = nullptr) {
   SyntheticWorkload wl(net, bucket_workload());
   BucketOptions o;
   o.threads = threads;
@@ -131,20 +123,40 @@ std::uint64_t run_bucket(const Network& net, Path path, std::int32_t threads,
   if (validating)
     algo = std::make_shared<oracle::ValidatingBatch>(std::move(algo));
   BucketScheduler sched(std::move(algo), o);
-  RunOptions opts;
-  opts.engine.threads = threads;
-  return hash_result(run_path(net, wl, sched, opts, path));
+  const std::uint64_t h = hash_result(run_path(net, wl, sched, {}, path));
+  if (stats != nullptr) *stats = sched.fastpath_stats();
+  return h;
 }
 
 TEST(ParallelEngine, BucketClusterMatchesGoldenPinAtEveryThreadCount) {
   // cluster234 pin from GoldenSequence.BucketFastPathPinnedOnAllTopologies:
-  // randomized cluster algo — activation retries AND wave probes in play.
+  // randomized cluster algo, so the activation gate is in play.
   const std::uint64_t kPin = 0x0cf2ffb9c53e06ffULL;
   const Network net = make_cluster(2, 3, 4);
-  for (const Path path : kPaths)
-    for (const std::int32_t t : thread_ladder())
-      EXPECT_EQ(run_bucket(net, path, t), kPin)
+  for (const Path path : kPaths) {
+    FastPathStats serial;
+    for (const std::int32_t t : thread_ladder()) {
+      FastPathStats s;
+      EXPECT_EQ(run_bucket(net, path, t, /*validating=*/false, &s), kPin)
           << "path " << static_cast<int>(path) << " threads " << t;
+      if (t == 1) {
+        serial = s;
+        EXPECT_EQ(s.fanouts, 0) << "path " << static_cast<int>(path);
+        continue;
+      }
+      // The level scan is serial, so the insertion work is the same at
+      // every thread count. The gate's cold start fans every size class out
+      // once, so concurrent trials run here (and under TSan).
+      EXPECT_EQ(s.probes, serial.probes) << "threads " << t;
+      EXPECT_EQ(s.estimates, serial.estimates) << "threads " << t;
+      EXPECT_EQ(s.memo_hits, serial.memo_hits) << "threads " << t;
+      EXPECT_EQ(s.levels_skipped, serial.levels_skipped) << "threads " << t;
+      EXPECT_EQ(s.appends, serial.appends) << "threads " << t;
+      EXPECT_EQ(s.activations, serial.activations) << "threads " << t;
+      EXPECT_GE(s.fanouts, 1) << "path " << static_cast<int>(path)
+                              << " threads " << t;
+    }
+  }
   for (const std::int32_t t : thread_ladder())
     EXPECT_EQ(run_bucket(net, Path::kProduction, t, /*validating=*/true), kPin)
         << "validating A, threads " << t;
@@ -157,18 +169,15 @@ TEST(ParallelEngine, BucketLinePinHoldsAndVerifyFastPathStaysSerial) {
     EXPECT_EQ(run_bucket(net, Path::kProduction, t), kPin) << "threads " << t;
     EXPECT_EQ(run_bucket(net, Path::kProduction, t, /*validating=*/true), kPin)
         << "validating A, threads " << t;
-    // The differential scheduler checks every level choice of a serial
-    // core against the naive scan; it must keep landing on the same pin
-    // with a parallel engine underneath.
-    SyntheticWorkload wl(net, bucket_workload());
-    oracle::DifferentialBucketScheduler sched(
-        Registry::make_batch_algo("auto", net));
-    RunOptions opts;
-    opts.engine.threads = t;
-    EXPECT_EQ(hash_result(run_experiment(net, wl, sched, opts)), kPin)
-        << "naive-checked core, threads " << t;
-    EXPECT_GT(sched.levels_checked(), 0);
   }
+  // The differential scheduler checks every level choice of a serial core
+  // against the naive scan, and lands on the same pin.
+  SyntheticWorkload wl(net, bucket_workload());
+  oracle::DifferentialBucketScheduler sched(
+      Registry::make_batch_algo("auto", net));
+  EXPECT_EQ(hash_result(run_experiment(net, wl, sched)), kPin)
+      << "naive-checked core";
+  EXPECT_GT(sched.levels_checked(), 0);
 }
 
 // --- Distributed twin under null and chaos plans (golden dist pins) ---
@@ -191,7 +200,6 @@ std::uint64_t run_dist(const FaultPlan& plan, Path path,
   RunOptions opts;
   opts.engine.latency_factor = 2;
   opts.engine.fault = plan;
-  opts.engine.threads = threads;
   return hash_result(run_path(net, wl, sched, opts, path));
 }
 
@@ -214,8 +222,8 @@ TEST(ParallelEngine, DistBucketNullPlanPinAtEveryThreadCount) {
 }
 
 TEST(ParallelEngine, DistBucketChaosPlanPinAtEveryThreadCount) {
-  // The stall plan forces the transport serial; scheduler-side parallelism
-  // stays on. The chaos pin must hold regardless.
+  // Drops, duplicates, jitter and transfer stalls, with the scheduler's
+  // activation gate live: the chaos pin must hold at every thread count.
   const std::uint64_t kPin = 0x7d0e573c8d14d918ULL;
   for (const Path path : kPaths)
     for (const std::int32_t t : thread_ladder())
@@ -223,58 +231,35 @@ TEST(ParallelEngine, DistBucketChaosPlanPinAtEveryThreadCount) {
           << "path " << static_cast<int>(path) << " threads " << t;
 }
 
-// --- The lockstep harness against a serial twin ---
-
-TEST(ParallelEngine, LockstepSerialTwinMatchesCalendarPins) {
-  for (const std::int32_t t : thread_ladder()) {
-    EXPECT_EQ(run_greedy(Path::kLockstepSerial, t), 0x15943e0c37a4a3deULL)
-        << "threads " << t;
-    EXPECT_EQ(run_bucket(make_cluster(2, 3, 4), Path::kLockstepSerial, t),
-              0x0cf2ffb9c53e06ffULL)
-        << "threads " << t;
-    EXPECT_EQ(run_dist(chaos_plan(), Path::kLockstepSerial, t),
-              0x7d0e573c8d14d918ULL)
-        << "threads " << t;
-  }
-}
-
-// --- Landmark routing: concurrent dist() from the sharded reroute ---
+// --- Landmark routing: concurrent dist() from fanned-out activations ---
 
 TEST(ParallelEngine, LandmarkRoutedRunsIdenticalAcrossThreadCounts) {
-  // The engine's reroute workers query the landmark oracle concurrently
-  // (shared intra-cluster table, query counters); answers, and so commit
+  // Local search is randomized, so the bucket core's activation gate fans
+  // its trials out, and concurrent trials query the landmark oracle
+  // (shared intra-cluster table, query counters). Answers, and so commit
   // streams, must not depend on the thread count. Under TSan this is also
   // the data-race gate for LandmarkRouter.
-  const std::string topo =
-      "random:n=64,extra=96,maxw=3,routing=landmark,landmarks=4";
-  for (const char* sched : {"greedy", "bucket"}) {
-    RunSpec spec;
-    spec.topology = parse_spec(topo);
-    spec.scheduler = parse_spec(sched);
-    spec.workload = parse_spec("synthetic:objects=128,k=2,rounds=2");
-    spec.seed = 7;
-    spec.threads = 1;
-    const std::uint64_t serial = hash_result(run_spec(spec));
-    for (const std::int32_t t : thread_ladder()) {
-      spec.threads = t;
-      EXPECT_EQ(hash_result(run_spec(spec)), serial)
-          << sched << " threads " << t;
-    }
-  }
-  RunSpec stream;
-  stream.topology = parse_spec(topo);
-  stream.scheduler = parse_spec("greedy");
-  stream.stream = parse_spec(
-      "stream:rate=8,objects=512,target=1500,window=256,drain-every=64");
-  stream.seed = 7;
-  const Network net = Registry::make_network(stream.topology);
-  stream.threads = 1;
-  const StreamReport serial = make_stream_runner(net, stream)->run();
+  const Network net = Registry::make_network(parse_spec(
+      "random:n=64,extra=96,maxw=3,routing=landmark,landmarks=4"));
+  SyntheticOptions w;
+  w.num_objects = 48;
+  w.k = 2;
+  w.rounds = 2;
+  w.seed = 7;
+  const Spec sched_spec = parse_spec("bucket:algo=local-search");
+  std::uint64_t serial = 0;
   for (const std::int32_t t : thread_ladder()) {
-    stream.threads = t;
-    const StreamReport r = make_stream_runner(net, stream)->run();
-    EXPECT_EQ(r.commit_hash, serial.commit_hash) << "stream threads " << t;
-    EXPECT_EQ(r.commits, serial.commits) << "stream threads " << t;
+    SyntheticWorkload wl(net, w);
+    const auto sched = Registry::make_scheduler(sched_spec, net, nullptr, t);
+    const std::uint64_t h = hash_result(run_experiment(net, wl, *sched));
+    const auto* bucket = dynamic_cast<const BucketScheduler*>(sched.get());
+    ASSERT_NE(bucket, nullptr);
+    if (t == 1) {
+      serial = h;
+      continue;
+    }
+    EXPECT_EQ(h, serial) << "threads " << t;
+    EXPECT_GE(bucket->fastpath_stats().fanouts, 1) << "threads " << t;
   }
 }
 
@@ -333,8 +318,8 @@ TEST(ParallelEngine, InvalidThreadValuesAreHardErrors) {
 }
 
 TEST(ParallelEngine, RunSpecThreadsDriveTheWholeStack) {
-  // run_spec plumbs RunSpec::threads into the engine AND the scheduler
-  // core; the result must equal the serial run of the same spec.
+  // run_spec plumbs RunSpec::threads into the scheduler core; the result
+  // must equal the serial run of the same spec.
   RunSpec spec;
   spec.topology = parse_spec("cluster:alpha=2,beta=3,gamma=4");
   spec.scheduler = parse_spec("bucket:algo=cluster");

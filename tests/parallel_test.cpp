@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 
 #include "util/parallel.hpp"
@@ -121,6 +122,45 @@ TEST(ThreadPool, ResolveThreadsSemantics) {
   EXPECT_EQ(resolve_threads(0), ThreadPool::hardware_threads());
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
   EXPECT_THROW((void)resolve_threads(-2), CheckError);
+}
+
+TEST(ThreadPool, BackToBackTwoParticipantJobsOnALargerPool) {
+  // More parked workers than each job takes: a job wakes one helper, late
+  // wakers find it closed or full, and the join waits only for the helper
+  // that joined. Every index still runs exactly once, and no job ever has
+  // more than its two participants running at once.
+  using Clock = std::chrono::steady_clock;
+  ThreadPool pool(5);
+  std::vector<std::atomic<int>> hits(8);
+  std::atomic<int> running{0};
+  std::atomic<int> most{0};
+  for (int job = 0; job < 2000; ++job) {
+    // A wide job of empty indices wakes all five workers, and the caller
+    // usually closes it before they arrive: they wake during the next job.
+    pool.run(6, [](std::int64_t) {}, 6, /*chunk=*/1);
+    const std::int64_t count = 2 + job % 7;
+    for (std::int64_t i = 0; i < count; ++i)
+      hits[static_cast<std::size_t>(i)].store(0);
+    most.store(0);
+    pool.run(count, [&](std::int64_t i) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = most.load();
+      while (now > seen && !most.compare_exchange_weak(seen, now)) {
+      }
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+      // A few microseconds per index, so the woken helper usually joins
+      // before the caller has claimed every index.
+      const auto until = Clock::now() + std::chrono::microseconds(5);
+      while (Clock::now() < until) {
+      }
+      running.fetch_sub(1);
+    }, 2, /*chunk=*/1);
+    for (std::int64_t i = 0; i < count; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "job " << job << " index " << i;
+    ASSERT_LE(most.load(), 2) << "job " << job;
+  }
+  EXPECT_EQ(pool.workers(), 5u);
 }
 
 TEST(ThreadPool, OversubscriptionBeyondHardware) {

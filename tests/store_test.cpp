@@ -31,8 +31,7 @@ void run_instance(const Network& net, const Instance& inst, bool lockstep) {
   ScriptedWorkload wl(inst.origins, inst.txns);
   GreedyScheduler greedy;
   const RunResult r =
-      lockstep ? oracle::run_lockstep(net, wl, greedy,
-                                      oracle::LockstepEngine::Reference::kScan)
+      lockstep ? oracle::run_lockstep(net, wl, greedy)
                : run_experiment(net, wl, greedy);
   EXPECT_EQ(r.num_txns, static_cast<std::int64_t>(inst.txns.size()));
   ASSERT_EQ(r.committed.size(), inst.txns.size());
