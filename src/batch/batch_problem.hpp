@@ -8,6 +8,7 @@
 // object availability, so A appends the new schedule after them.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -92,6 +93,10 @@ struct BatchResult {
 
   [[nodiscard]] Time exec_of(TxnId id) const;
 };
+
+/// The cutoff of a makespan query that needs the exact makespan
+/// (BatchScheduler::makespan, chain_makespan).
+inline constexpr Time kNoCutoff = std::numeric_limits<Time>::max();
 
 /// `objects` sorted by id, a repeated id keeping its LAST row: the one rule
 /// for a repeated object row, shared by the chain kernels, the SoA build,

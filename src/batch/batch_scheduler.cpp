@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "batch/soa_problem.hpp"
 
@@ -16,7 +15,7 @@ Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
       horizon = std::max(horizon, o.ready - p.now);
     return horizon;
   }
-  Time f = a.makespan(p, rng);
+  Time f = a.makespan(p, rng, kNoCutoff);
   // F_A covers *all* transactions in the combined set, including the pinned
   // ones folded into availability: an object whose ready time lies in the
   // future keeps the system busy until then even if no new txn touches it
@@ -25,15 +24,22 @@ Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
   return f;
 }
 
+Time BatchScheduler::makespan(const BatchProblem& p, Rng& rng,
+                              Time cutoff) const {
+  // A deterministic A draws nothing, and no makespan is below cutoff <= 0.
+  if (cutoff <= 0 && !randomized()) return 0;
+  return schedule(p, rng).makespan;
+}
+
 namespace {
 
 /// The scalar chain walk behind chain_evaluate and chain_makespan: visits
 /// `order`, each transaction executing as soon as every one of its object
 /// chains arrives, and hands each (txn index, exec) to `emit`. Returns the
-/// makespan.
+/// makespan, or the running makespan once it reaches `cutoff`.
 template <typename Emit>
 Time walk_scalar(const BatchProblem& p, const std::vector<std::size_t>& order,
-                 Emit emit) {
+                 Time cutoff, Emit emit) {
   check_permutation(order, p.txns.size());
   // Flat sorted cursor table instead of a node-based map: this runs under
   // every F_A estimate. The thread_local scratch keeps its capacity.
@@ -60,6 +66,7 @@ Time walk_scalar(const BatchProblem& p, const std::vector<std::size_t>& order,
     for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
     emit(idx, e);
     makespan = std::max(makespan, e - p.now);
+    if (makespan >= cutoff) break;
   }
   return makespan;
 }
@@ -81,9 +88,10 @@ BatchResult chain_evaluate(const BatchProblem& p,
   BatchResult r;
   if (p.math == BatchMathMode::kScalar) {
     r.assignments.reserve(order.size());
-    r.makespan = walk_scalar(p, order, [&](std::size_t idx, Time e) {
-      r.assignments.push_back({p.txns[idx].id, e});
-    });
+    r.makespan =
+        walk_scalar(p, order, kNoCutoff, [&](std::size_t idx, Time e) {
+          r.assignments.push_back({p.txns[idx].id, e});
+        });
   } else {
     r = chain_evaluate_soa(p, soa_view(p), order);
   }
@@ -92,10 +100,10 @@ BatchResult chain_evaluate(const BatchProblem& p,
 }
 
 Time chain_makespan(const BatchProblem& p,
-                    const std::vector<std::size_t>& order) {
+                    const std::vector<std::size_t>& order, Time cutoff) {
   if (p.math == BatchMathMode::kScalar)
-    return walk_scalar(p, order, [](std::size_t, Time) {});
-  return chain_makespan_soa(p, soa_view(p), order);
+    return walk_scalar(p, order, cutoff, [](std::size_t, Time) {});
+  return chain_makespan_soa(p, soa_view(p), order, cutoff);
 }
 
 BatchResult OrderedChainBatch::schedule(const BatchProblem& p,
@@ -103,8 +111,15 @@ BatchResult OrderedChainBatch::schedule(const BatchProblem& p,
   return chain_evaluate(p, policy_(p, rng));
 }
 
-Time OrderedChainBatch::makespan(const BatchProblem& p, Rng& rng) const {
-  return chain_makespan(p, policy_(p, rng));
+Time OrderedChainBatch::makespan(const BatchProblem& p, Rng& rng,
+                                 Time cutoff) const {
+  if (cutoff > 0) return chain_makespan(p, policy_(p, rng), cutoff);
+  // No order's makespan is below cutoff <= 0: take the draws, skip the walk.
+  if (draws_)
+    draws_(p, rng);
+  else if (randomized_)
+    (void)policy_(p, rng);
+  return 0;
 }
 
 namespace {
@@ -157,42 +172,79 @@ std::unique_ptr<OrderedChainBatch> OrderedChainBatch::key_ordered(
 
 namespace {
 
-/// Random ranks for the groups the transactions fall into (cliques, rays):
-/// the distinct group ids in ascending order are shuffled with `rng`, and a
-/// group's rank is its position in the shuffle. Reusable: assign() keeps
-/// the buffers' capacity.
-class ShuffledRanks {
- public:
-  template <typename GroupFn>
-  void assign(const BatchProblem& p, Rng& rng, GroupFn group) {
-    groups_.clear();
-    for (const auto& t : p.txns)
-      if (const auto g = group(t)) groups_.push_back(*g);
-    std::sort(groups_.begin(), groups_.end());
-    groups_.erase(std::unique(groups_.begin(), groups_.end()), groups_.end());
-    // Shuffling positions draws exactly what shuffling the ids would:
-    // perm_[i] is the index of the group the shuffle puts at position i.
-    perm_.resize(groups_.size());
-    std::iota(perm_.begin(), perm_.end(), 0);
-    rng.shuffle(perm_);
-    rank_.resize(groups_.size());
-    for (std::size_t i = 0; i < perm_.size(); ++i)
-      rank_[perm_[i]] = static_cast<NodeId>(i);
-  }
+/// Per-thread scratch of group_shuffled: which groups the current call has
+/// seen (a stamp per group id) and each group's shuffled rank (a dense
+/// table by group id).
+struct GroupScratch {
+  std::vector<std::uint32_t> seen;  ///< per group id: last call that saw it
+  std::uint32_t call = 0;
+  std::vector<NodeId> groups;       ///< distinct groups of this call
+  std::vector<std::size_t> perm;    ///< shuffled positions into groups
+  std::vector<std::int64_t> rank;   ///< per group id: shuffled position
 
-  [[nodiscard]] NodeId rank(NodeId g) const {
-    return rank_[static_cast<std::size_t>(
-        std::lower_bound(groups_.begin(), groups_.end(), g) -
-        groups_.begin())];
+  /// Collects the distinct groups (>= 0) of p's transactions, in first-
+  /// seen order, and shuffles positions: the draws of the whole order.
+  void draw(const BatchProblem& p, const OrderedChainBatch::NodeFn& group,
+            Rng& rng) {
+    if (++call == 0) {  // stamps wrapped: forget every old one
+      std::fill(seen.begin(), seen.end(), 0);
+      call = 1;
+    }
+    groups.clear();
+    for (const BatchTxn& t : p.txns) {
+      const NodeId g = group(t.node);
+      if (g < 0) continue;
+      const auto gi = static_cast<std::size_t>(g);
+      if (gi >= seen.size()) {
+        seen.resize(gi + 1, 0);
+        rank.resize(gi + 1);
+      }
+      if (seen[gi] == call) continue;
+      seen[gi] = call;
+      groups.push_back(g);
+    }
+    // Shuffling positions draws exactly what shuffling the ids would.
+    perm.resize(groups.size());
+    std::iota(perm.begin(), perm.end(), 0);
+    rng.shuffle(perm);
   }
-
- private:
-  std::vector<NodeId> groups_;     ///< distinct group ids, ascending
-  std::vector<std::size_t> perm_;  ///< shuffled group indices
-  std::vector<NodeId> rank_;       ///< rank per entry of groups_
 };
 
+GroupScratch& group_scratch() {
+  static thread_local GroupScratch s;
+  return s;
+}
+
 }  // namespace
+
+std::unique_ptr<OrderedChainBatch> OrderedChainBatch::group_shuffled(
+    std::string policy_name, NodeFn group, NodeFn member) {
+  auto a = std::make_unique<OrderedChainBatch>(
+      std::move(policy_name),
+      [group, member](const BatchProblem& p, Rng& rng) {
+        GroupScratch& s = group_scratch();
+        s.draw(p, group, rng);
+        // The shuffle permuted positions of the ascending group ids:
+        // groups[perm[i]] of the sorted list gets rank i.
+        std::sort(s.groups.begin(), s.groups.end());
+        for (std::size_t i = 0; i < s.perm.size(); ++i)
+          s.rank[static_cast<std::size_t>(s.groups[s.perm[i]])] =
+              static_cast<std::int64_t>(i);
+        // One int64 key, rank * 2^32 + member: (rank, member) order, with
+        // a node outside every group at rank -1.
+        return order_by_key(p, [&](const BatchTxn& t) {
+          const NodeId g = group(t.node);
+          const std::int64_t r =
+              g < 0 ? -1 : s.rank[static_cast<std::size_t>(g)];
+          return r * (std::int64_t{1} << 32) + member(t.node);
+        });
+      },
+      /*is_randomized=*/true);
+  a->draws_ = [group = std::move(group)](const BatchProblem& p, Rng& rng) {
+    group_scratch().draw(p, group, rng);
+  };
+  return a;
+}
 
 std::unique_ptr<BatchScheduler> make_line_batch() {
   // Left-to-right along the line: every object performs one sweep, so its
@@ -225,41 +277,21 @@ std::unique_ptr<BatchScheduler> make_clique_batch() {
 }
 
 std::unique_ptr<BatchScheduler> make_cluster_batch(NodeId beta) {
-  return std::make_unique<OrderedChainBatch>(
-      "cluster-random",
-      [beta](const BatchProblem& p, Rng& rng) {
-        // Random permutation of cliques (the randomized step of [SPAA'17]);
-        // within a clique the bridge node (member 0) goes first so inter-
-        // clique transfers leave as early as possible.
-        static thread_local ShuffledRanks cliques;
-        cliques.assign(p, rng, [&](const BatchTxn& t) {
-          return std::optional<NodeId>(t.node / beta);
-        });
-        return order_by_key(p, [&](const BatchTxn& t) {
-          return std::pair(cliques.rank(t.node / beta), t.node % beta);
-        });
-      },
-      /*is_randomized=*/true);
+  // Random permutation of cliques (the randomized step of [SPAA'17]);
+  // within a clique the bridge node (member 0) goes first so inter-clique
+  // transfers leave as early as possible.
+  return OrderedChainBatch::group_shuffled(
+      "cluster-random", [beta](NodeId u) { return u / beta; },
+      [beta](NodeId u) { return u % beta; });
 }
 
 std::unique_ptr<BatchScheduler> make_star_batch(NodeId beta) {
-  return std::make_unique<OrderedChainBatch>(
+  // Center first; then rays in random order, each walked center-outward —
+  // objects funnel through the hub once per ray.
+  return OrderedChainBatch::group_shuffled(
       "star-random",
-      [beta](const BatchProblem& p, Rng& rng) {
-        // Center first; then rays in random order, each walked center-
-        // outward — objects funnel through the hub once per ray.
-        static thread_local ShuffledRanks rays;
-        rays.assign(p, rng, [&](const BatchTxn& t) {
-          return t.node != 0 ? std::optional<NodeId>((t.node - 1) / beta)
-                             : std::nullopt;
-        });
-        return order_by_key(p, [&](const BatchTxn& t) {
-          if (t.node == 0) return std::pair<NodeId, NodeId>(-1, 0);
-          return std::pair(rays.rank((t.node - 1) / beta),
-                           (t.node - 1) % beta);
-        });
-      },
-      /*is_randomized=*/true);
+      [beta](NodeId u) { return u != 0 ? (u - 1) / beta : NodeId{-1}; },
+      [beta](NodeId u) { return u != 0 ? (u - 1) % beta : NodeId{0}; });
 }
 
 std::unique_ptr<BatchScheduler> make_grid_snake_batch(

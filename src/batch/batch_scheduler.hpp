@@ -37,14 +37,17 @@ class BatchScheduler {
   /// algorithm" remedy for the bad event).
   [[nodiscard]] virtual bool randomized() const { return false; }
 
-  /// The makespan of the schedule schedule(p, rng) returns, from the same
-  /// draws (rng ends in the same state), without building that schedule:
-  /// what F_A probes and suffix candidates need. The default runs
-  /// schedule(); OrderedChainBatch overrides it with a makespan-only chain
-  /// walk.
-  [[nodiscard]] virtual Time makespan(const BatchProblem& p, Rng& rng) const {
-    return schedule(p, rng).makespan;
-  }
+  /// The makespan of the schedule schedule(p, rng) returns, without
+  /// building that schedule: what F_A probes and suffix candidates need.
+  /// Exact when it is below `cutoff`; otherwise any value >= `cutoff`, so a
+  /// caller that only asks "strictly shorter than cutoff?" lets the work
+  /// stop there. `rng` always ends where schedule(p, rng) leaves it, so a
+  /// cutoff <= 0 asks for the draws alone. estimate_fa passes kNoCutoff.
+  /// The default returns at once for a deterministic A with cutoff <= 0
+  /// and otherwise runs schedule(); OrderedChainBatch overrides it with a
+  /// chain walk that stops at the cutoff.
+  [[nodiscard]] virtual Time makespan(const BatchProblem& p, Rng& rng,
+                                      Time cutoff) const;
 
   /// True if re-running this algorithm on any suffix of its own schedule
   /// (in execution order, from the availability its prefix leaves)
@@ -72,9 +75,12 @@ class BatchScheduler {
 
 /// chain_evaluate(p, order).makespan without building or validating the
 /// assignments: the same chain walk (same dispatch on p.math), emitting
-/// nothing. Checks that `order` is a permutation of p's transactions.
+/// nothing. Checks that `order` is a permutation of p's transactions, then
+/// returns as soon as the running makespan reaches `cutoff`, so the result
+/// is exact below `cutoff` and >= `cutoff` otherwise.
 [[nodiscard]] Time chain_makespan(const BatchProblem& p,
-                                  const std::vector<std::size_t>& order);
+                                  const std::vector<std::size_t>& order,
+                                  Time cutoff = kNoCutoff);
 
 /// A batch scheduler defined by an ordering policy over the problem's
 /// transactions. The policy returns a permutation of indices into p.txns.
@@ -84,6 +90,8 @@ class OrderedChainBatch : public BatchScheduler {
       const BatchProblem&, Rng&)>;
   /// A fixed per-transaction sort key: a function of the row alone.
   using TxnKey = std::function<std::int64_t(const BatchTxn&)>;
+  /// A function of a transaction's node (group_shuffled).
+  using NodeFn = std::function<NodeId(NodeId)>;
 
   OrderedChainBatch(std::string policy_name, OrderPolicy policy,
                     bool is_randomized = false)
@@ -99,9 +107,23 @@ class OrderedChainBatch : public BatchScheduler {
   [[nodiscard]] static std::unique_ptr<OrderedChainBatch> key_ordered(
       std::string policy_name, TxnKey key);
 
+  /// Randomized chain order over groups of nodes (cluster cliques, star
+  /// rays): the distinct groups of the problem's transactions, ascending,
+  /// are shuffled with `rng`; transactions go in (group rank, member) order,
+  /// ties by txn id. group(node) < 0 puts a node ahead of every group (the
+  /// star's center); member(node) must lie in [0, 2^32). The draws depend
+  /// only on the number of distinct groups, so makespan() with a cutoff
+  /// <= 0 counts them and shuffles: no sort and no walk.
+  [[nodiscard]] static std::unique_ptr<OrderedChainBatch> group_shuffled(
+      std::string policy_name, NodeFn group, NodeFn member);
+
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng& rng) const override;
-  [[nodiscard]] Time makespan(const BatchProblem& p, Rng& rng) const override;
+  /// chain_makespan of the policy's order, stopping at `cutoff`. With a
+  /// cutoff <= 0 only the draws are taken: group_shuffled's count-and-
+  /// shuffle, another randomized policy's whole order, nothing otherwise.
+  [[nodiscard]] Time makespan(const BatchProblem& p, Rng& rng,
+                              Time cutoff) const override;
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] bool randomized() const override { return randomized_; }
   [[nodiscard]] bool suffix_tight() const override { return suffix_tight_; }
@@ -109,6 +131,8 @@ class OrderedChainBatch : public BatchScheduler {
  private:
   std::string name_;
   OrderPolicy policy_;
+  /// policy_'s draws without its order (set by group_shuffled).
+  std::function<void(const BatchProblem&, Rng&)> draws_;
   bool randomized_;
   bool suffix_tight_ = false;
 };

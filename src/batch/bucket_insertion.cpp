@@ -275,6 +275,7 @@ bool ActivationGate::fan_out(std::size_t rows) const {
   if (k >= classes_.size()) return true;  // a new class fans out first
   const SizeClass& c = classes_[k];
   if (c.serial == 0.0) return c.fanned == 0.0;  // then runs serially once
+  if (c.fanned_run >= kSerialEvery - 1) return false;  // re-measure serial
   return c.lost_at == 0.0 || c.serial >= 2.0 * c.lost_at;
 }
 
@@ -289,8 +290,10 @@ void ActivationGate::record(std::size_t rows, bool fanned,
     // A retry after a loss measures afresh: the old figure is from
     // problems half as costly.
     c.fanned = c.lost_at > 0.0 ? sample : running(c.fanned, sample);
+    ++c.fanned_run;
   } else {
     c.serial = running(c.serial, sample);
+    c.fanned_run = 0;
     if (c.lost_at > 0.0) return;  // a loss stands until serial cost doubles
   }
   c.lost_at = c.fanned >= c.serial ? c.serial : 0.0;

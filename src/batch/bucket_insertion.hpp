@@ -88,12 +88,18 @@ struct FastPathStats {
 /// compute). Activations group into size classes ⌊log2 rows⌋; each class
 /// keeps a running wall time per trial for serial and for fanned-out
 /// activations. A class fans out first and runs serially once, so both
-/// are measured, then runs whichever mode measured cheaper. Once fan-out
-/// has lost, it is tried again only after the class's serial cost has
-/// doubled. Fanning out first matters when a class's first activation is
-/// its costliest: serial-first would forfeit exactly that one.
+/// are measured, then runs whichever mode measured cheaper. While it fans
+/// out, every kSerialEvery-th activation runs serially to re-measure the
+/// serial cost, so one inflated cold serial sample cannot keep a class
+/// fanned out for good. Once fan-out has lost, it is tried again only
+/// after the class's serial cost has doubled. Fanning out first matters
+/// when a class's first activation is its costliest: serial-first would
+/// forfeit exactly that one.
 class ActivationGate {
  public:
+  /// While a class fans out, one activation in this many runs serially.
+  static constexpr std::int32_t kSerialEvery = 8;
+
   /// Whether the next activation of a `rows`-row problem should fan out.
   [[nodiscard]] bool fan_out(std::size_t rows) const;
   /// Folds in one activation's measured wall time per trial.
@@ -104,6 +110,7 @@ class ActivationGate {
     double serial = 0.0;   ///< running s/trial run serially; 0 = unmeasured
     double fanned = 0.0;   ///< running s/trial fanned out; 0 = unmeasured
     double lost_at = 0.0;  ///< `serial` when fan-out lost; 0 = it has not
+    std::int32_t fanned_run = 0;  ///< fanned activations since a serial one
   };
   std::vector<SizeClass> classes_;
 };

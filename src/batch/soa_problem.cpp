@@ -90,10 +90,11 @@ bool BatchProblemSoA::matches(const BatchProblem& p) const {
 namespace {
 
 /// The SoA twin of the scalar chain walk (batch_scheduler.cpp): the same
-/// visit, hands each (txn index, exec) to `emit`, returns the makespan.
+/// visit, hands each (txn index, exec) to `emit`, returns the makespan or
+/// the running makespan once it reaches `cutoff`.
 template <typename Emit>
 Time walk_soa(const BatchProblem& p, const BatchProblemSoA& s,
-              const std::vector<std::size_t>& order, Emit emit) {
+              const std::vector<std::size_t>& order, Time cutoff, Emit emit) {
   check_permutation(order, s.num_txns());
   // Dense cursor arrays indexed by the SoA object index — the SoA analogue
   // of the scalar path's sorted cursor table, with O(1) lookups.
@@ -121,6 +122,7 @@ Time walk_soa(const BatchProblem& p, const BatchProblemSoA& s,
     }
     emit(idx, e);
     makespan = std::max(makespan, e - p.now);
+    if (makespan >= cutoff) break;
   }
   return makespan;
 }
@@ -133,15 +135,15 @@ BatchResult chain_evaluate_soa(const BatchProblem& p,
   const auto ids = s.txn_ids();
   BatchResult r;
   r.assignments.reserve(order.size());
-  r.makespan = walk_soa(p, s, order, [&](std::size_t idx, Time e) {
+  r.makespan = walk_soa(p, s, order, kNoCutoff, [&](std::size_t idx, Time e) {
     r.assignments.push_back({ids[idx], e});
   });
   return r;
 }
 
 Time chain_makespan_soa(const BatchProblem& p, const BatchProblemSoA& s,
-                        const std::vector<std::size_t>& order) {
-  return walk_soa(p, s, order, [](std::size_t, Time) {});
+                        const std::vector<std::size_t>& order, Time cutoff) {
+  return walk_soa(p, s, order, cutoff, [](std::size_t, Time) {});
 }
 
 }  // namespace dtm

@@ -116,9 +116,11 @@ class BatchProblemSoA {
     const std::vector<std::size_t>& order);
 
 /// chain_evaluate_soa(p, s, order).makespan from the same walk, building
-/// no assignments; checks that `order` is a permutation.
+/// no assignments; checks that `order` is a permutation, then stops once
+/// the running makespan reaches `cutoff` (chain_makespan's contract).
 [[nodiscard]] Time chain_makespan_soa(const BatchProblem& p,
                                       const BatchProblemSoA& s,
-                                      const std::vector<std::size_t>& order);
+                                      const std::vector<std::size_t>& order,
+                                      Time cutoff = kNoCutoff);
 
 }  // namespace dtm

@@ -21,6 +21,27 @@ void run_on(const BatchTxn& t, Time exec, std::vector<BatchObject>& avail) {
   }
 }
 
+/// The earliest step `t` can execute at in any feasible schedule that
+/// starts from the sorted availability `avail`: each of its objects needs
+/// at least the direct trip from where it is free, and one step more than
+/// a commit there, the chain walk's arrival rule. A detour through other
+/// users only adds, by the triangle inequality of the metric.
+Time earliest_exec(const BatchProblem& p, const BatchTxn& t,
+                   const std::vector<BatchObject>& avail) {
+  Time e = p.now;
+  for (const ObjId o : t.objects) {
+    const auto it = std::lower_bound(
+        avail.begin(), avail.end(), o,
+        [](const BatchObject& a, ObjId b) { return a.id < b; });
+    DTM_CHECK(it != avail.end() && it->id == o,
+              "object " << o << " missing from problem");
+    Time arrive = it->ready + p.travel(it->node, t.node);
+    if (it->from_txn) arrive = std::max(arrive, it->ready + 1);
+    e = std::max(e, arrive);
+  }
+  return e;
+}
+
 }  // namespace
 
 std::vector<BatchObject> SuffixWrapper::availability_after_prefix(
@@ -48,11 +69,10 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
                             : static_cast<std::int32_t>(4 * n + 8);
 
   // Per pass: execution times aligned with p.txns, the execution order,
-  // each suffix's span, and the availability after the prefix, advanced by
-  // one transaction per suffix start.
+  // and the availability after the prefix, advanced by one transaction per
+  // suffix start.
   std::vector<Time> exec;
   std::vector<std::size_t> order;
-  std::vector<Time> suffix_span(n + 1);
   std::vector<BatchObject> avail;
   std::vector<Time> redo_exec;
   BatchProblem sub;
@@ -69,9 +89,10 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
     changed = false;
     exec_in_problem_order(p, cur, exec);
     order_by_exec(p, exec, order);
-    suffix_span[n] = 0;
-    for (std::size_t i = n; i-- > 0;)
-      suffix_span[i] = std::max(suffix_span[i + 1], exec[order[i]] - p.now);
+    // The last transaction z in execution order ends every suffix, so each
+    // suffix spans the current makespan.
+    const BatchTxn& z = p.txns[order[n - 1]];
+    const Time span_now = exec[order[n - 1]] - p.now;
     sorted_objects(p.objects, avail);
     // Longest proper suffix first, as in the paper.
     for (std::size_t start = 1; start < n && budget > 0; ++start) {
@@ -81,11 +102,18 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
       for (std::size_t i = start; i < n; ++i)
         sub.txns[i - start] = p.txns[order[i]];
       --budget;
-      // Candidates are compared by makespan alone; only an adopted one is
-      // built, re-run from the same draws so the stream stays unchanged.
+      // If z cannot execute earlier than it does, no schedule of this
+      // suffix is strictly shorter: the candidate costs only its draws.
+      if (earliest_exec(p, z, avail) - p.now >= span_now) {
+        (void)inner_->makespan(sub, rng, 0);
+        continue;
+      }
+      // Candidates are compared by makespan alone, walked only until they
+      // reach the current one; only an adopted one is built, re-run from
+      // the same draws so the stream stays unchanged.
       const Rng before = rng;
-      const Time span = inner_->makespan(sub, rng);
-      if (span < suffix_span[start]) {
+      const Time span = inner_->makespan(sub, rng, span_now);
+      if (span < span_now) {
         rng = before;
         const BatchResult redo = inner_->schedule(sub, rng);
         DTM_CHECK(redo.makespan == span,

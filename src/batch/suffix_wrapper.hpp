@@ -6,10 +6,19 @@
 // As in the paper, the property is established by repeatedly re-running A on
 // violating suffixes, longest first, until no suffix violates it. The
 // wrapper preserves feasibility at every step (suffix re-schedules are
-// computed against availability induced by the prefix). Candidates are
-// compared through A's makespan(); only an adopted one is built. For a
-// suffix_tight() A (key-ordered chain algorithms) every re-run reproduces
-// its suffix exactly, so the pass is skipped.
+// computed against availability induced by the prefix). A candidate is
+// adopted only when it is strictly shorter than the current makespan, so
+// each one costs only what that question needs, with every draw of A
+// taken as a full re-run would take it:
+//   - the last transaction z in execution order ends every suffix. When
+//     z's earliest arrival from the prefix's availability (the chain
+//     walk's rule; by the triangle inequality no schedule does better)
+//     already reaches the makespan, the candidate cannot win and A is
+//     asked for its draws alone (makespan() with cutoff 0);
+//   - every other candidate is scored by makespan() with the current
+//     makespan as cutoff, and only an adopted one is built.
+// For a suffix_tight() A (key-ordered chain algorithms) every re-run
+// reproduces its suffix exactly, so the pass is skipped.
 #pragma once
 
 #include <memory>

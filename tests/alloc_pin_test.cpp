@@ -1,4 +1,5 @@
-// Zero-allocation regression pins for the messaging hot path (PERF.md §8).
+// Zero-allocation regression pins for the messaging hot path (PERF.md §8)
+// and for the draws-only suffix candidate of the batch layer (PERF.md §14).
 //
 // Built with -DDTM_ALLOC_TRACK=ON these tests assert, via the counting
 // operator new/delete hooks, that the steady-state send → drain loop — the
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch/batch_scheduler.hpp"
 #include "dist/bus.hpp"
 #include "net/topology.hpp"
 #include "util/alloc.hpp"
@@ -140,6 +142,61 @@ TEST(AllocPin, SpilledReplyPoolRoundTripIsAllocationFree) {
   EXPECT_EQ(scope.allocs(), 0)
       << "pooled spilled-reply loop allocated (" << scope.allocs()
       << " allocs / " << kMeasuredSteps << " steps)";
+}
+
+TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
+  // A suffix candidate that cannot win costs only A's draws: makespan()
+  // with cutoff 0. For the group-shuffled cluster and star orders that is
+  // a stamp-table count of the distinct groups plus a shuffle, all on
+  // thread-local scratch, so once warmed it must not touch the allocator.
+  struct Case {
+    Network net;
+    std::unique_ptr<BatchScheduler> algo;
+    std::vector<BatchProblem> problems;
+  };
+  std::vector<Case> cases;
+  cases.push_back({make_cluster(4, 4, 8), make_cluster_batch(4), {}});
+  cases.push_back({make_star(4, 3), make_star_batch(3), {}});
+  Rng draw(17);
+  for (Case& c : cases) {
+    const NodeId nodes = c.net.num_nodes();
+    for (int i = 0; i < 8; ++i) {
+      BatchProblem p;
+      p.oracle = c.net.oracle.get();
+      p.now = 5;
+      for (ObjId o = 0; o < 6; ++o)
+        p.objects.push_back(
+            {o, static_cast<NodeId>(draw.uniform_int(0, nodes - 1)), 5,
+             false});
+      for (TxnId t = 0; t < 4 + 2 * i; ++t)
+        p.txns.push_back(
+            {t, static_cast<NodeId>(draw.uniform_int(0, nodes - 1)),
+             {static_cast<ObjId>(draw.uniform_int(0, 5))}});
+      c.problems.push_back(std::move(p));
+    }
+  }
+  Rng rng(3);
+  const auto sweep = [&] {
+    Time sum = 0;
+    for (const Case& c : cases)
+      for (const BatchProblem& p : c.problems)
+        sum += c.algo->makespan(p, rng, 0);
+    return sum;
+  };
+  EXPECT_EQ(sweep(), 0);  // warm-up: scratch grows to the largest problem
+
+  const Rng before = rng;
+  AllocScope scope;
+  Time sum = 0;
+  for (int i = 0; i < 64; ++i) sum += sweep();
+  const std::int64_t allocs = scope.allocs();
+  const std::int64_t bytes = scope.bytes();
+  EXPECT_EQ(sum, 0);
+  EXPECT_FALSE(rng == before);  // the draws were taken
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_EQ(allocs, 0) << "draw-only makespan() allocated";
+  EXPECT_EQ(bytes, 0);
 }
 
 TEST(AllocPin, CountersAgreeWithTrackingMode) {

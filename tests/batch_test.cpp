@@ -78,6 +78,21 @@ TEST(ChainEvaluate, RejectsBadOrderSize) {
   EXPECT_THROW((void)chain_makespan(p, {0, 2, 0}), CheckError);
   EXPECT_EQ(chain_makespan(p, {0, 1, 2}),
             chain_evaluate(p, {0, 1, 2}).makespan);
+  // A walk that would stop at its first transaction checks the whole order
+  // first, on both math paths.
+  for (const BatchMathMode math :
+       {BatchMathMode::kScalar, BatchMathMode::kSoA}) {
+    BatchProblem q = p;
+    q.math = math;
+    EXPECT_THROW((void)chain_makespan(q, {0, 1}, 1), CheckError);
+    EXPECT_THROW((void)chain_makespan(q, {0, 2, 0}, 1), CheckError);
+    EXPECT_THROW((void)chain_makespan(q, {0, 1, 3}, 0), CheckError);
+    // Below the cutoff the answer is exact; at or above it, at least it.
+    EXPECT_EQ(chain_makespan(q, {0, 1, 2}, 11), 10);
+    EXPECT_GE(chain_makespan(q, {0, 1, 2}, 10), 10);
+    EXPECT_GE(chain_makespan(q, {0, 1, 2}, 3), 3);
+    EXPECT_LT(chain_makespan(q, {0, 1, 2}, 3), 10);  // it stopped early
+  }
 }
 
 TEST(EstimateFa, EmptyProblemUsesHorizon) {
@@ -167,16 +182,23 @@ TEST_P(BatchSchedulerSweep, FeasibleAndAboveLowerBound) {
       t.accesses = write_set({objs[0], objs[1]});
       txns.push_back(t);
     }
-    // makespan() answers schedule()'s makespan from the same draws and
-    // leaves the Rng where schedule() leaves it, on both math paths.
+    // makespan() answers schedule()'s makespan exactly below its cutoff
+    // and at least the cutoff otherwise, and leaves the Rng where
+    // schedule() leaves it whatever the cutoff, on both math paths.
     for (const BatchMathMode math :
          {BatchMathMode::kScalar, BatchMathMode::kSoA}) {
       p.math = math;
-      Rng a = rng;
-      Rng b = rng;
-      EXPECT_EQ(algo->makespan(p, a), algo->schedule(p, b).makespan)
-          << c.label;
-      EXPECT_TRUE(a == b) << c.label;
+      Rng built_rng = rng;
+      const Time m = algo->schedule(p, built_rng).makespan;
+      for (const Time cutoff : {Time{0}, Time{1}, m, m + 1, kNoCutoff}) {
+        Rng a = rng;
+        const Time got = algo->makespan(p, a, cutoff);
+        if (m < cutoff)
+          EXPECT_EQ(got, m) << c.label << " cutoff " << cutoff;
+        else
+          EXPECT_GE(got, cutoff) << c.label << " cutoff " << cutoff;
+        EXPECT_TRUE(a == built_rng) << c.label << " cutoff " << cutoff;
+      }
     }
     p.math = BatchMathMode::kScalar;
     // schedule() internally runs check_batch_result (feasibility); if it

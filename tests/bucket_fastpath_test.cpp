@@ -386,5 +386,40 @@ TEST(ActivationGate, RetriesFanOutOnlyOnceSerialCostDoubled) {
   EXPECT_FALSE(g.fan_out(1));
 }
 
+TEST(ActivationGate, ReMeasuresSerialCostWhileFannedOut) {
+  // Both modes truly cost about the same (serial 10 µs, fanned 11 µs per
+  // trial), but the one cold serial sample read 4× the true cost.
+  ActivationGate g;
+  ASSERT_TRUE(g.fan_out(20));
+  g.record(20, /*fanned=*/true, 11e-6);
+  ASSERT_FALSE(g.fan_out(20));
+  g.record(20, /*fanned=*/false, 40e-6);
+  int serial_runs = 0;
+  for (int i = 0; i < 200; ++i) {
+    const bool fan = g.fan_out(20);
+    if (!fan) ++serial_runs;
+    g.record(20, fan, fan ? 11e-6 : 10e-6);
+  }
+  // The class went back to serial: every 8th activation re-measured the
+  // serial cost until it fell below the fanned one, and fan-out lost.
+  EXPECT_GT(serial_runs, 100);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_FALSE(g.fan_out(20)) << "activation " << i;
+    g.record(20, /*fanned=*/false, 10e-6);
+  }
+  // While fan-out keeps winning, one activation in kSerialEvery still runs
+  // serially.
+  ActivationGate h;
+  h.record(20, /*fanned=*/true, 5e-6);
+  h.record(20, /*fanned=*/false, 10e-6);
+  int fanned = 0;
+  for (int i = 0; i < 8 * ActivationGate::kSerialEvery; ++i) {
+    const bool fan = h.fan_out(20);
+    fanned += fan;
+    h.record(20, fan, fan ? 5e-6 : 10e-6);
+  }
+  EXPECT_EQ(fanned, 7 * ActivationGate::kSerialEvery);
+}
+
 }  // namespace
 }  // namespace dtm

@@ -13,6 +13,7 @@
 #include "net/topology.hpp"
 #include "oracle/map_kernels.hpp"
 #include "sim/engine.hpp"
+#include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
 #include "util/flat_map.hpp"
@@ -193,40 +194,110 @@ TEST(MapFreeKernels, OrderPoliciesMatchMapReferences) {
   }
 }
 
-// The reference runs the suffix pass on every inner; the flat wrapper skips
-// it for suffix-tight (key-ordered) ones, so equal results there mean the
-// pass never adopted a candidate.
+// The reference runs the suffix pass on every inner and re-runs schedule()
+// on every candidate; the flat wrapper skips the pass for suffix-tight
+// (key-ordered) inners, takes only the draws of a candidate whose last
+// transaction cannot arrive earlier, and walks the others only up to the
+// current makespan. Equal results and equal Rng end states mean none of
+// that changed a decision or a draw. The landmark-routed graph checks the
+// arrival bound under an approximate (but metric) distance.
 TEST(MapFreeKernels, SuffixWrapperMatchesPrefixReplayReference) {
-  const Network net = make_cluster(3, 4, 6);
+  std::vector<Network> nets;
+  nets.push_back(make_cluster(3, 4, 6));
+  nets.push_back(Registry::make_network(parse_spec(
+      "random:n=40,extra=60,maxw=3,routing=landmark,landmarks=3")));
   std::vector<std::shared_ptr<const BatchScheduler>> inners = {
-      make_tsp_batch(),          make_sequential_batch(),
-      make_cluster_batch(4),     make_line_batch(),
-      make_coloring_batch(),     make_grid_snake_batch({3, 4}),
-      make_hypercube_gray_batch()};
+      make_tsp_batch(),
+      make_sequential_batch(),
+      make_cluster_batch(4),
+      make_star_batch(4),
+      make_line_batch(),
+      make_coloring_batch(),
+      make_grid_snake_batch({3, 4}),
+      make_hypercube_gray_batch(),
+      make_local_search_batch(3)};
   Rng draw(5);
-  for (const auto& inner : inners) {
-    const SuffixWrapper flat(inner);
-    const oracle::SuffixWrapper ref(inner);
-    for (int trial = 0; trial < 40; ++trial) {
-      const BatchProblem p = random_problem(net, draw, 1 + trial % 10,
-                                            2 + trial % 4, trial % 4 == 0);
-      Rng a(trial + 1);
-      Rng b(trial + 1);
-      const BatchResult r = flat.schedule(p, a);
-      expect_same_result(r, ref.schedule(p, b));
-      for (std::size_t k = 0; k <= p.txns.size(); ++k) {
-        const auto got = SuffixWrapper::availability_after_prefix(p, r, k);
-        const auto want = oracle::availability_after_prefix(p, r, k);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].id, want[i].id);
-          EXPECT_EQ(got[i].node, want[i].node);
-          EXPECT_EQ(got[i].ready, want[i].ready);
-          EXPECT_EQ(got[i].from_txn, want[i].from_txn);
+  for (const Network& net : nets) {
+    for (const auto& inner : inners) {
+      const SuffixWrapper flat(inner);
+      const oracle::SuffixWrapper ref(inner);
+      for (int trial = 0; trial < 40; ++trial) {
+        const BatchProblem p = random_problem(net, draw, 1 + trial % 10,
+                                              2 + trial % 4, trial % 4 == 0);
+        Rng a(trial + 1);
+        Rng b(trial + 1);
+        const BatchResult r = flat.schedule(p, a);
+        expect_same_result(r, ref.schedule(p, b));
+        EXPECT_TRUE(a == b) << inner->name() << " trial " << trial;
+        for (std::size_t k = 0; k <= p.txns.size(); ++k) {
+          const auto got = SuffixWrapper::availability_after_prefix(p, r, k);
+          const auto want = oracle::availability_after_prefix(p, r, k);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].id, want[i].id);
+            EXPECT_EQ(got[i].node, want[i].node);
+            EXPECT_EQ(got[i].ready, want[i].ready);
+            EXPECT_EQ(got[i].from_txn, want[i].from_txn);
+          }
         }
       }
     }
   }
+}
+
+/// Counts how a suffix pass asks its inner A: walked (makespan() with a
+/// positive cutoff), drawn only (cutoff <= 0) and built (schedule()).
+class CountingBatch final : public BatchScheduler {
+ public:
+  explicit CountingBatch(std::shared_ptr<const BatchScheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] BatchResult schedule(const BatchProblem& p,
+                                     Rng& rng) const override {
+    ++built;
+    return inner_->schedule(p, rng);
+  }
+  [[nodiscard]] Time makespan(const BatchProblem& p, Rng& rng,
+                              Time cutoff) const override {
+    ++(cutoff > 0 ? walked : drawn);
+    return inner_->makespan(p, rng, cutoff);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool randomized() const override {
+    return inner_->randomized();
+  }
+
+  mutable std::int64_t walked = 0;
+  mutable std::int64_t drawn = 0;
+  mutable std::int64_t built = 0;
+
+ private:
+  std::shared_ptr<const BatchScheduler> inner_;
+};
+
+// How many suffix candidates the pass walks, takes only the draws of, and
+// adopts, on a fixed-seed stream of random cluster problems. A bound that
+// silently stopped ruling candidates out, or ruled out winners, moves
+// these counts; the results must also equal the reference pass.
+TEST(MapFreeKernels, SuffixPassCountsWalkedDrawnAndAdopted) {
+  const Network net = make_cluster(4, 4, 8);
+  const auto counting = std::make_shared<CountingBatch>(make_cluster_batch(4));
+  const SuffixWrapper flat(counting);
+  const oracle::SuffixWrapper ref(make_cluster_batch(4));
+  Rng draw(2026);
+  constexpr int kProblems = 200;
+  for (int trial = 0; trial < kProblems; ++trial) {
+    const BatchProblem p =
+        random_problem(net, draw, 4 + trial % 17, 3 + trial % 6);
+    Rng a(static_cast<std::uint64_t>(trial) + 11);
+    Rng b(static_cast<std::uint64_t>(trial) + 11);
+    expect_same_result(flat.schedule(p, a), ref.schedule(p, b));
+    EXPECT_TRUE(a == b) << "trial " << trial;
+  }
+  const std::int64_t adopted = counting->built - kProblems;
+  EXPECT_EQ(counting->walked, 2082);
+  EXPECT_EQ(counting->drawn, 363);
+  EXPECT_EQ(adopted, 110);
 }
 
 TEST(MapFreeKernels, ValidateScheduleMatchesMapReference) {

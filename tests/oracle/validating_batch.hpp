@@ -1,7 +1,9 @@
 // Validating decorator over a batch algorithm: every schedule() result is
 // checked against the map-based reference validator, and every makespan()
-// answer against a validated schedule() run from a copy of the Rng — same
-// makespan, same draws. It never declares suffix_tight(), so a
+// answer against a validated schedule() run from a copy of the Rng under
+// the cutoff contract — the same makespan below the cutoff, both at or
+// above it otherwise, and the same draws either way (cutoff 0, the
+// draws-only call, included). It never declares suffix_tight(), so a
 // SuffixWrapper around it runs the suffix pass as an oracle: for a
 // suffix-tight inner the pass must adopt nothing, which the unchanged
 // commit hash of a pinned run shows.
@@ -27,16 +29,24 @@ class ValidatingBatch final : public BatchScheduler {
     return r;
   }
 
-  [[nodiscard]] Time makespan(const BatchProblem& p,
-                              Rng& rng) const override {
+  [[nodiscard]] Time makespan(const BatchProblem& p, Rng& rng,
+                              Time cutoff) const override {
     Rng replay = rng;
-    const Time m = inner_->makespan(p, rng);
+    const Time m = inner_->makespan(p, rng, cutoff);
     const Time built = schedule(p, replay).makespan;
-    DTM_CHECK(m == built, "makespan() of " << inner_->name() << " is " << m
-                                          << ", schedule() says " << built);
+    if (built < cutoff)
+      DTM_CHECK(m == built, "makespan() of " << inner_->name() << " is " << m
+                                            << ", schedule() says " << built
+                                            << " (cutoff " << cutoff << ")");
+    else
+      DTM_CHECK(m >= cutoff, "makespan() of "
+                                 << inner_->name() << " is " << m
+                                 << " below cutoff " << cutoff
+                                 << ", schedule() says " << built);
     DTM_CHECK(replay == rng, "makespan() and schedule() of "
                                  << inner_->name()
-                                 << " drew different streams");
+                                 << " drew different streams (cutoff "
+                                 << cutoff << ")");
     return m;
   }
 
