@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Flat gprof profile, with call counts, of bench/e2e workloads.
+# gprof's flat profile, with call counts, and call graph of bench/e2e
+# workloads.
 #
 # Builds the bench/e2e project (Release, plus -pg) into a directory outside
 # the source tree, runs each named workload's frozen spec from
 # bench/e2e/workloads.json (read only, never edited) through bench_e2e with
 # untraced reps only, and prints gprof's flat profile: self time and the
 # number of calls of every function. Call counts are exact for a given
-# seed, so they compare two commits without timing noise.
+# seed, so they compare two commits without timing noise. It then prints
+# the largest inclusive entries of gprof's call graph (a function's own
+# time plus its callees'): a cost spread over many small callees shows
+# there as one entry, where the flat profile splits it.
 #
 # Usage: scripts/profile_e2e.sh [--build-dir DIR] [--seed N] [--reps N]
 #                               [--top N] WORKLOAD...
@@ -14,7 +18,8 @@
 #                under dtm-profile-e2e); reused by later calls
 #   --seed       workload seed (default: the catalogue's default seed)
 #   --reps       untraced reps after one warm-up (default 4)
-#   --top        lines of the flat profile to print (default 40)
+#   --top        lines of the flat profile, and entries of the call
+#                graph, to print (default 40)
 #   WORKLOAD     a name from `bench/e2e/run.sh --list`
 #
 # Example: scripts/profile_e2e.sh --reps 6 serve-dist-cluster
@@ -32,7 +37,7 @@ while [ $# -gt 0 ]; do
     --seed) seed="$2"; shift 2 ;;
     --reps) reps="$2"; shift 2 ;;
     --top) top="$2"; shift 2 ;;
-    -h|--help) sed -n '2,20p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,25p' "$0"; exit 0 ;;
     -*) echo "unknown flag '$1'" >&2; exit 2 ;;
     *) workloads+=("$1"); shift ;;
   esac
@@ -84,5 +89,11 @@ EOF
   # never dies of a closed pipe (pipefail would stop the loop).
   gprof -b -p "$build/bench_e2e" "$run/gmon.out" |
     awk -v n="$top" 'NR <= n { print substr($0, 1, 200) }'
+  # gprof numbers the call graph's primary lines ("[k]") by inclusive
+  # time, largest first; the lines between them are callers and callees.
+  echo "== $name call graph, largest inclusive entries"
+  echo "index  % time    self  children    called     name"
+  gprof -b -q "$build/bench_e2e" "$run/gmon.out" |
+    awk -v n="$top" '/^\[[0-9]+\]/ && ++k <= n { print substr($0, 1, 200) }'
   rm -rf "$run"
 done

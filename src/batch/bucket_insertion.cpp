@@ -292,7 +292,12 @@ void ActivationGate::record(std::size_t rows, bool fanned,
     c.fanned = c.lost_at > 0.0 ? sample : running(c.fanned, sample);
     ++c.fanned_run;
   } else {
-    c.serial = running(c.serial, sample);
+    // A re-measure while fan-out wins replaces the serial figure, as a
+    // retry after a loss replaces the fanned one: one inflated cold sample
+    // must not outlive it by more than one re-measure. After a loss the
+    // samples fold, so one costly problem does not start a retry.
+    const bool re_measure = c.fanned_run > 0 && c.lost_at == 0.0;
+    c.serial = re_measure ? sample : running(c.serial, sample);
     c.fanned_run = 0;
     if (c.lost_at > 0.0) return;  // a loss stands until serial cost doubles
   }

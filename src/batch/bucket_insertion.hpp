@@ -89,12 +89,13 @@ struct FastPathStats {
 /// keeps a running wall time per trial for serial and for fanned-out
 /// activations. A class fans out first and runs serially once, so both
 /// are measured, then runs whichever mode measured cheaper. While it fans
-/// out, every kSerialEvery-th activation runs serially to re-measure the
-/// serial cost, so one inflated cold serial sample cannot keep a class
-/// fanned out for good. Once fan-out has lost, it is tried again only
-/// after the class's serial cost has doubled. Fanning out first matters
-/// when a class's first activation is its costliest: serial-first would
-/// forfeit exactly that one.
+/// out, every kSerialEvery-th activation runs serially, and its sample
+/// replaces the serial cost (every other serial sample folds into it), so
+/// one inflated cold serial sample is gone within kSerialEvery
+/// activations. Once fan-out has lost, it is tried again only after the
+/// class's running serial cost has doubled. Fanning out first matters when a
+/// class's first activation is its costliest: serial-first would forfeit
+/// exactly that one.
 class ActivationGate {
  public:
   /// While a class fans out, one activation in this many runs serially.

@@ -90,8 +90,9 @@ class OnlineScheduler {
 
   /// Additional timed event sources the runner's EventClock must merge
   /// (e.g. the distributed protocol's MessageBus) — so schedulers don't
-  /// special-case delivery times inside next_event_hint. Pointers must stay
-  /// valid for the scheduler's lifetime.
+  /// special-case delivery times inside next_event_hint. The list is fixed
+  /// for the scheduler's lifetime, and so are the pointers: a run loop may
+  /// read it once, when it starts driving the scheduler.
   [[nodiscard]] virtual std::vector<const EventSource*> event_sources()
       const {
     return {};

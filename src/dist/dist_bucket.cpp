@@ -78,7 +78,7 @@ std::vector<Assignment> DistributedBucketScheduler::on_step(
   std::vector<Assignment> out;
   ExtraAssignments extra;
 
-  if (opts_.message_level_discovery) trails_.observe_watched(now);
+  if (opts_.message_level_discovery) trails_.observe_announced(now);
 
   // 1. New transactions start discovery (Algorithm 3 lines 2-6).
   for (const Transaction& t : arrivals) {
@@ -507,12 +507,15 @@ void DistributedBucketScheduler::activate(const SystemView& view,
       out.push_back(final);
       extra.set(final.txn, final.exec);
       trace(final.txn).exec = final.exec;
-      // The engine reroutes this txn's objects when it applies the
-      // assignment and again when the txn commits at final.exec: the only
-      // events that move a resting object.
+      // The engine reroutes this txn's objects only when it applies the
+      // assignment (after this step's pass) and when the txn commits at
+      // final.exec (after that step's pass); every other transaction using
+      // them is assigned here too. The first pass after each reads them.
       if (opts_.message_level_discovery)
-        for (const auto& acc : view.txn(final.txn).accesses)
-          trails_.watch(acc.obj, final.exec);
+        for (const auto& acc : view.txn(final.txn).accesses) {
+          trails_.announce(acc.obj, now + 1);
+          trails_.announce(acc.obj, final.exec + 1);
+        }
     }
     b.members.clear();
     core_.on_drained(b.id);

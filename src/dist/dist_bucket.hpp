@@ -290,7 +290,7 @@ class DistributedBucketScheduler final : public OnlineScheduler {
   std::priority_queue<ReportRetry, std::vector<ReportRetry>, std::greater<>>
       report_retries_;
   /// Every object a discovery has touched. The per-step pass reads only
-  /// those in transit or watched after an assignment (activate()).
+  /// those activate() announced for a step the engine can have moved them.
   ObjectTrailDirectory trails_;
   /// Live discoveries: txn -> slot in discovery_slots_. Finished slots go
   /// to the free list and are reused, so the pool is as large as the peak

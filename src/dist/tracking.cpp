@@ -45,25 +45,15 @@ bool ObjectTrailDirectory::track(const ObjectState& obj) {
   Trail& t = add(obj.id(), obj.in_transit() ? obj.dest() : obj.at());
   t.state = &obj;
   t.observe(obj);
-  if (obj.in_transit())
-    enlist(static_cast<std::int32_t>(trails_.size()) - 1);
+  ++reads_;
   return true;
 }
 
-void ObjectTrailDirectory::enlist(std::int32_t slot) {
-  Trail& t = trails_[static_cast<std::size_t>(slot)];
-  if (t.watched) return;
-  t.watched = true;
-  watched_.push_back(slot);
-}
-
-void ObjectTrailDirectory::watch(ObjId id, Time until) {
+void ObjectTrailDirectory::announce(ObjId id, Time step) {
   const std::int32_t slot = find(id);
   DTM_REQUIRE(slot >= 0 && trails_[static_cast<std::size_t>(slot)].state,
-              "watch of untracked object " << id);
-  Trail& t = trails_[static_cast<std::size_t>(slot)];
-  t.watch_until = std::max(t.watch_until, until);
-  enlist(slot);
+              "announce of untracked object " << id);
+  announced_.emplace(step, slot);
 }
 
 NodeId ObjectTrailDirectory::birth_node(ObjId id) const {
@@ -76,17 +66,13 @@ void ObjectTrailDirectory::observe(const ObjectState& obj, Time /*now*/) {
   trails_[static_cast<std::size_t>(slot)].observe(obj);
 }
 
-void ObjectTrailDirectory::observe_watched(Time now) {
-  std::size_t kept = 0;
-  for (const std::int32_t slot : watched_) {
-    Trail& t = trails_[static_cast<std::size_t>(slot)];
+void ObjectTrailDirectory::observe_announced(Time now) {
+  while (!announced_.empty() && announced_.top().first <= now) {
+    Trail& t = trails_[static_cast<std::size_t>(announced_.top().second)];
+    announced_.pop();
     t.observe(*t.state);
-    if (t.state->in_transit() || t.watch_until >= now)
-      watched_[kept++] = slot;
-    else
-      t.watched = false;
+    ++reads_;
   }
-  watched_.resize(kept);
 }
 
 void ObjectTrailDirectory::Trail::observe(const ObjectState& obj) {

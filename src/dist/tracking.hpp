@@ -13,14 +13,20 @@
 // them for the per-message queries), and each trail's pointers are a small
 // node-sorted vector. Objects registered through track() also hold a
 // reference to the engine's live ObjectState, and the per-step mirror pass
-// (observe_watched) reads only the objects that can have changed since the
-// last pass: those in transit, and those the caller has announced may start
-// moving (watch). An object at rest with no announced motion cannot change
-// state, so skipping it leaves every trail exactly as a pass over all
-// objects would — at a cost proportional to the objects in motion.
+// (observe_announced) reads an object only when the engine can have moved
+// it since the last pass. A trail records the leg laid at a departure, the
+// terminus and the leg's signature; only a reroute changes them. Settling
+// leaves the terminus where the leg ends and a stall moves only the
+// arrival, which no trail reads. The caller, which makes every assignment,
+// announces each step after which the engine may reroute an object (the
+// assignment's apply and its commit), and the first pass after it reads
+// the object — so every trail is exactly what a pass over all objects at
+// every step would leave, at a cost proportional to the objects moved.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -37,16 +43,16 @@ class ObjectTrailDirectory {
 
   /// Starts tracking the engine's live record `obj`: registers it with its
   /// current resting place (or inbound node) as the birth node, observes it
-  /// once, and keeps the reference for observe_watched(). The record must
+  /// once, and keeps the reference for observe_announced(). The record must
   /// outlive the directory (SystemView::object references do for the run).
   /// Returns false, and does nothing, if the object is already registered.
   bool track(const ObjectState& obj);
 
-  /// Announces that tracked object `id` may leave its resting place (or be
-  /// redirected) at any step up to and including `until` — in the engine,
-  /// when a transaction using it is assigned or commits. observe_watched()
-  /// keeps observing it until a pass after `until` finds it at rest.
-  void watch(ObjId id, Time until);
+  /// Announces that the engine may reroute tracked object `id` before the
+  /// pass of step `step`: the first observe_announced() at `step` or later
+  /// reads it once. A reroute at step s (an assignment's apply, a commit)
+  /// comes after that step's pass, so it is announced for s + 1.
+  void announce(ObjId id, Time step);
 
   [[nodiscard]] bool contains(ObjId id) const { return find(id) >= 0; }
 
@@ -57,14 +63,14 @@ class ObjectTrailDirectory {
   /// object left with the exact departure time read off the leg.
   void observe(const ObjectState& obj, Time now);
 
-  /// observe() at step `now` for every tracked object that can have
-  /// changed: those in transit at the previous pass and those watched,
-  /// each read through its held reference. Objects found at rest whose
-  /// watch has expired (until < now) leave the pass until watched again.
-  void observe_watched(Time now);
+  /// observe() at step `now`, through its held reference, of every object
+  /// announced for step `now` or earlier and not yet read — once per
+  /// announcement — and of nothing else.
+  void observe_announced(Time now);
 
-  /// Objects the next observe_watched() pass will read.
-  [[nodiscard]] std::size_t num_watched() const { return watched_.size(); }
+  /// Reads through held references so far: one per track() and one per
+  /// announcement a pass consumed.
+  [[nodiscard]] std::int64_t num_reads() const { return reads_; }
 
   /// What a probe physically standing at `node` at time `now` learns about
   /// the object: either "departed toward X at time T" (follow the trail,
@@ -110,10 +116,6 @@ class ObjectTrailDirectory {
     Time leg_depart = kNoTime;
     /// The engine record, when registered through track().
     const ObjectState* state = nullptr;
-    /// Last step at which the object may start moving (see watch());
-    /// kNoTime (negative) when never watched.
-    Time watch_until = kNoTime;
-    bool watched = false;  ///< listed in watched_
 
     void observe(const ObjectState& obj);
   };
@@ -124,14 +126,15 @@ class ObjectTrailDirectory {
   [[nodiscard]] const Trail& trail(ObjId id) const;
   Trail& add(ObjId id, NodeId birth);
 
-  /// Keeps the trail in slot `slot` in the observe_watched() pass.
-  void enlist(std::int32_t slot);
-
   std::vector<Trail> trails_;
   /// (object id, slot) sorted by id.
   std::vector<std::pair<ObjId, std::int32_t>> index_;
-  /// Slots of the tracked objects the next pass reads.
-  std::vector<std::int32_t> watched_;
+  /// Announced (step, slot) reads, earliest step on top.
+  std::priority_queue<std::pair<Time, std::int32_t>,
+                      std::vector<std::pair<Time, std::int32_t>>,
+                      std::greater<>>
+      announced_;
+  std::int64_t reads_ = 0;
 };
 
 }  // namespace dtm

@@ -22,6 +22,7 @@ Driver::Driver(std::shared_ptr<const DistanceOracle> oracle,
     : engine_(std::move(oracle), std::move(origins), engine),
       scheduler_(scheduler),
       source_(source),
+      sources_(scheduler.event_sources()),
       opts_(opts),
       ratio_(engine_.oracle(), engine.latency_factor, opts.ratio_window,
              opts.ratio_every) {}
@@ -76,12 +77,10 @@ bool Driver::run_until(Time horizon) {
               "run exceeded " << opts_.max_steps << " active steps");
 
     const Time now = engine_.now();
-    const std::vector<const EventSource*> sources =
-        scheduler_.event_sources();
     const Time next = engine_.clock().next_event(
         {source_.next_arrival(now), engine_.next_exec_due(),
          scheduler_.next_event_hint(now)},
-        sources);
+        sources_);
     DTM_CHECK(next != kNoTime,
               "deadlock: live transactions but no future event (now="
                   << now << ", live=" << engine_.num_live() << ")");

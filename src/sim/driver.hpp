@@ -74,7 +74,8 @@ struct RunTotals {
 
 class Driver {
  public:
-  /// `scheduler` and `source` must outlive the driver; neither is called
+  /// `scheduler` and `source` must outlive the driver. Only the
+  /// scheduler's event_sources() is called here; nothing else is called
   /// before the first run_until.
   Driver(std::shared_ptr<const DistanceOracle> oracle,
          std::vector<ObjectOrigin> origins, const EngineOptions& engine,
@@ -104,6 +105,8 @@ class Driver {
   SyncEngine engine_;
   OnlineScheduler& scheduler_;
   ArrivalSource& source_;
+  /// The scheduler's event sources, fixed for its lifetime.
+  std::vector<const EventSource*> sources_;
   DriverOptions opts_;
   StreamingRatioTracker ratio_;
   RunTotals totals_;

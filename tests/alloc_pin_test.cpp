@@ -1,5 +1,6 @@
-// Zero-allocation regression pins for the messaging hot path (PERF.md §8)
-// and for the draws-only suffix candidate of the batch layer (PERF.md §14).
+// Zero-allocation regression pins for the messaging hot path (PERF.md §8),
+// the draws-only suffix candidate of the batch layer (PERF.md §14) and the
+// announced trail mirror of the §V tracking (PERF.md §15).
 //
 // Built with -DDTM_ALLOC_TRACK=ON these tests assert, via the counting
 // operator new/delete hooks, that the steady-state send → drain loop — the
@@ -23,7 +24,9 @@
 #include <vector>
 
 #include "batch/batch_scheduler.hpp"
+#include "core/object_state.hpp"
 #include "dist/bus.hpp"
+#include "dist/tracking.hpp"
 #include "net/topology.hpp"
 #include "util/alloc.hpp"
 #include "util/timing_wheel.hpp"
@@ -196,6 +199,46 @@ TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
   if (!alloc_tracking_enabled())
     GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
   EXPECT_EQ(allocs, 0) << "draw-only makespan() allocated";
+  EXPECT_EQ(bytes, 0);
+}
+
+TEST(AllocPin, TrailMirrorAnnounceReadLoopIsAllocationFree) {
+  // The dist-bucket mirror step: the scheduler announces the objects the
+  // engine moves after an apply and after a commit, and the next pass reads
+  // them through held references. Each object steps round a clique of 8,
+  // so after warm-up every trail holds a pointer at every node, and the
+  // period-8 announcement pattern has shown the heap its peak size.
+  const Network net = make_clique(8);
+  constexpr ObjId kObjects = 16;
+  std::vector<ObjectState> objs;
+  for (ObjId o = 0; o < kObjects; ++o)
+    objs.emplace_back(o, static_cast<NodeId>(o & 7), 0);
+  ObjectTrailDirectory dir;
+  for (const ObjectState& os : objs) ASSERT_TRUE(dir.track(os));
+  const auto step = [&](Time now) {
+    for (ObjectState& os : objs) os.settle(now);
+    for (Time i = 0; i < 4; ++i) {
+      ObjectState& os = objs[static_cast<std::size_t>((now * 4 + i) % kObjects)];
+      os.route_to((os.at() + 1) & 7, now, *net.oracle);
+      dir.announce(os.id(), now + 1);
+      dir.announce(os.id(), now + 1 + ((now + i) & 7));
+    }
+    dir.observe_announced(now);
+  };
+  Time now = 0;
+  for (; now < kWarmupSteps; ++now) step(now);
+
+  const std::int64_t reads = dir.num_reads();
+  AllocScope scope;
+  for (; now < kWarmupSteps + kMeasuredSteps; ++now) step(now);
+  const std::int64_t allocs = scope.allocs();
+  const std::int64_t bytes = scope.bytes();
+  EXPECT_GT(dir.num_reads(), reads);  // the passes read
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_EQ(allocs, 0) << "announce -> read steady state allocated ("
+                       << allocs << " allocs / " << kMeasuredSteps
+                       << " steps)";
   EXPECT_EQ(bytes, 0);
 }
 

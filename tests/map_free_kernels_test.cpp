@@ -4,6 +4,7 @@
 // (tests/oracle/map_kernels.hpp), on randomized inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -349,18 +350,31 @@ TEST(MapFreeKernels, HeldReferenceTrailsMatchMapReference) {
     objs.emplace_back(o * 5, static_cast<NodeId>(rng.uniform_int(0, 15)), 0);
   ObjectTrailDirectory dir;
   oracle::TrailDirectory ref;
+  // Steps of the announcements no pass has read yet.
+  std::vector<Time> unread;
+  std::int64_t announced = 0;
+  const auto announce = [&](ObjId id, Time step) {
+    dir.announce(id, step);
+    unread.push_back(step);
+    ++announced;
+  };
   for (Time now = 0; now < 400; ++now) {
     for (ObjectState& os : objs) {
       if (os.in_transit()) os.settle(now);
       if (rng.bernoulli(0.15)) {
-        // Announced motion (as the scheduler announces each assignment),
-        // sometimes well ahead of the step it happens at.
-        if (dir.contains(os.id()) && rng.bernoulli(0.2))
-          dir.watch(os.id(), now + rng.uniform_int(0, 6));
-        if (dir.contains(os.id())) dir.watch(os.id(), now);
+        // A reroute is announced for the step it happens at: here it comes
+        // before that step's pass (in the engine it comes after it, so the
+        // scheduler announces the next step). Sometimes an announcement
+        // also comes well ahead of its step.
+        if (dir.contains(os.id())) {
+          if (rng.bernoulli(0.2))
+            announce(os.id(), now + rng.uniform_int(0, 6));
+          announce(os.id(), now);
+        }
         os.route_to(static_cast<NodeId>(rng.uniform_int(0, 15)), now,
                     *net.oracle, 2);
       } else if (os.in_transit() && rng.bernoulli(0.05)) {
+        // Stalls, like settles, go unannounced: they change no trail.
         os.delay_arrival(rng.uniform_int(1, 3));
       }
     }
@@ -373,14 +387,17 @@ TEST(MapFreeKernels, HeldReferenceTrailsMatchMapReference) {
         ref.observe(os);
       }
     if (rng.bernoulli(0.6)) {
-      dir.observe_watched(now);
+      const std::int64_t before = dir.num_reads();
+      dir.observe_announced(now);
       for (const ObjectState& os : objs)
         if (dir.contains(os.id())) ref.observe(os);
-      // Only objects in motion or under a live watch stay in the pass.
-      std::size_t moving = 0;
-      for (const ObjectState& os : objs)
-        moving += dir.contains(os.id()) && os.in_transit();
-      EXPECT_GE(dir.num_watched(), moving);
+      // The pass read the announcements for its step or earlier, once
+      // each, and nothing else.
+      const auto due = std::partition(unread.begin(), unread.end(),
+                                      [&](Time step) { return step > now; });
+      EXPECT_EQ(dir.num_reads() - before, unread.end() - due)
+          << "step " << now;
+      unread.erase(due, unread.end());
     }
     for (const ObjectState& os : objs) {
       if (!dir.contains(os.id())) continue;
@@ -402,11 +419,14 @@ TEST(MapFreeKernels, HeldReferenceTrailsMatchMapReference) {
     }
   }
   for (const ObjectState& os : objs) EXPECT_TRUE(dir.contains(os.id()));
+  // One read per track() and per announcement a pass consumed.
+  EXPECT_EQ(dir.num_reads(),
+            kObjects + announced - static_cast<std::int64_t>(unread.size()));
 }
 
 /// Runs the distributed scheduler while mirroring EVERY object it tracks
 /// into the map-based reference at every step; after each step the
-/// scheduler's watched mirror must answer every query identically.
+/// scheduler's announced mirror must answer every query identically.
 class FullMirrorCheck final : public OnlineScheduler {
  public:
   FullMirrorCheck(DistributedBucketScheduler& inner,
@@ -415,8 +435,13 @@ class FullMirrorCheck final : public OnlineScheduler {
 
   [[nodiscard]] std::vector<Assignment> on_step(
       const SystemView& view, std::span<const Transaction> arrivals) override {
-    for (const ObjId o : registered_) ref_.observe(view.object(o));
+    for (const ObjId o : registered_) {
+      ref_.observe(view.object(o));
+      moving_sum_ += view.object(o).in_transit();
+    }
     std::vector<Assignment> out = inner_.on_step(view, arrivals);
+    for (const Assignment& a : out)
+      uses_ += static_cast<std::int64_t>(view.txn(a.txn).accesses.size());
     const ObjectTrailDirectory& dir = inner_.trails();
     for (const ObjectOrigin& o : origins_) {
       if (!dir.contains(o.id) ||
@@ -441,8 +466,6 @@ class FullMirrorCheck final : public OnlineScheduler {
         }
       }
     }
-    watched_sum_ += dir.num_watched();
-    tracked_sum_ += registered_.size();
     return out;
   }
   [[nodiscard]] Time next_event_hint(Time now) const override {
@@ -455,41 +478,59 @@ class FullMirrorCheck final : public OnlineScheduler {
   [[nodiscard]] std::string name() const override { return inner_.name(); }
 
   [[nodiscard]] std::size_t registered() const { return registered_.size(); }
-  /// Objects read by the watched passes, and objects a full pass reads.
-  [[nodiscard]] std::size_t watched_sum() const { return watched_sum_; }
-  [[nodiscard]] std::size_t tracked_sum() const { return tracked_sum_; }
+  /// Object uses of the assignments the scheduler made.
+  [[nodiscard]] std::int64_t uses() const { return uses_; }
+  /// Tracked objects in transit, summed over the passes: what a pass that
+  /// re-reads every moving object would read at the least.
+  [[nodiscard]] std::int64_t moving_sum() const { return moving_sum_; }
 
  private:
   DistributedBucketScheduler& inner_;
   std::vector<ObjectOrigin> origins_;
   oracle::TrailDirectory ref_;
   std::vector<ObjId> registered_;
-  std::size_t watched_sum_ = 0;
-  std::size_t tracked_sum_ = 0;
+  std::int64_t uses_ = 0;
+  std::int64_t moving_sum_ = 0;
 };
 
 TEST(MapFreeKernels, WatchedTrailsMatchFullMirrorEndToEnd) {
   struct Case {
     Network net;
     FaultPlan fault;
+    SyntheticOptions so;
   };
+  SyntheticOptions small;
+  small.num_objects = 10;
+  small.k = 2;
+  small.rounds = 3;
+  small.gap = 3;
+  small.seed = 77;
   FaultPlan chaos;
   chaos.drop = 0.05;
   chaos.dup = 0.05;
   chaos.jitter = 2;
   chaos.stall = 0.2;
+  // The benchmark's line mix (drop/dup/jitter) plus stalls, on a line long
+  // enough, and with rounds enough, that objects stay in transit across
+  // many passes.
+  FaultPlan bench_mix;
+  bench_mix.drop = 0.05;
+  bench_mix.dup = 0.02;
+  bench_mix.jitter = 2;
+  bench_mix.stall = 0.2;
+  SyntheticOptions longer;
+  longer.num_objects = 16;
+  longer.k = 2;
+  longer.rounds = 8;
+  longer.gap = 16;
+  longer.seed = 2026;
   std::vector<Case> cases;
-  cases.push_back({make_line(24), {}});
-  cases.push_back({make_line(24), chaos});
-  cases.push_back({make_cluster(3, 4, 5), chaos});
+  cases.push_back({make_line(24), {}, small});
+  cases.push_back({make_line(24), chaos, small});
+  cases.push_back({make_cluster(3, 4, 5), chaos, small});
+  cases.push_back({make_line(64), bench_mix, longer});
   for (const Case& c : cases) {
-    SyntheticOptions so;
-    so.num_objects = 10;
-    so.k = 2;
-    so.rounds = 3;
-    so.gap = 3;
-    so.seed = 77;
-    SyntheticWorkload wl(c.net, so);
+    SyntheticWorkload wl(c.net, c.so);
     DistBucketOptions dopts;
     dopts.fault = c.fault;
     DistributedBucketScheduler sched(
@@ -501,9 +542,14 @@ TEST(MapFreeKernels, WatchedTrailsMatchFullMirrorEndToEnd) {
     opts.engine.fault = c.fault;
     const RunResult r = run_experiment(c.net, wl, check, opts);
     EXPECT_GT(r.num_txns, 0);
-    EXPECT_EQ(check.registered(), 10u);
-    // The watched passes read fewer objects than full passes would.
-    EXPECT_LT(check.watched_sum(), check.tracked_sum());
+    EXPECT_EQ(check.registered(), static_cast<std::size_t>(c.so.num_objects));
+    // Each tracked object is read once when first seen, and each object use
+    // of an assignment at most twice: after its apply and after its commit.
+    const std::int64_t reads = sched.trails().num_reads();
+    EXPECT_LE(reads, c.so.num_objects + 2 * check.uses());
+    EXPECT_GT(reads, c.so.num_objects);
+    // Fewer than re-reading every moving object at every pass would take.
+    EXPECT_LT(reads, check.moving_sum());
   }
 }
 
