@@ -3,7 +3,7 @@
 # (docs/PERF.md, docs/EXPERIMENTS.md).
 # Usage: scripts/run_bench.sh [--quick] [--bench NAME] [build-dir] [out-json]
 #   NAME is the harness suffix: fastpath (default), bucket_fastpath, chaos,
-#   serve, parallel, simd, stream, memory, ... — anything with a
+#   serve, parallel, stream, memory, ... — anything with a
 #   bench/bench_NAME.cpp that takes --out.
 #   For bench_memory's allocs/step columns, point build-dir at a tree
 #   configured with -DDTM_ALLOC_TRACK=ON (docs/EXPERIMENTS.md F20).

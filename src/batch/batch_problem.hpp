@@ -16,35 +16,8 @@
 #include "core/scheduler.hpp"
 #include "core/types.hpp"
 #include "net/graph.hpp"
-#include "util/batch_math.hpp"
 
 namespace dtm {
-
-class BatchProblemSoA;  // batch/soa_problem.hpp
-
-/// Non-owning reference to a prebuilt SoA view of THIS problem's content
-/// (set by owners that amortize one build over many evaluations, e.g. the
-/// bucket insertion core's activation retries). Deliberately NOT propagated
-/// by copy or copy-assignment: a copy's content is usually about to
-/// diverge, and a stale view silently corrupting schedules is worse than a
-/// redundant rebuild. Owners that mutate a problem in place must clear it.
-class SoaRef {
- public:
-  SoaRef() = default;
-  SoaRef(const SoaRef&) noexcept {}
-  SoaRef& operator=(const SoaRef&) noexcept {
-    ptr_ = nullptr;
-    return *this;
-  }
-  SoaRef& operator=(const BatchProblemSoA* p) noexcept {
-    ptr_ = p;
-    return *this;
-  }
-  [[nodiscard]] const BatchProblemSoA* get() const { return ptr_; }
-
- private:
-  const BatchProblemSoA* ptr_ = nullptr;
-};
 
 /// Availability of one object: free at `node` from time `ready` on. `ready`
 /// already accounts for any pinned (already-scheduled) user of the object.
@@ -70,14 +43,6 @@ struct BatchProblem {
   Time now = 0;  ///< schedule times must be >= now
   std::vector<BatchObject> objects;
   std::vector<BatchTxn> txns;
-  /// Math path for every consumer of this problem (chain evaluation,
-  /// coloring, local search). Not part of the problem CONTENT: excluded
-  /// from problem_fingerprint, and all modes produce byte-identical
-  /// schedules (golden-pinned).
-  BatchMathMode math = BatchMathMode::kScalar;
-  /// Optional prebuilt SoA view (see SoaRef). Consumers fall back to a
-  /// thread-local build when unset.
-  SoaRef soa;
 
   [[nodiscard]] Time travel(NodeId u, NodeId v) const {
     return latency_factor * oracle->dist(u, v);
@@ -99,9 +64,9 @@ struct BatchResult {
 inline constexpr Time kNoCutoff = std::numeric_limits<Time>::max();
 
 /// `objects` sorted by id, a repeated id keeping its LAST row: the one rule
-/// for a repeated object row, shared by the chain kernels, the SoA build,
-/// check_batch_result and the suffix wrapper. Strictly sorted input (every
-/// problem the bucket core builds) is copied in one O(m) pass, no sort.
+/// for a repeated object row, shared by the chain walk, check_batch_result
+/// and the suffix wrapper. Strictly sorted input (every problem the bucket
+/// core builds) is copied in one O(m) pass, no sort.
 void sorted_objects(std::span<const BatchObject> objects,
                     std::vector<BatchObject>& out);
 

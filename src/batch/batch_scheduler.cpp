@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "batch/soa_problem.hpp"
-
 namespace dtm {
 
 Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
@@ -33,13 +31,13 @@ Time BatchScheduler::makespan(const BatchProblem& p, Rng& rng,
 
 namespace {
 
-/// The scalar chain walk behind chain_evaluate and chain_makespan: visits
+/// The chain walk behind chain_evaluate and chain_makespan: visits
 /// `order`, each transaction executing as soon as every one of its object
 /// chains arrives, and hands each (txn index, exec) to `emit`. Returns the
 /// makespan, or the running makespan once it reaches `cutoff`.
 template <typename Emit>
-Time walk_scalar(const BatchProblem& p, const std::vector<std::size_t>& order,
-                 Time cutoff, Emit emit) {
+Time walk(const BatchProblem& p, const std::vector<std::size_t>& order,
+          Time cutoff, Emit emit) {
   check_permutation(order, p.txns.size());
   // Flat sorted cursor table instead of a node-based map: this runs under
   // every F_A estimate. The thread_local scratch keeps its capacity.
@@ -71,39 +69,22 @@ Time walk_scalar(const BatchProblem& p, const std::vector<std::size_t>& order,
   return makespan;
 }
 
-/// p's SoA view: the owner's prebuilt one when set, else a thread-local
-/// build (one-shot callers like OrderedChainBatch).
-const BatchProblemSoA& soa_view(const BatchProblem& p) {
-  static thread_local BatchProblemSoA scratch;
-  const BatchProblemSoA* s = p.soa.get();
-  if (s != nullptr && s->matches(p)) return *s;
-  scratch.build(p);
-  return scratch;
-}
-
 }  // namespace
 
 BatchResult chain_evaluate(const BatchProblem& p,
                            const std::vector<std::size_t>& order) {
   BatchResult r;
-  if (p.math == BatchMathMode::kScalar) {
-    r.assignments.reserve(order.size());
-    r.makespan =
-        walk_scalar(p, order, kNoCutoff, [&](std::size_t idx, Time e) {
-          r.assignments.push_back({p.txns[idx].id, e});
-        });
-  } else {
-    r = chain_evaluate_soa(p, soa_view(p), order);
-  }
+  r.assignments.reserve(order.size());
+  r.makespan = walk(p, order, kNoCutoff, [&](std::size_t idx, Time e) {
+    r.assignments.push_back({p.txns[idx].id, e});
+  });
   check_batch_result(p, r);
   return r;
 }
 
 Time chain_makespan(const BatchProblem& p,
                     const std::vector<std::size_t>& order, Time cutoff) {
-  if (p.math == BatchMathMode::kScalar)
-    return walk_scalar(p, order, cutoff, [](std::size_t, Time) {});
-  return chain_makespan_soa(p, soa_view(p), order, cutoff);
+  return walk(p, order, cutoff, [](std::size_t, Time) {});
 }
 
 BatchResult OrderedChainBatch::schedule(const BatchProblem& p,

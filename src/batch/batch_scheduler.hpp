@@ -65,19 +65,16 @@ class BatchScheduler {
 /// Evaluates the earliest feasible execution times for `p.txns` visited in
 /// the given order (object chains from availability) and validates them
 /// with check_batch_result. The workhorse shared by every ordering-based
-/// scheduler; exposed for tests.
-///
-/// Dispatches on p.math: kScalar walks a sorted cursor table; kSoA walks
-/// the structure-of-arrays view (p.soa when the owner prebuilt one, a
-/// thread-local build otherwise). Both are byte-equal.
+/// scheduler; exposed for tests. The walk reads a sorted cursor table of
+/// the objects (sorted_objects' rule for a repeated id).
 [[nodiscard]] BatchResult chain_evaluate(const BatchProblem& p,
                                          const std::vector<std::size_t>& order);
 
 /// chain_evaluate(p, order).makespan without building or validating the
-/// assignments: the same chain walk (same dispatch on p.math), emitting
-/// nothing. Checks that `order` is a permutation of p's transactions, then
-/// returns as soon as the running makespan reaches `cutoff`, so the result
-/// is exact below `cutoff` and >= `cutoff` otherwise.
+/// assignments: the same chain walk, emitting nothing. Checks that `order`
+/// is a permutation of p's transactions, then returns as soon as the
+/// running makespan reaches `cutoff`, so the result is exact below
+/// `cutoff` and >= `cutoff` otherwise.
 [[nodiscard]] Time chain_makespan(const BatchProblem& p,
                                   const std::vector<std::size_t>& order,
                                   Time cutoff = kNoCutoff);

@@ -82,12 +82,11 @@ std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp) {
 
 BucketInsertionCore::BucketInsertionCore(
     std::shared_ptr<const BatchScheduler> algo, std::uint64_t seed,
-    std::int32_t threads, BatchMathMode math)
-    : algo_(std::move(algo)), seed_(seed), math_(math) {
+    std::int32_t threads)
+    : algo_(std::move(algo)), seed_(seed) {
   DTM_REQUIRE(algo_ != nullptr, "bucket insertion core needs a batch algo");
   DTM_REQUIRE(threads >= 0, "bucket insertion threads " << threads);
   par_ = resolve_threads(threads);
-  run_scratch_.math = math_;
 }
 
 void BucketInsertionCore::make_candidate(const SystemView& view,
@@ -116,12 +115,6 @@ void BucketInsertionCore::make_candidate(const SystemView& view,
                                   view.latency_factor());
 }
 
-BucketInsertionCore::CachedBucket& BucketInsertionCore::cached(BucketId id) {
-  CachedBucket& cb = cache_[id];
-  cb.p.math = math_;  // freshly default-constructed entries start kScalar
-  return cb;
-}
-
 void BucketInsertionCore::ensure_fresh(const SystemView& view,
                                        CachedBucket& cb,
                                        const ExtraAssignments& extra) {
@@ -138,7 +131,7 @@ void BucketInsertionCore::ensure_fresh(const SystemView& view,
   cb.at_world = world_;
 }
 
-Time BucketInsertionCore::estimate(BatchProblem& p, std::uint64_t fp) {
+Time BucketInsertionCore::estimate(const BatchProblem& p, std::uint64_t fp) {
   ++stats_.probes;
   last_memo_hit_ = false;
   const auto it = memo_.find(fp);
@@ -148,17 +141,7 @@ Time BucketInsertionCore::estimate(BatchProblem& p, std::uint64_t fp) {
     return it->second;
   }
   ++stats_.estimates;
-  // On the SoA paths, amortize one view build across everything the A run
-  // evaluates (the memo made estimate() the only place a probe problem is
-  // actually scheduled, so this is the batched-estimator seam).
-  const bool attach = math_ != BatchMathMode::kScalar && !p.txns.empty() &&
-                      p.soa.get() == nullptr;
-  if (attach) {
-    probe_soa_.build(p);
-    p.soa = &probe_soa_;
-  }
   const Time f = estimate_fa_seeded(*algo_, p, probe_seed(seed_, fp));
-  if (attach) p.soa = nullptr;  // p outlives probe_soa_'s next rebuild
   if (memo_.size() >= kMemoCap) memo_.clear();
   memo_.emplace(fp, f);
   return f;
@@ -223,7 +206,7 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
 
   for (std::int32_t i = start; i <= top; ++i) {
     const LevelView lv = levels(i);
-    CachedBucket& cb = cached(lv.id);
+    CachedBucket& cb = cache_[lv.id];
     DTM_CHECK(cb.p.txns.size() == lv.members.size(),
               "bucket cache out of sync at level "
                   << i << ": " << cb.p.txns.size() << " cached vs "
@@ -239,7 +222,7 @@ void BucketInsertionCore::on_inserted(const SystemView& view, BucketId id,
                                       const Transaction& t,
                                       const ExtraAssignments& extra) {
   if (cand_.id != t.id) make_candidate(view, t, extra, cand_);
-  CachedBucket& cb = cached(id);
+  CachedBucket& cb = cache_[id];
   cb.p.oracle = &view.oracle();
   cb.p.latency_factor = view.latency_factor();
   ensure_fresh(view, cb, extra);
@@ -259,7 +242,7 @@ const BatchProblem& BucketInsertionCore::activation_problem(
     const SystemView& view, BucketId id, std::span<const TxnId> members,
     const ExtraAssignments& extra) {
   ++stats_.activations;
-  CachedBucket& cb = cached(id);
+  CachedBucket& cb = cache_[id];
   DTM_CHECK(cb.p.txns.size() == members.size(),
             "activation cache out of sync: " << cb.p.txns.size()
                                              << " cached vs "
@@ -308,21 +291,9 @@ BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
                                                 const BatchScheduler& runner,
                                                 std::int32_t retries) {
   const std::uint64_t fp = problem_fingerprint(p);
-  // SoA modes: copy the problem once and attach ONE shared view that every
-  // retry trial reads (trials never mutate the problem, and the view is
-  // built eagerly, so concurrent retries stay race-free). This is the
-  // batched F_A estimator: |retries| full schedules off a single build.
-  const BatchProblem* run = &p;
-  if (math_ != BatchMathMode::kScalar && p.soa.get() == nullptr &&
-      !p.txns.empty()) {
-    run_scratch_ = p;
-    run_soa_.build(run_scratch_);
-    run_scratch_.soa = &run_soa_;
-    run = &run_scratch_;
-  }
   const auto trial = [&](std::int64_t r) {
     Rng rng(derive_seed(seed_, kTrialSalt, fp, static_cast<std::uint64_t>(r)));
-    return runner.schedule(*run, rng);
+    return runner.schedule(p, rng);
   };
   const std::int32_t trials = runner.randomized() ? std::max(retries, 1) : 1;
   const auto serial = [&] {

@@ -61,7 +61,6 @@
 
 #include "batch/batch_scheduler.hpp"
 #include "batch/problem_builder.hpp"
-#include "batch/soa_problem.hpp"
 #include "core/lower_bound.hpp"
 
 namespace dtm {
@@ -152,15 +151,9 @@ class BucketInsertionCore {
 
   /// `threads`: 1 = serial (default), 0 = all hardware threads, N = up to
   /// N participants for the activation retries ActivationGate fans out.
-  /// `math`: batch arithmetic backend stamped on every problem this core
-  /// builds (registry knob `batch_math=scalar|soa`); both are
-  /// byte-identical, kSoA additionally attaches shared BatchProblemSoA
-  /// views so one build serves every probe trial / activation retry.
   BucketInsertionCore(std::shared_ptr<const BatchScheduler> algo,
-                      std::uint64_t seed, std::int32_t threads = 1,
-                      BatchMathMode math = BatchMathMode::kScalar);
+                      std::uint64_t seed, std::int32_t threads = 1);
 
-  [[nodiscard]] BatchMathMode math() const { return math_; }
   [[nodiscard]] const FastPathStats& stats() const { return stats_; }
 
   /// One probe of the most recent choose_level scan (testing hook for the
@@ -239,7 +232,6 @@ class BucketInsertionCore {
 
   void make_candidate(const SystemView& view, const Transaction& t,
                       const ExtraAssignments& extra, Candidate& out);
-  CachedBucket& cached(BucketId id);
   /// Refreshes `cb`'s availability (and fingerprint) for the current
   /// (step, world) if stale.
   void ensure_fresh(const SystemView& view, CachedBucket& cb,
@@ -248,20 +240,14 @@ class BucketInsertionCore {
   /// estimate (memo first), roll back.
   Time probe_cached(const SystemView& view, CachedBucket& cb,
                     const Candidate& cand, const ExtraAssignments& extra);
-  /// Memoized estimate of `p` under its fingerprint. Non-const `p`: on an
-  /// SoA-mode memo miss the core attaches a freshly built probe_soa_ view
-  /// for the duration of the A run (detached before returning).
-  Time estimate(BatchProblem& p, std::uint64_t fp);
+  /// Memoized estimate of `p` under its fingerprint.
+  Time estimate(const BatchProblem& p, std::uint64_t fp);
 
   std::shared_ptr<const BatchScheduler> algo_;
   std::uint64_t seed_;
   unsigned par_ = 1;  ///< resolved thread count for activation retries
-  BatchMathMode math_ = BatchMathMode::kScalar;
   std::uint64_t world_ = 1;
 
-  BatchProblemSoA probe_soa_;  ///< SoA view for estimate() runs
-  BatchProblem run_scratch_;   ///< run_activation copy carrying a shared SoA
-  BatchProblemSoA run_soa_;    ///< ... built once, read by all retry trials
   Candidate cand_;
   std::unordered_map<BucketId, CachedBucket> cache_;
   std::unordered_map<std::uint64_t, Time> memo_;

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "batch/batch_scheduler.hpp"
-#include "batch/soa_problem.hpp"
 
 namespace dtm {
 
@@ -25,27 +24,12 @@ class ExhaustiveBatch final : public BatchScheduler {
     std::vector<std::size_t> order(p.txns.size());
     std::iota(order.begin(), order.end(), 0);
     if (order.empty()) return chain_evaluate(p, order);
-    // One SoA build amortized over all n! evaluations; the scalar mode
-    // evaluates through the scalar path.
-    static thread_local BatchProblemSoA soa_scratch;
-    const bool use_soa = p.math != BatchMathMode::kScalar;
-    if (use_soa && (p.soa.get() == nullptr || !p.soa.get()->matches(p)))
-      soa_scratch.build(p);
-    const BatchProblemSoA* soa =
-        !use_soa ? nullptr
-                 : (p.soa.get() != nullptr && p.soa.get()->matches(p)
-                        ? p.soa.get()
-                        : &soa_scratch);
     // Orders are scored by the makespan-only chain walk; only the winner
     // is built (and validated).
-    const auto score = [&](const std::vector<std::size_t>& ord) {
-      return use_soa ? chain_makespan_soa(p, *soa, ord)
-                     : chain_makespan(p, ord);
-    };
     std::vector<std::size_t> best_order = order;
     Time best = -1;
     do {
-      const Time m = score(order);
+      const Time m = chain_makespan(p, order);
       if (best < 0 || m < best) {
         best = m;
         best_order = order;

@@ -5,20 +5,10 @@
 // for how loose the certified lower bounds are (see bench_baselines).
 //
 // Candidate orders are scored by the makespan-only chain walk; only the
-// final order is built and validated. On the SoA math path the inner loop
-// gets two kernel assists, neither of which changes a single decision:
-//   - candidate orders are scored through chain_makespan_soa against ONE
-//     BatchProblemSoA built up front (the scalar path rebuilds its cursor
-//     table per evaluation either way, but the SoA arrays beat the sorted
-//     lookups);
-//   - an adjacent swap of object-disjoint transactions is skipped via a
-//     single bit test on the conflict rows: disjointness means no object's
-//     visiting order changes, so the swapped order evaluates to the exact
-//     same schedule — the scalar path would compute it and revert.
+// final order is built and validated.
 #include <algorithm>
 
 #include "batch/batch_scheduler.hpp"
-#include "batch/soa_problem.hpp"
 
 namespace dtm {
 
@@ -34,22 +24,6 @@ class LocalSearchBatch final : public BatchScheduler {
     const std::size_t n = p.txns.size();
     if (n == 0) return chain_evaluate(p, {});
 
-    const bool use_soa = p.math != BatchMathMode::kScalar;
-    static thread_local BatchProblemSoA soa_scratch;
-    const BatchProblemSoA* soa = nullptr;
-    if (use_soa) {
-      soa = p.soa.get();
-      if (soa == nullptr || !soa->matches(p)) {
-        soa_scratch.build(p);
-        soa = &soa_scratch;
-      }
-    }
-    // One scoring seam for the whole search: scalar or SoA.
-    const auto score = [&](const std::vector<std::size_t>& order) {
-      return use_soa ? chain_makespan_soa(p, *soa, order)
-                     : chain_makespan(p, order);
-    };
-
     // Seed order: the coloring schedule's execution order — already good
     // on low-diameter graphs.
     const auto seed_algo = make_coloring_batch();
@@ -59,21 +33,16 @@ class LocalSearchBatch final : public BatchScheduler {
     std::vector<std::size_t> order;
     order_by_exec(p, seed_exec, order);
 
-    Time best = score(order);
+    Time best = chain_makespan(p, order);
     // First-improvement adjacent-and-random swaps. Adjacent swaps fix
     // local inversions cheaply; random swaps escape plateaus.
-    // Invariant used by the prune and the final build: the current order
-    // always scores best (improving swaps are kept, others reverted).
+    // Invariant used by the final build: the current order always scores
+    // best (improving swaps are kept, others reverted).
     for (std::int32_t round = 0; round < max_rounds_; ++round) {
       bool improved = false;
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        if (use_soa && !soa->conflicts(order[i], order[i + 1])) {
-          // Object-disjoint neighbors: swapping them is a no-op schedule-
-          // wise, so the scalar path's evaluate-and-revert is skippable.
-          continue;
-        }
         std::swap(order[i], order[i + 1]);
-        const Time cand = score(order);
+        const Time cand = chain_makespan(p, order);
         if (cand < best) {
           best = cand;
           improved = true;
@@ -88,7 +57,7 @@ class LocalSearchBatch final : public BatchScheduler {
             rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
         if (i == j) continue;
         std::swap(order[i], order[j]);
-        const Time cand = score(order);
+        const Time cand = chain_makespan(p, order);
         if (cand < best) {
           best = cand;
           improved = true;

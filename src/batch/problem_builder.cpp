@@ -42,9 +42,6 @@ void ProblemBuilder::build(const SystemView& view, std::span<const TxnId> txns,
   out.oracle = &view.oracle();
   out.latency_factor = view.latency_factor();
   out.now = view.now();
-  // The math mode rides along (the caller's build target carries it); any
-  // previously attached SoA view is for the old contents — drop it.
-  out.soa = nullptr;
   out.objects.clear();
   out.txns.clear();
   out.txns.reserve(txns.size() + (candidate != kNoTxn ? 1 : 0));

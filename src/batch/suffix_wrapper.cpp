@@ -79,10 +79,6 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
   sub.oracle = p.oracle;
   sub.latency_factor = p.latency_factor;
   sub.now = p.now;
-  // Suffix re-runs stay on the caller's math path (content differs, so any
-  // prebuilt SoA view of p does NOT carry over — sub.soa stays unset and
-  // the inner algorithm builds its own).
-  sub.math = p.math;
 
   bool changed = true;
   while (changed && budget > 0) {

@@ -10,7 +10,7 @@ BucketScheduler::BucketScheduler(std::shared_ptr<const BatchScheduler> algo,
                                  Options opts)
     : algo_(std::move(algo)),
       opts_(opts),
-      core_(algo_, opts.seed, opts.threads, opts.batch_math) {
+      core_(algo_, opts.seed, opts.threads) {
   DTM_REQUIRE(algo_ != nullptr, "bucket scheduler needs a batch algorithm");
   if (opts_.enforce_suffix_property)
     wrapped_ = std::make_unique<SuffixWrapper>(algo_);

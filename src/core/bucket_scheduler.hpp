@@ -46,11 +46,6 @@ struct BucketOptions {
     /// out where measured faster (1 = serial, 0 = all hardware threads).
     /// Decisions are thread-count-invariant (ARCHITECTURE.md §8).
     std::int32_t threads = 1;
-    /// Batch arithmetic backend (registry knob `batch_math=scalar|soa`):
-    /// kScalar runs the pointer-chasing kernels, kSoA scores through bitset
-    /// conflict rows + popcount kernels over a shared SoA view.
-    /// Byte-identical schedules in both (ARCHITECTURE.md §9).
-    BatchMathMode batch_math = BatchMathMode::kScalar;
   };
 
 class BucketScheduler final : public OnlineScheduler {

@@ -3,18 +3,17 @@
 #include <algorithm>
 
 #include "core/coloring.hpp"
-#include "util/bitset.hpp"
 
 namespace dtm {
 
 namespace {
 
-/// Conflict pairs via the scalar reference: enumerate user pairs per
-/// object, pack as (lo << 32 | hi), sort + unique. Reproduces the original
-/// all-pairs (i, j) emission order exactly.
-void conflict_pairs_scalar(const SystemView& view, const DependencyGraph& g,
-                           const std::vector<ObjId>& objects,
-                           std::vector<std::uint64_t>& pairs) {
+/// Conflict pairs: enumerate user pairs per object, pack as
+/// (lo << 32 | hi), sort + unique. Reproduces the original all-pairs
+/// (i, j) emission order exactly.
+void conflict_pairs(const SystemView& view, const DependencyGraph& g,
+                    const std::vector<ObjId>& objects,
+                    std::vector<std::uint64_t>& pairs) {
   pairs.clear();
   for (const ObjId o : objects) {
     const auto users = view.live_users_of(o);
@@ -32,62 +31,9 @@ void conflict_pairs_scalar(const SystemView& view, const DependencyGraph& g,
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 }
 
-/// Conflict pairs via bitset rows: OR each object's user mask into every
-/// user's row, clear the diagonal, then scan rows in order emitting bits
-/// j > i. Row-major ascending emission IS sorted (lo, hi) order, so the
-/// output vector is element-for-element equal to the scalar path's.
-void conflict_pairs_bitset(const SystemView& view, const DependencyGraph& g,
-                           const std::vector<ObjId>& objects,
-                           std::size_t n_txns,
-                           std::vector<std::uint64_t>& pairs) {
-  pairs.clear();
-  const std::size_t nw = bit_words_for(n_txns);
-  static thread_local std::vector<BitWord> rows;
-  static thread_local std::vector<BitWord> mask;
-  rows.assign(n_txns * nw, 0);
-  mask.assign(nw, 0);
-  for (const ObjId o : objects) {
-    const auto users = view.live_users_of(o);
-    if (users.size() < 2) continue;
-    for (const TxnId uid : users) {
-      const auto i = static_cast<std::size_t>(g.index_of(uid));
-      mask[i / kBitWordBits] |= BitWord{1} << (i % kBitWordBits);
-    }
-    for (const TxnId uid : users) {
-      const auto i = static_cast<std::size_t>(g.index_of(uid));
-      BitWord* row = rows.data() + i * nw;
-      for (std::size_t w = 0; w < nw; ++w) row[w] |= mask[w];
-    }
-    for (const TxnId uid : users) {
-      const auto i = static_cast<std::size_t>(g.index_of(uid));
-      mask[i / kBitWordBits] = 0;
-    }
-  }
-  for (std::size_t i = 0; i < n_txns; ++i) {
-    BitWord* row = rows.data() + i * nw;
-    row[i / kBitWordBits] &= ~(BitWord{1} << (i % kBitWordBits));
-    // Only bits j > i: mask away the lower part of the diagonal word and
-    // skip words below it, so each unordered pair is emitted once, at its
-    // (lo, hi) position.
-    const std::size_t wlo = i / kBitWordBits;
-    BitWord v = row[wlo] & ~((BitWord{2} << (i % kBitWordBits)) - 1);
-    for (std::size_t w = wlo;;) {
-      while (v != 0) {
-        const std::size_t j =
-            w * kBitWordBits + static_cast<std::size_t>(std::countr_zero(v));
-        pairs.push_back((static_cast<std::uint64_t>(i) << 32) | j);
-        v &= v - 1;
-      }
-      if (++w >= nw) break;
-      v = row[w];
-    }
-  }
-}
-
 }  // namespace
 
-DependencyGraph DependencyGraph::build(const SystemView& view,
-                                       BatchMathMode math) {
+DependencyGraph DependencyGraph::build(const SystemView& view) {
   DependencyGraph g;
   const Time now = view.now();
 
@@ -126,15 +72,9 @@ DependencyGraph DependencyGraph::build(const SystemView& view,
 
   // Conflict edges (H_t) from the object -> live-users inverted index: the
   // users of one object pairwise conflict, and a pair sharing several
-  // objects gets one edge. The scalar path sorts packed pairs; the bitset
-  // path emits them in the same order from a row-major bit scan.
+  // objects gets one edge.
   std::vector<std::uint64_t> pairs;
-  if (math == BatchMathMode::kScalar) {
-    conflict_pairs_scalar(view, g, objects, pairs);
-  } else {
-    conflict_pairs_bitset(view, g, objects,
-                          static_cast<std::size_t>(holder_base), pairs);
-  }
+  conflict_pairs(view, g, objects, pairs);
   for (const std::uint64_t key : pairs) {
     const auto i = static_cast<std::int32_t>(key >> 32);
     const auto j = static_cast<std::int32_t>(key & 0xffffffffu);

@@ -14,7 +14,6 @@
 
 #include "core/scheduler.hpp"
 #include "core/types.hpp"
-#include "util/batch_math.hpp"
 
 namespace dtm {
 
@@ -41,14 +40,7 @@ class DependencyGraph {
  public:
   /// Builds H'_t from the live system state: one node per live transaction
   /// plus one holder node per object used by any live transaction.
-  ///
-  /// `math` selects the conflict-pair construction: kScalar enumerates
-  /// user pairs per object and sorts the packed (lo, hi) keys; kSoA ORs
-  /// per-object user masks into per-transaction bitset rows and emits
-  /// pairs by a row-major ascending bit scan (identical edge order by
-  /// construction).
-  static DependencyGraph build(const SystemView& view,
-                               BatchMathMode math = BatchMathMode::kScalar);
+  static DependencyGraph build(const SystemView& view);
 
   [[nodiscard]] const std::vector<DependencyNode>& nodes() const {
     return nodes_;

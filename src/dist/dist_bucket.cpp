@@ -13,7 +13,7 @@ DistributedBucketScheduler::DistributedBucketScheduler(
       cover_(net.graph, *net.oracle, opts.cover),
       algo_(std::move(algo)),
       opts_(opts),
-      core_(algo_, opts.seed, opts.threads, opts.batch_math) {
+      core_(algo_, opts.seed, opts.threads) {
   DTM_REQUIRE(algo_ != nullptr, "distributed bucket needs a batch algorithm");
   opts_.fault.validate();
   if (opts_.fault.message_faults()) {

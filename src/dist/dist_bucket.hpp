@@ -68,9 +68,6 @@ struct DistBucketOptions {
   /// Worker threads for the insertion core (same semantics as
   /// BucketOptions::threads; 1 = serial, 0 = all hardware threads).
   std::int32_t threads = 1;
-  /// Batch arithmetic backend (same semantics as
-  /// BucketOptions::batch_math); byte-identical schedules in both.
-  BatchMathMode batch_math = BatchMathMode::kScalar;
 };
 
 /// Message-accounting for the communication-overhead experiment (F4).

@@ -10,7 +10,6 @@
 #include "net/routing.hpp"
 #include "sim/app_workloads.hpp"
 #include "sim/io.hpp"
-#include "util/batch_math.hpp"
 #include "util/parse.hpp"
 
 namespace dtm {
@@ -248,11 +247,11 @@ const std::vector<Registry::Entry>& Registry::schedulers() {
       {"fcfs", "(distance-oblivious arrival-order baseline)"},
       {"bucket",
        "algo=auto,max-level=0,retries=3,seed=...,suffix=true,force-level=-1,"
-       "threads=1,batch_math=scalar|soa  (Algorithm 2 over offline algo)"},
+       "threads=1  (Algorithm 2 over offline algo)"},
       {"dist-bucket",
        "algo=auto,max-level=0,retries=3,seed=...,msg=true,timeout-mult=4,"
-       "threads=1,batch_math=scalar|soa  (Algorithm 3 over a sparse cover; "
-       "forces latency factor >= 2)"},
+       "threads=1  (Algorithm 3 over a sparse cover; forces latency factor "
+       ">= 2)"},
   };
   return kEntries;
 }
@@ -568,7 +567,6 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
         a.integer("seed", static_cast<std::int64_t>(o.seed)));
     o.enforce_suffix_property = a.boolean("suffix", true);
     o.force_level = static_cast<std::int32_t>(a.integer("force-level", -1));
-    o.batch_math = parse_batch_math(a.str("batch_math", "scalar"));
     o.threads = static_cast<std::int32_t>(a.integer("threads", threads));
     DTM_REQUIRE(o.threads >= 0,
                 "bucket: threads must be >= 0, got " << o.threads);
@@ -582,7 +580,6 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
         a.integer("seed", static_cast<std::int64_t>(o.seed)));
     o.message_level_discovery = a.boolean("msg", true);
     o.timeout_mult = a.integer("timeout-mult", o.timeout_mult);
-    o.batch_math = parse_batch_math(a.str("batch_math", "scalar"));
     o.threads = static_cast<std::int32_t>(a.integer("threads", threads));
     DTM_REQUIRE(o.threads >= 0,
                 "dist-bucket: threads must be >= 0, got " << o.threads);

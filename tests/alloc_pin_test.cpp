@@ -67,14 +67,20 @@ TEST(AllocPin, BusSendDrainLoopIsAllocationFree) {
   MessageBus bus(*net.oracle);
   std::vector<Message> scratch;
   const auto step = [&](Time now) {
-    // Deterministic period-16 endpoint pattern (16 | kSlots), so delivery
+    // Deterministic period-64 endpoint pattern (64 | kSlots), so delivery
     // times now + dist repeat per slot and capacities pin after warmup.
+    // Every draw is its own statement, so the traffic does not depend on
+    // the order in which a compiler evaluates function arguments.
     int pick = 0;
     const auto node = [&] {
-      return static_cast<NodeId>(((now >> (pick++ & 3)) + pick) & 7);
+      const int k = pick++;
+      return static_cast<NodeId>(((now >> (k & 3)) + k) & 7);
     };
-    bus.send(node(), node(), now,
-             ProbeMsg{static_cast<TxnId>(now), node(), 3, 0, now, 0});
+    NodeId from = node();
+    NodeId to = node();
+    const NodeId requester = node();
+    bus.send(from, to, now,
+             ProbeMsg{static_cast<TxnId>(now), requester, 3, 0, now, 0});
     ReplyMsg reply;
     reply.requester = static_cast<TxnId>(now);
     reply.object = 3;
@@ -82,8 +88,12 @@ TEST(AllocPin, BusSendDrainLoopIsAllocationFree) {
     reply.object_free_at = now + 5;
     for (int u = 0; u < 4; ++u)  // within ReplyUsers inline capacity
       reply.users.emplace_back(static_cast<TxnId>(now + u), node());
-    bus.send(node(), node(), now, std::move(reply));
-    bus.send(node(), node(), now, ReportMsg{static_cast<TxnId>(now), 0});
+    from = node();
+    to = node();
+    bus.send(from, to, now, std::move(reply));
+    from = node();
+    to = node();
+    bus.send(from, to, now, ReportMsg{static_cast<TxnId>(now), 0});
     bus.drain_into(now, scratch);
   };
   Time now = 0;

@@ -79,20 +79,15 @@ TEST(ChainEvaluate, RejectsBadOrderSize) {
   EXPECT_EQ(chain_makespan(p, {0, 1, 2}),
             chain_evaluate(p, {0, 1, 2}).makespan);
   // A walk that would stop at its first transaction checks the whole order
-  // first, on both math paths.
-  for (const BatchMathMode math :
-       {BatchMathMode::kScalar, BatchMathMode::kSoA}) {
-    BatchProblem q = p;
-    q.math = math;
-    EXPECT_THROW((void)chain_makespan(q, {0, 1}, 1), CheckError);
-    EXPECT_THROW((void)chain_makespan(q, {0, 2, 0}, 1), CheckError);
-    EXPECT_THROW((void)chain_makespan(q, {0, 1, 3}, 0), CheckError);
-    // Below the cutoff the answer is exact; at or above it, at least it.
-    EXPECT_EQ(chain_makespan(q, {0, 1, 2}, 11), 10);
-    EXPECT_GE(chain_makespan(q, {0, 1, 2}, 10), 10);
-    EXPECT_GE(chain_makespan(q, {0, 1, 2}, 3), 3);
-    EXPECT_LT(chain_makespan(q, {0, 1, 2}, 3), 10);  // it stopped early
-  }
+  // first.
+  EXPECT_THROW((void)chain_makespan(p, {0, 1}, 1), CheckError);
+  EXPECT_THROW((void)chain_makespan(p, {0, 2, 0}, 1), CheckError);
+  EXPECT_THROW((void)chain_makespan(p, {0, 1, 3}, 0), CheckError);
+  // Below the cutoff the answer is exact; at or above it, at least it.
+  EXPECT_EQ(chain_makespan(p, {0, 1, 2}, 11), 10);
+  EXPECT_GE(chain_makespan(p, {0, 1, 2}, 10), 10);
+  EXPECT_GE(chain_makespan(p, {0, 1, 2}, 3), 3);
+  EXPECT_LT(chain_makespan(p, {0, 1, 2}, 3), 10);  // it stopped early
 }
 
 TEST(EstimateFa, EmptyProblemUsesHorizon) {
@@ -184,23 +179,18 @@ TEST_P(BatchSchedulerSweep, FeasibleAndAboveLowerBound) {
     }
     // makespan() answers schedule()'s makespan exactly below its cutoff
     // and at least the cutoff otherwise, and leaves the Rng where
-    // schedule() leaves it whatever the cutoff, on both math paths.
-    for (const BatchMathMode math :
-         {BatchMathMode::kScalar, BatchMathMode::kSoA}) {
-      p.math = math;
-      Rng built_rng = rng;
-      const Time m = algo->schedule(p, built_rng).makespan;
-      for (const Time cutoff : {Time{0}, Time{1}, m, m + 1, kNoCutoff}) {
-        Rng a = rng;
-        const Time got = algo->makespan(p, a, cutoff);
-        if (m < cutoff)
-          EXPECT_EQ(got, m) << c.label << " cutoff " << cutoff;
-        else
-          EXPECT_GE(got, cutoff) << c.label << " cutoff " << cutoff;
-        EXPECT_TRUE(a == built_rng) << c.label << " cutoff " << cutoff;
-      }
+    // schedule() leaves it whatever the cutoff.
+    Rng built_rng = rng;
+    const Time m = algo->schedule(p, built_rng).makespan;
+    for (const Time cutoff : {Time{0}, Time{1}, m, m + 1, kNoCutoff}) {
+      Rng a = rng;
+      const Time got = algo->makespan(p, a, cutoff);
+      if (m < cutoff)
+        EXPECT_EQ(got, m) << c.label << " cutoff " << cutoff;
+      else
+        EXPECT_GE(got, cutoff) << c.label << " cutoff " << cutoff;
+      EXPECT_TRUE(a == built_rng) << c.label << " cutoff " << cutoff;
     }
-    p.math = BatchMathMode::kScalar;
     // schedule() internally runs check_batch_result (feasibility); if it
     // returns, the schedule is valid.
     const BatchResult r = algo->schedule(p, rng);

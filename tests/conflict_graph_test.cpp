@@ -74,49 +74,6 @@ TEST(DependencyGraph, DetectsInvalidColoring) {
   EXPECT_FALSE(g.valid_partial_coloring());
 }
 
-// The bitset pair-construction path (kSoA) must reproduce the scalar
-// packed-sort path edge for edge, on live engine states mid-run.
-TEST(DependencyGraph, BitsetBuildMatchesScalar) {
-  const auto nets = testing::small_networks();
-  for (std::size_t ni = 0; ni < nets.size(); ++ni) {
-    const Network& net = nets[ni];
-    SyntheticOptions w;
-    w.num_objects = std::max<std::int32_t>(4, net.num_nodes() / 2);
-    w.k = 2;
-    w.rounds = 2;
-    w.seed = 900 + static_cast<std::int64_t>(ni);
-    SyntheticWorkload wl(net, w);
-    GreedyScheduler sched;
-    SyncEngine eng(net.oracle, wl.objects(), {});
-    int steps = 0;
-    while (!(wl.finished() && eng.all_done())) {
-      const auto arrivals = wl.arrivals_at(eng.now());
-      eng.begin_step(arrivals);
-      eng.apply(sched.on_step(eng, arrivals));
-      const DependencyGraph ref =
-          DependencyGraph::build(eng, BatchMathMode::kScalar);
-      const DependencyGraph g =
-          DependencyGraph::build(eng, BatchMathMode::kSoA);
-      ASSERT_EQ(g.nodes().size(), ref.nodes().size());
-      ASSERT_EQ(g.edges().size(), ref.edges().size())
-          << net.name << " step " << eng.now();
-      for (std::size_t e = 0; e < g.edges().size(); ++e) {
-        EXPECT_EQ(g.edges()[e].a, ref.edges()[e].a);
-        EXPECT_EQ(g.edges()[e].b, ref.edges()[e].b);
-        EXPECT_EQ(g.edges()[e].weight, ref.edges()[e].weight);
-      }
-      for (std::size_t v = 0; v < g.nodes().size(); ++v) {
-        const auto n = static_cast<std::int32_t>(v);
-        EXPECT_EQ(g.degree(n), ref.degree(n));
-        EXPECT_EQ(g.weighted_degree(n), ref.weighted_degree(n));
-      }
-      for (const auto& c : eng.finish_step()) wl.on_commit(c.txn, c.exec);
-      ASSERT_LT(++steps, 1'000'000);
-    }
-    EXPECT_GT(steps, 0);
-  }
-}
-
 // The standing invariant: at every step of a run, the assigned execution
 // times form a valid partial coloring of H'_t. This is the graph-theoretic
 // statement of schedule feasibility and holds for every scheduler.

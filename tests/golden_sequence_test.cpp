@@ -153,7 +153,7 @@ TEST(GoldenSequence, MatchesPreRefactorEngineInAllModes) {
 
 // Bucket fast-path pins: the same workload through the bucket scheduler
 // must hash identically on the production path, through the lockstep
-// harness, with the SoA batch math, and through the naive-insertion
+// harness, behind the validating A, and through the naive-insertion
 // differential scheduler — both checking the core against the paper's scan
 // and scheduling from the scan alone. One pinned value per topology: a
 // cached problem gone stale, a memo key collision, or a drifted derived RNG
@@ -181,12 +181,9 @@ std::shared_ptr<const BatchScheduler> auto_algo(const Network& net,
 }
 
 std::uint64_t run_bucket_case(const Network& net, Path path,
-                              BatchMathMode math = BatchMathMode::kScalar,
                               bool validating = false) {
   SyntheticWorkload wl(net, bucket_workload());
-  BucketOptions o;
-  o.batch_math = math;
-  BucketScheduler sched(auto_algo(net, validating), o);
+  BucketScheduler sched(auto_algo(net, validating));
   return hash_result(run_path(net, wl, sched, {}, path));
 }
 
@@ -218,17 +215,9 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
     for (const Path path : kPaths)
       EXPECT_EQ(run_bucket_case(c.net, path), c.pin)
           << c.label << " path " << static_cast<int>(path);
-    // The SoA kernels are a drop-in arithmetic backend, not a new
-    // scheduler: same pin.
-    EXPECT_EQ(run_bucket_case(c.net, Path::kProduction, BatchMathMode::kSoA),
+    EXPECT_EQ(run_bucket_case(c.net, Path::kProduction, /*validating=*/true),
               c.pin)
-        << c.label << " batch_math soa";
-    for (const BatchMathMode math :
-         {BatchMathMode::kScalar, BatchMathMode::kSoA})
-      EXPECT_EQ(run_bucket_case(c.net, Path::kProduction, math,
-                                /*validating=*/true),
-                c.pin)
-          << c.label << " validating A, math " << static_cast<int>(math);
+        << c.label << " validating A";
     EXPECT_EQ(run_differential_case(c.net, /*drive_naive=*/false), c.pin)
         << c.label << " core checked against the naive scan";
     EXPECT_EQ(run_differential_case(c.net, /*drive_naive=*/true), c.pin)
@@ -243,9 +232,7 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
 // like the clean one — any change to the fault draw order, the timeout
 // arithmetic, or the retry protocol flips it.
 std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
-                            Path path,
-                            BatchMathMode math = BatchMathMode::kScalar,
-                            bool validating = false) {
+                            Path path, bool validating = false) {
   SyntheticOptions w;
   w.num_objects = 10;
   w.k = 2;
@@ -255,7 +242,6 @@ std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
   DistBucketOptions o;
   o.seed = 77;
   o.fault = plan;
-  o.batch_math = math;
   DistributedBucketScheduler sched(net, auto_algo(net, validating), o);
   RunOptions opts;
   opts.engine.latency_factor = 2;  // §V half-speed objects
@@ -271,9 +257,9 @@ TEST(GoldenSequence, DistBucketNullPlanPinned) {
   for (const Path path : kPaths)
     EXPECT_EQ(run_dist_case(net, FaultPlan{}, path), kPin)
         << "path " << static_cast<int>(path);
-  EXPECT_EQ(run_dist_case(net, FaultPlan{}, Path::kProduction,
-                          BatchMathMode::kScalar, /*validating=*/true),
-            kPin)
+  EXPECT_EQ(
+      run_dist_case(net, FaultPlan{}, Path::kProduction, /*validating=*/true),
+      kPin)
       << "validating A";
 }
 
@@ -289,35 +275,9 @@ TEST(GoldenSequence, DistBucketChaosPlanPinned) {
   for (const Path path : kPaths)
     EXPECT_EQ(run_dist_case(net, plan, path), kPin)
         << "path " << static_cast<int>(path);
-  EXPECT_EQ(run_dist_case(net, plan, Path::kProduction,
-                          BatchMathMode::kScalar, /*validating=*/true),
+  EXPECT_EQ(run_dist_case(net, plan, Path::kProduction, /*validating=*/true),
             kPin)
       << "validating A";
-}
-
-TEST(GoldenSequence, DistBucketFastPathModesMatchTheSamePins) {
-  // The distributed scheduler's partial i-buckets and activations run
-  // through the same SoA-aware insertion core: the SoA batch math must land
-  // on the exact pins above, under both the null and the chaos plan, on
-  // the production path and through the lockstep harness. (The core's
-  // level choices themselves are checked against the naive scan by
-  // BucketFastPath.VerifyModeMatchesNaiveScanOnRandomWorkloads.)
-  const std::uint64_t kNullPin = 0xcdd107db4c1159e2ULL;
-  const std::uint64_t kChaosPin = 0x7d0e573c8d14d918ULL;
-  FaultPlan chaos;
-  chaos.drop = 0.3;
-  chaos.jitter = 2;
-  chaos.dup = 0.1;
-  chaos.stall = 0.3;
-  chaos.seed = 23;
-  const Network net = make_cluster(2, 3, 4);
-  for (const Path path : kPaths) {
-    EXPECT_EQ(run_dist_case(net, FaultPlan{}, path, BatchMathMode::kSoA),
-              kNullPin)
-        << "batch_math soa, path " << static_cast<int>(path);
-    EXPECT_EQ(run_dist_case(net, chaos, path, BatchMathMode::kSoA), kChaosPin)
-        << "batch_math soa, path " << static_cast<int>(path);
-  }
 }
 
 TEST(GoldenSequence, ServeModePinned) {

@@ -1,7 +1,7 @@
-// Equivalence of the flat (map-free) batch validation/ordering kernels, the
-// flat schedule validator, the held-reference trail directory and the
-// engine's per-step commit check against their map-based references
-// (tests/oracle/map_kernels.hpp), on randomized inputs.
+// Equivalence of the chain walk, the flat (map-free) batch validation/
+// ordering kernels, the flat schedule validator, the held-reference trail
+// directory and the engine's per-step commit check against their map-based
+// references (tests/oracle/map_kernels.hpp), on randomized inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,6 +109,18 @@ TEST(MapFreeKernels, CheckBatchResultAgreesWithMapReference) {
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     rng.shuffle(order);
     BatchResult r = chain_evaluate(p, order);
+    // The one chain walk answers as the map reference does, exec by exec,
+    // and chain_makespan keeps its cutoff contract against that answer.
+    const BatchResult want = oracle::chain_evaluate(p, order);
+    expect_same_result(r, want);
+    const Time m = want.makespan;
+    for (const Time c : {Time{0}, Time{1}, m, m + 1, kNoCutoff}) {
+      const Time got = chain_makespan(p, order, c);
+      if (m < c)
+        EXPECT_EQ(got, m) << "trial " << trial << " cutoff " << c;
+      else
+        EXPECT_GE(got, c) << "trial " << trial << " cutoff " << c;
+    }
     rng.shuffle(r.assignments);
     switch (trial % 7) {
       case 1:  // one txn earlier: usually infeasible

@@ -65,6 +65,33 @@ inline void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   DTM_CHECK(r.makespan == max_exec - p.now, "makespan mismatch");
 }
 
+/// The chain walk of chain_evaluate over a std::map cursor per object:
+/// each transaction of `order` executes once every one of its objects can
+/// reach it, and the next user of an object a commit left executes at
+/// least one step after that commit (+1), even at distance zero. A
+/// repeated object row: the last one wins. Assignments in visiting order,
+/// unvalidated.
+inline BatchResult chain_evaluate(const BatchProblem& p,
+                                  const std::vector<std::size_t>& order) {
+  std::map<ObjId, BatchObject> cur;
+  for (const auto& o : p.objects) cur[o.id] = o;
+  BatchResult r;
+  for (const std::size_t i : order) {
+    const BatchTxn& t = p.txns.at(i);
+    Time e = p.now;
+    for (const ObjId o : t.objects) {
+      const BatchObject& c = cur.at(o);
+      Time arrive = c.ready + p.travel(c.node, t.node);
+      if (c.from_txn) arrive = std::max(arrive, c.ready + 1);
+      e = std::max(e, arrive);
+    }
+    for (const ObjId o : t.objects) cur[o] = {o, t.node, e, true};
+    r.assignments.push_back({t.id, e});
+    r.makespan = std::max(r.makespan, e - p.now);
+  }
+  return r;
+}
+
 /// Indices into p.txns ordered by (exec, id), exec read through a map.
 inline std::vector<std::size_t> exec_order(const BatchProblem& p,
                                            const BatchResult& r) {
@@ -118,7 +145,6 @@ class SuffixWrapper final : public BatchScheduler {
         sub.oracle = p.oracle;
         sub.latency_factor = p.latency_factor;
         sub.now = p.now;
-        sub.math = p.math;
         sub.objects = oracle::availability_after_prefix(p, cur, start);
         for (std::size_t i = start; i < n; ++i)
           sub.txns.push_back(p.txns[order[i]]);

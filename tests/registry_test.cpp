@@ -178,11 +178,14 @@ TEST(Registry, BucketFastpathRoundTripsAndMatchesNaive) {
 
 TEST(Registry, RemovedKnobsAreHardErrors) {
   // The reference-path knobs are gone from the shipped code (their oracles
-  // live in tests/oracle/); each must fail loudly and name itself, never
-  // silently run the default. fastpath= is covered above.
+  // live in tests/oracle/), and so is batch_math= with its one remaining
+  // path; each must fail loudly and name itself, never silently run the
+  // default. fastpath= is covered above.
   const Network net = Registry::make_network(parse_spec("clique:n=4"));
   for (const char* spec :
-       {"bucket:batch_math=verify", "dist-bucket:batch_math=verify"})
+       {"bucket:batch_math=verify", "dist-bucket:batch_math=verify",
+        "bucket:batch_math=scalar", "dist-bucket:batch_math=scalar",
+        "bucket:batch_math=soa", "dist-bucket:batch_math=soa"})
     EXPECT_NE(hard_error([&] {
                 (void)Registry::make_scheduler(parse_spec(spec), net);
               }).find("batch_math"),
@@ -207,54 +210,6 @@ TEST(Registry, RemovedKnobsAreHardErrors) {
               }).find("'mode'"),
               std::string::npos)
         << mode;
-}
-
-TEST(Registry, BatchMathKnobSelectsMode) {
-  const Network net = Registry::make_network(parse_spec("clique:n=4"));
-  const auto math_of = [&](const std::string& spec) {
-    const auto s = Registry::make_scheduler(parse_spec(spec), net);
-    const auto* b = dynamic_cast<const BucketScheduler*>(s.get());
-    EXPECT_NE(b, nullptr) << spec;
-    return b->insertion_core().math();
-  };
-  EXPECT_EQ(math_of("bucket"), BatchMathMode::kScalar);  // default: scalar
-  EXPECT_EQ(math_of("bucket:batch_math=scalar"), BatchMathMode::kScalar);
-  EXPECT_EQ(math_of("bucket:batch_math=soa"), BatchMathMode::kSoA);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("bucket:batch_math=simd"), net),
-               CheckError);
-
-  const auto d =
-      Registry::make_scheduler(parse_spec("dist-bucket:batch_math=soa"), net);
-  const auto* db = dynamic_cast<const DistributedBucketScheduler*>(d.get());
-  ASSERT_NE(db, nullptr);
-  EXPECT_EQ(db->insertion_core().math(), BatchMathMode::kSoA);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("dist-bucket:batch_math=avx"), net),
-               CheckError);
-}
-
-TEST(Registry, BatchMathRoundTripsAndMatchesScalar) {
-  // The knob survives the RunSpec JSON round-trip (compact spec string ->
-  // JSON -> spec), and scalar/soa runs of the same spec commit identical
-  // schedules.
-  RunSpec spec;
-  spec.topology = parse_spec("cluster:alpha=2,beta=2,gamma=3");
-  spec.scheduler = parse_spec("bucket:batch_math=soa");
-  spec.workload = parse_spec("synthetic:objects=6,k=2,rounds=2");
-  spec.seed = 11;
-  EXPECT_EQ(RunSpec::from_json(spec.to_json()), spec);
-
-  const RunResult soa = run_spec(spec);
-  RunSpec scalar = spec;
-  scalar.scheduler = parse_spec("bucket:batch_math=scalar");
-  const RunResult ref = run_spec(scalar);
-  ASSERT_EQ(soa.committed.size(), ref.committed.size());
-  for (std::size_t i = 0; i < soa.committed.size(); ++i) {
-    EXPECT_EQ(soa.committed[i].txn.id, ref.committed[i].txn.id);
-    EXPECT_EQ(soa.committed[i].exec, ref.committed[i].exec);
-  }
-  EXPECT_EQ(soa.makespan, ref.makespan);
 }
 
 TEST(Registry, DefaultBucketSmokeTakesIncrementalPath) {
