@@ -64,7 +64,10 @@ constexpr std::int64_t kBusNodes = 256;
 /// Endpoints are a deterministic period-64 pattern (64 | wheel ring size):
 /// per-slot loads repeat exactly, so the wheel side's allocs/step pins to
 /// zero after warmup instead of only tending there (see
-/// tests/alloc_pin_test.cpp for the argument).
+/// tests/alloc_pin_test.cpp for the argument). Each draw of `node` is its
+/// own statement, taken in source order: the order in which a call's
+/// arguments are evaluated is unspecified, so draws passed as arguments of
+/// one call would pair endpoints differently per compiler.
 template <typename Bus>
 void send_step_traffic(Bus& bus, Time now, std::vector<ReplyUsers>* pool) {
   int pick = 0;
@@ -87,13 +90,20 @@ void send_step_traffic(Bus& bus, Time now, std::vector<ReplyUsers>* pool) {
       for (std::size_t u = 0; u < kSpillUsers; ++u)
         reply.users.emplace_back(static_cast<TxnId>(now + static_cast<Time>(u)),
                                  node());
-      bus.send(node(), node(), now, std::move(reply));
+      const NodeId from = node();
+      const NodeId to = node();
+      bus.send(from, to, now, std::move(reply));
     } else if (i % 4 == 3) {
-      bus.send(node(), node(), now,
-               ProbeMsg{static_cast<TxnId>(now + i), node(),
+      const NodeId from = node();
+      const NodeId to = node();
+      const NodeId requester_node = node();
+      bus.send(from, to, now,
+               ProbeMsg{static_cast<TxnId>(now + i), requester_node,
                         static_cast<ObjId>(i), 0, now, 0});
     } else {
-      bus.send(node(), node(), now, ReportMsg{static_cast<TxnId>(now + i), 0});
+      const NodeId from = node();
+      const NodeId to = node();
+      bus.send(from, to, now, ReportMsg{static_cast<TxnId>(now + i), 0});
     }
   }
 }

@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <string>
 
 namespace dtm {
-
-const BatchObject& BatchProblem::object(ObjId id) const {
-  const auto it =
-      std::find_if(objects.rbegin(), objects.rend(),
-                   [id](const BatchObject& o) { return o.id == id; });
-  DTM_CHECK(it != objects.rend(), "batch problem missing object " << id);
-  return *it;
-}
 
 void sorted_objects(std::span<const BatchObject> objects,
                     std::vector<BatchObject>& out) {
@@ -34,6 +27,52 @@ void sorted_objects(std::span<const BatchObject> objects,
       out[kept++] = out[i];
   }
   out.resize(kept);
+}
+
+void CursorTable::load(std::span<const BatchObject> objects) {
+  std::int64_t lo = 0;
+  std::int64_t hi = -1;  // no objects: an empty span
+  if (!objects.empty()) lo = hi = objects.front().id;
+  for (const BatchObject& o : objects) {
+    lo = std::min<std::int64_t>(lo, o.id);
+    hi = std::max<std::int64_t>(hi, o.id);
+  }
+  const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+  dense_ = span <= kDenseSpan;
+  if (!dense_) {
+    sorted_objects(objects, sorted_);
+    return;
+  }
+  if (++stamp_ == 0) {  // stamps wrapped: forget every old one
+    for (Slot& s : slots_) s.stamp = 0;
+    stamp_ = 1;
+  }
+  if (slots_.size() < span) slots_.resize(span);
+  base_ = lo;
+  // In row order, so a repeated id's last row overwrites the earlier ones.
+  for (const BatchObject& o : objects) {
+    Slot& s = slots_[static_cast<std::size_t>(o.id - lo)];
+    s.cursor = o;
+    s.stamp = stamp_;
+  }
+}
+
+BatchObject& CursorTable::find_sorted(ObjId id) {
+  const auto it = std::lower_bound(
+      sorted_.begin(), sorted_.end(), id,
+      [](const BatchObject& c, ObjId v) { return c.id < v; });
+  if (it == sorted_.end() || it->id != id) missing(id);
+  return *it;
+}
+
+void CursorTable::missing(ObjId id) {
+  detail::check_fail("find(id)", __FILE__, __LINE__,
+                     "object " + std::to_string(id) + " missing from problem");
+}
+
+CursorTable& CursorTable::local() {
+  static thread_local CursorTable t;
+  return t;
 }
 
 void check_permutation(std::span<const std::size_t> order, std::size_t n) {
@@ -106,78 +145,59 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   DTM_CHECK(r.assignments.size() == p.txns.size(),
             "batch result has " << r.assignments.size() << " assignments for "
                                 << p.txns.size() << " txns");
-  // Sorted flat scratch tables, reused per thread: every schedule a batch
-  // algorithm returns is validated here.
+  // Flat scratch, reused per thread: every schedule a batch algorithm
+  // returns is validated here.
   struct Scratch {
-    std::vector<Assignment> exec;  ///< sorted by txn id
-    std::vector<BatchObject> cur;  ///< per-object chain cursor, by id
-    struct User {
-      ObjId obj;
-      Time exec;
-      TxnId id;
-      NodeId node;
-    };
-    std::vector<User> users;  ///< sorted by (object, exec, id)
+    std::vector<Assignment> by_id;  ///< the assignments sorted by txn id
+    std::vector<Time> exec;         ///< per p.txns row
+    std::vector<std::size_t> order;  ///< p.txns rows by (exec, id)
   };
   static thread_local Scratch s;
 
-  s.exec.clear();
+  s.by_id.clear();
   for (const auto& a : r.assignments) {
     DTM_CHECK(a.exec >= p.now,
               "txn " << a.txn << " scheduled at " << a.exec << " < now "
                      << p.now);
-    s.exec.push_back(a);
+    s.by_id.push_back(a);
   }
-  std::sort(s.exec.begin(), s.exec.end(),
+  std::sort(s.by_id.begin(), s.by_id.end(),
             [](const Assignment& a, const Assignment& b) {
               return a.txn < b.txn;
             });
-  for (std::size_t i = 1; i < s.exec.size(); ++i)
-    DTM_CHECK(s.exec[i - 1].txn != s.exec[i].txn,
-              "duplicate assignment for txn " << s.exec[i].txn);
+  for (std::size_t i = 1; i < s.by_id.size(); ++i)
+    DTM_CHECK(s.by_id[i - 1].txn != s.by_id[i].txn,
+              "duplicate assignment for txn " << s.by_id[i].txn);
 
-  // Per-object chain feasibility from the availability point.
-  sorted_objects(p.objects, s.cur);
-
-  // One row per (transaction, object) use, sorted by object and then
-  // execution order: each object's chain is one contiguous run.
   Time max_exec = p.now;
-  s.users.clear();
-  for (const auto& t : p.txns) {
+  s.exec.resize(p.txns.size());
+  for (std::size_t i = 0; i < p.txns.size(); ++i) {
+    const TxnId id = p.txns[i].id;
     const auto it = std::lower_bound(
-        s.exec.begin(), s.exec.end(), t.id,
+        s.by_id.begin(), s.by_id.end(), id,
         [](const Assignment& a, TxnId v) { return a.txn < v; });
-    DTM_CHECK(it != s.exec.end() && it->txn == t.id,
-              "txn " << t.id << " not assigned");
+    DTM_CHECK(it != s.by_id.end() && it->txn == id,
+              "txn " << id << " not assigned");
+    s.exec[i] = it->exec;
     max_exec = std::max(max_exec, it->exec);
-    for (const ObjId o : t.objects)
-      s.users.push_back({o, it->exec, t.id, t.node});
   }
-  std::sort(s.users.begin(), s.users.end(),
-            [](const Scratch::User& a, const Scratch::User& b) {
-              if (a.obj != b.obj) return a.obj < b.obj;
-              if (a.exec != b.exec) return a.exec < b.exec;
-              return a.id < b.id;
-            });
-  auto cit = s.cur.begin();
-  for (std::size_t i = 0; i < s.users.size();) {
-    const ObjId obj = s.users[i].obj;
-    while (cit != s.cur.end() && cit->id < obj) ++cit;
-    DTM_CHECK(cit != s.cur.end() && cit->id == obj,
-              "object " << obj << " not in problem");
-    NodeId node = cit->node;
-    Time free_at = cit->ready;
-    bool from_txn = cit->from_txn;
-    for (; i < s.users.size() && s.users[i].obj == obj; ++i) {
-      const auto& u = s.users[i];
-      Time needed = free_at + p.travel(node, u.node);
-      if (from_txn) needed = std::max(needed, free_at + 1);
-      DTM_CHECK(u.exec >= needed,
-                "object " << obj << ": txn " << u.id << " at " << u.exec
-                          << " unreachable before " << needed);
-      node = u.node;
-      free_at = u.exec;
-      from_txn = true;
+
+  // Per-object chain feasibility from the availability point: walking the
+  // transactions in (exec, id) order visits each object's users in that
+  // order, each checked against the object's cursor and then advancing it.
+  order_by_exec(p, s.exec, s.order);
+  CursorTable& cur = CursorTable::local();
+  cur.load(p.objects);
+  for (const std::size_t i : s.order) {
+    const BatchTxn& t = p.txns[i];
+    const Time exec = s.exec[i];
+    for (const ObjId o : t.objects) {
+      BatchObject& c = cur.find(o);
+      const Time needed = p.arrival(c, t.node);
+      DTM_CHECK(exec >= needed, "object " << o << ": txn " << t.id << " at "
+                                          << exec << " unreachable before "
+                                          << needed);
+      c = {o, t.node, exec, true};
     }
   }
   DTM_CHECK(r.makespan == max_exec - p.now,

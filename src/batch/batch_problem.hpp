@@ -8,6 +8,8 @@
 // object availability, so A appends the new schedule after them.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -47,9 +49,14 @@ struct BatchProblem {
   [[nodiscard]] Time travel(NodeId u, NodeId v) const {
     return latency_factor * oracle->dist(u, v);
   }
-  /// The availability row of `id` (the last one if the id repeats, as in
-  /// sorted_objects). Linear scan.
-  [[nodiscard]] const BatchObject& object(ObjId id) const;
+  /// The earliest step a transaction at `node` can use the object whose
+  /// chain cursor is `c`: the object's trip from c.node, and one step more
+  /// than a commit there even at distance zero. The one chain rule of the
+  /// walks, the validator and the availability floors.
+  [[nodiscard]] Time arrival(const BatchObject& c, NodeId node) const {
+    const Time t = c.ready + travel(c.node, node);
+    return c.from_txn ? std::max(t, c.ready + 1) : t;
+  }
 };
 
 struct BatchResult {
@@ -64,11 +71,67 @@ struct BatchResult {
 inline constexpr Time kNoCutoff = std::numeric_limits<Time>::max();
 
 /// `objects` sorted by id, a repeated id keeping its LAST row: the one rule
-/// for a repeated object row, shared by the chain walk, check_batch_result
-/// and the suffix wrapper. Strictly sorted input (every problem the bucket
-/// core builds) is copied in one O(m) pass, no sort.
+/// for a repeated object row, shared by CursorTable (its sparse side) and
+/// the suffix wrapper. Strictly sorted input (every problem the bucket core
+/// builds) is copied in one O(m) pass, no sort.
 void sorted_objects(std::span<const BatchObject> objects,
                     std::vector<BatchObject>& out);
+
+/// The chain cursor of each object of a problem, found by id: where the
+/// object is free and from when, which a chain walk reads and advances per
+/// use. load() costs O(m) and find() O(1). A repeated id keeps its last row
+/// (sorted_objects' rule); finding an id the objects lack throws CheckError.
+///
+/// Ids spanning at most kDenseSpan (those of every generated workload of
+/// up to 2^16 objects) index a grow-only slot table over [min id, max id].
+/// Each slot is stamped with the load that wrote it, so a load never
+/// clears the table. Wider spans (a trace file's sparse ids) keep
+/// sorted_objects' copy and binary-search it; find() hides which side a
+/// load took.
+///
+/// local() is the calling thread's table, shared by the chain walk,
+/// check_batch_result and the schedulers that walk chains: a load
+/// invalidates every cursor the previous one handed out.
+class CursorTable {
+ public:
+  /// The widest id span the slot table covers: 64 Ki slots, 2 MiB.
+  static constexpr std::uint64_t kDenseSpan = std::uint64_t{1} << 16;
+
+  /// Makes `objects` the table's cursors, forgetting the previous load's.
+  void load(std::span<const BatchObject> objects);
+
+  /// The cursor of `id`, which the caller may advance.
+  [[nodiscard]] BatchObject& find(ObjId id) {
+    if (dense_) {
+      const auto off = static_cast<std::uint64_t>(std::int64_t{id} - base_);
+      if (off < slots_.size() && slots_[off].stamp == stamp_)
+        return slots_[off].cursor;
+      missing(id);
+    }
+    return find_sorted(id);
+  }
+
+  /// False when the last load's ids were too sparse for the slot table.
+  [[nodiscard]] bool dense() const { return dense_; }
+
+  /// The calling thread's table.
+  [[nodiscard]] static CursorTable& local();
+
+ private:
+  struct Slot {
+    BatchObject cursor;
+    std::uint32_t stamp = 0;  ///< the load that wrote cursor; 0 = none
+  };
+
+  [[nodiscard]] BatchObject& find_sorted(ObjId id);
+  [[noreturn]] static void missing(ObjId id);
+
+  std::vector<Slot> slots_;  ///< dense side: slot of id at id - base_
+  std::int64_t base_ = 0;
+  std::uint32_t stamp_ = 0;
+  bool dense_ = true;
+  std::vector<BatchObject> sorted_;  ///< sparse side
+};
 
 /// Throws CheckError unless `order` is a permutation of [0, n): a chain
 /// order that visits each of n transactions exactly once. O(n).
@@ -77,7 +140,9 @@ void check_permutation(std::span<const std::size_t> order, std::size_t n);
 /// Verifies that `r` is feasible for `p` (object chains from availability,
 /// all txns assigned, exec >= now) and that makespan matches. Throws
 /// CheckError on violation — batch algorithms call this before returning.
-/// Map-free: sorted flat scratch tables, reused across calls per thread.
+/// A chain walk: the transactions sorted by (exec, id) visit the cursor
+/// table, so each object's users are checked in that order. O(n log n)
+/// for n transactions, plus O(1) per object use.
 void check_batch_result(const BatchProblem& p, const BatchResult& r);
 
 /// `r`'s execution time of every p.txns[i], index-aligned into `out` (the

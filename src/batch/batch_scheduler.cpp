@@ -39,29 +39,17 @@ template <typename Emit>
 Time walk(const BatchProblem& p, const std::vector<std::size_t>& order,
           Time cutoff, Emit emit) {
   check_permutation(order, p.txns.size());
-  // Flat sorted cursor table instead of a node-based map: this runs under
-  // every F_A estimate. The thread_local scratch keeps its capacity.
-  static thread_local std::vector<BatchObject> cur;
-  sorted_objects(p.objects, cur);
-  const auto find = [&](ObjId o) -> BatchObject& {
-    const auto it = std::lower_bound(
-        cur.begin(), cur.end(), o,
-        [](const BatchObject& c, ObjId v) { return c.id < v; });
-    DTM_CHECK(it != cur.end() && it->id == o,
-              "object " << o << " missing from problem");
-    return *it;
-  };
+  // This runs under every F_A estimate, suffix candidate and schedule of
+  // A: each object use is two O(1) finds in the thread's cursor table.
+  CursorTable& cur = CursorTable::local();
+  cur.load(p.objects);
   Time makespan = 0;
   for (const std::size_t idx : order) {
     const BatchTxn& t = p.txns[idx];
     Time e = p.now;
-    for (const ObjId o : t.objects) {
-      const BatchObject& c = find(o);
-      Time arrive = c.ready + p.travel(c.node, t.node);
-      if (c.from_txn) arrive = std::max(arrive, c.ready + 1);
-      e = std::max(e, arrive);
-    }
-    for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
+    for (const ObjId o : t.objects)
+      e = std::max(e, p.arrival(cur.find(o), t.node));
+    for (const ObjId o : t.objects) cur.find(o) = {o, t.node, e, true};
     emit(idx, e);
     makespan = std::max(makespan, e - p.now);
     if (makespan >= cutoff) break;
@@ -351,27 +339,15 @@ class SequentialBatch final : public BatchScheduler {
  public:
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng&) const override {
-    std::vector<BatchObject> cur;
-    sorted_objects(p.objects, cur);
-    const auto find = [&](ObjId o) -> BatchObject& {
-      const auto it = std::lower_bound(
-          cur.begin(), cur.end(), o,
-          [](const BatchObject& c, ObjId v) { return c.id < v; });
-      DTM_CHECK(it != cur.end() && it->id == o,
-                "object " << o << " missing from problem");
-      return *it;
-    };
+    CursorTable& cur = CursorTable::local();
+    cur.load(p.objects);
     BatchResult r;
     Time prev = p.now;
     for (const auto& t : p.txns) {
       Time e = prev;
-      for (const ObjId o : t.objects) {
-        const BatchObject& c = find(o);
-        Time arrive = c.ready + p.travel(c.node, t.node);
-        if (c.from_txn) arrive = std::max(arrive, c.ready + 1);
-        e = std::max(e, arrive);
-      }
-      for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
+      for (const ObjId o : t.objects)
+        e = std::max(e, p.arrival(cur.find(o), t.node));
+      for (const ObjId o : t.objects) cur.find(o) = {o, t.node, e, true};
       r.assignments.push_back({t.id, e});
       r.makespan = std::max(r.makespan, e - p.now);
       prev = e + 1;  // full serialization: nobody overlaps

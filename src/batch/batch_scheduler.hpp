@@ -65,8 +65,8 @@ class BatchScheduler {
 /// Evaluates the earliest feasible execution times for `p.txns` visited in
 /// the given order (object chains from availability) and validates them
 /// with check_batch_result. The workhorse shared by every ordering-based
-/// scheduler; exposed for tests. The walk reads a sorted cursor table of
-/// the objects (sorted_objects' rule for a repeated id).
+/// scheduler; exposed for tests. The walk finds each object in the
+/// thread's CursorTable, O(1) per use (a repeated id keeps its last row).
 [[nodiscard]] BatchResult chain_evaluate(const BatchProblem& p,
                                          const std::vector<std::size_t>& order);
 

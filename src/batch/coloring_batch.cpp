@@ -28,12 +28,12 @@ class ColoringBatch final : public BatchScheduler {
     // exist for us before `ready`), hence a floor rather than a gap.
     s.floor.assign(n, 0);
     s.users.clear();
+    CursorTable& avail = CursorTable::local();
+    avail.load(p.objects);
     for (std::size_t i = 0; i < n; ++i) {
       const BatchTxn& t = p.txns[i];
       for (const ObjId o : t.objects) {
-        const BatchObject& avail = p.object(o);
-        Time arrive = (avail.ready - p.now) + p.travel(avail.node, t.node);
-        if (avail.from_txn) arrive = std::max(arrive, avail.ready - p.now + 1);
+        const Time arrive = p.arrival(avail.find(o), t.node) - p.now;
         s.floor[i] = std::max(s.floor[i], std::max<Time>(arrive, 0));
         s.users.emplace_back(o, i);
       }

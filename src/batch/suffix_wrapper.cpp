@@ -35,9 +35,7 @@ Time earliest_exec(const BatchProblem& p, const BatchTxn& t,
         [](const BatchObject& a, ObjId b) { return a.id < b; });
     DTM_CHECK(it != avail.end() && it->id == o,
               "object " << o << " missing from problem");
-    Time arrive = it->ready + p.travel(it->node, t.node);
-    if (it->from_txn) arrive = std::max(arrive, it->ready + 1);
-    e = std::max(e, arrive);
+    e = std::max(e, p.arrival(*it, t.node));
   }
   return e;
 }

@@ -1,6 +1,7 @@
 // Zero-allocation regression pins for the messaging hot path (PERF.md §8),
-// the draws-only suffix candidate of the batch layer (PERF.md §14) and the
-// announced trail mirror of the §V tracking (PERF.md §15).
+// the draws-only suffix candidate of the batch layer (PERF.md §14), the
+// announced trail mirror of the §V tracking (PERF.md §15) and the batch
+// layer's chain walk and schedule validator (PERF.md §16).
 //
 // Built with -DDTM_ALLOC_TRACK=ON these tests assert, via the counting
 // operator new/delete hooks, that the steady-state send → drain loop — the
@@ -19,6 +20,7 @@
 // therefore derives everything from `now` through power-of-two masks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -209,6 +211,71 @@ TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
   if (!alloc_tracking_enabled())
     GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
   EXPECT_EQ(allocs, 0) << "draw-only makespan() allocated";
+  EXPECT_EQ(bytes, 0);
+}
+
+TEST(AllocPin, ChainWalkAndValidatorAreAllocationFree) {
+  // Every F_A estimate, suffix candidate and schedule of A is a chain walk
+  // over the thread's cursor table, and check_batch_result walks the same
+  // table. Once one pass over problems of mixed sizes has grown the slot
+  // table and the sort scratch to the largest, neither allocates. The ids
+  // (negative ones too, rows shuffled) take the slot table, as those of
+  // every generated workload do.
+  const Network net = make_line(16);
+  struct Case {
+    BatchProblem p;
+    std::vector<std::size_t> order;
+    BatchResult r;
+  };
+  std::vector<Case> cases;
+  Rng draw(29);
+  const auto node = [&] {
+    return static_cast<NodeId>(draw.uniform_int(0, net.num_nodes() - 1));
+  };
+  for (int i = 0; i < 12; ++i) {
+    Case c;
+    c.p.oracle = net.oracle.get();
+    c.p.now = 3;
+    const std::int32_t objects = 2 + 5 * i;
+    const auto id_of = [&](std::int32_t j) { return 2 * j - objects; };
+    for (std::int32_t o = 0; o < objects; ++o) {
+      const NodeId at = node();
+      c.p.objects.push_back(
+          {id_of(o), at, 3 + draw.uniform_int(0, 4), draw.bernoulli(0.5)});
+    }
+    draw.shuffle(c.p.objects);
+    for (TxnId t = 0; t < 3 + 4 * i; ++t) {
+      BatchTxn txn{t, node(), {}};
+      for (const std::int32_t j :
+           draw.sample_distinct(objects, std::min(3, objects)))
+        txn.objects.push_back(id_of(j));
+      c.p.txns.push_back(std::move(txn));
+    }
+    c.order.resize(c.p.txns.size());
+    for (std::size_t k = 0; k < c.order.size(); ++k) c.order[k] = k;
+    draw.shuffle(c.order);
+    c.r = chain_evaluate(c.p, c.order);
+    cases.push_back(std::move(c));
+  }
+  const auto sweep = [&] {
+    Time sum = 0;
+    for (const Case& c : cases) {
+      for (const Time cutoff : {Time{0}, Time{1}, kNoCutoff})
+        sum += chain_makespan(c.p, c.order, cutoff);
+      check_batch_result(c.p, c.r);
+    }
+    return sum;
+  };
+  const Time want = sweep();  // warm-up: scratch grows to the largest problem
+
+  AllocScope scope;
+  const Time sum = sweep();
+  const std::int64_t allocs = scope.allocs();
+  const std::int64_t bytes = scope.bytes();
+  EXPECT_EQ(sum, want);
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_EQ(allocs, 0) << "chain walk or validator allocated";
   EXPECT_EQ(bytes, 0);
 }
 

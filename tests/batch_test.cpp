@@ -21,9 +21,30 @@ BatchProblem line_problem(const Network& net) {
 TEST(BatchProblem, ObjectLookup) {
   const Network net = make_line(10);
   const BatchProblem p = line_problem(net);
-  EXPECT_EQ(p.object(1).node, 9);
-  EXPECT_THROW((void)p.object(7), CheckError);
   EXPECT_EQ(p.travel(0, 4), 4);
+  // On both sides of the cursor table (a far id makes the span too wide
+  // for the slot table): a repeated id keeps its last row, an id the
+  // objects lack throws, and a reload forgets the previous load's ids.
+  CursorTable table;
+  for (const ObjId far : {ObjId{9}, ObjId{-(1 << 20)}}) {
+    std::vector<BatchObject> objects = p.objects;
+    objects.push_back({far, 3, 0, false});
+    objects.push_back({1, 4, 2, true});
+    table.load(objects);
+    EXPECT_EQ(table.dense(), far == 9);
+    EXPECT_EQ(table.find(0).node, 0);
+    EXPECT_EQ(table.find(1).node, 4);
+    EXPECT_EQ(table.find(far).node, 3);
+    EXPECT_THROW((void)table.find(7), CheckError);
+    // The chain rule: one step after a commit even at distance zero.
+    EXPECT_EQ(p.arrival(table.find(1), 4), 3);
+    EXPECT_EQ(p.arrival(table.find(1), 7), 5);
+    EXPECT_EQ(p.arrival(table.find(far), 7), 4);
+    table.load(p.objects);
+    EXPECT_TRUE(table.dense());
+    EXPECT_THROW((void)table.find(far), CheckError);
+    EXPECT_EQ(table.find(1).node, 9);
+  }
 }
 
 TEST(BatchResult, ExecLookup) {

@@ -24,9 +24,16 @@ namespace {
 
 /// Random batch problem: shuffled distinct txn ids, 1-3 distinct objects
 /// per txn, availability in [now, now + 5], and (when `repeat_objects`) a
-/// few repeated object rows whose last copy is the one that counts.
+/// few repeated object rows whose last copy is the one that counts. Object
+/// j has id 3j + 1, or with `sparse_ids` one 300007 apart from the next,
+/// the first two negative: two or more of them span far more than the
+/// cursor table's slot table covers. The draws do not depend on the ids.
 BatchProblem random_problem(const Network& net, Rng& rng, int txns,
-                            int objects, bool repeat_objects = false) {
+                            int objects, bool repeat_objects = false,
+                            bool sparse_ids = false) {
+  const auto id_of = [sparse_ids](std::int32_t j) -> ObjId {
+    return sparse_ids ? (j - 2) * 300007 - 11 : j * 3 + 1;
+  };
   BatchProblem p;
   p.oracle = net.oracle.get();
   p.latency_factor = rng.uniform_int(1, 2);
@@ -36,7 +43,7 @@ BatchProblem random_problem(const Network& net, Rng& rng, int txns,
   };
   for (ObjId o = 0; o < objects; ++o)
     p.objects.push_back(
-        {o * 3 + 1, node(), p.now + rng.uniform_int(0, 5), rng.bernoulli(0.5)});
+        {id_of(o), node(), p.now + rng.uniform_int(0, 5), rng.bernoulli(0.5)});
   if (repeat_objects)
     for (int i = 0; i < 2; ++i) {
       BatchObject dup = p.objects[static_cast<std::size_t>(
@@ -54,7 +61,7 @@ BatchProblem random_problem(const Network& net, Rng& rng, int txns,
         rng.uniform_int(1, std::min(3, objects)));
     BatchTxn t{id, node(), {}};
     for (const std::int32_t j : rng.sample_distinct(objects, k))
-      t.objects.push_back(j * 3 + 1);
+      t.objects.push_back(id_of(j));
     p.txns.push_back(std::move(t));
   }
   return p;
@@ -102,9 +109,15 @@ TEST(MapFreeKernels, CheckBatchResultAgreesWithMapReference) {
   Rng rng(41);
   int accepted = 0;
   int rejected = 0;
+  int dense_loads = 0;
+  int sparse_loads = 0;
   for (int trial = 0; trial < 400; ++trial) {
+    // Both sides of the cursor table, with and without repeated rows.
     BatchProblem p = random_problem(net, rng, 1 + trial % 9, 1 + trial % 5,
-                                    trial % 3 == 0);
+                                    trial % 3 == 0, (trial / 3) % 2 == 1);
+    CursorTable side;
+    side.load(p.objects);
+    (side.dense() ? dense_loads : sparse_loads) += 1;
     std::vector<std::size_t> order(p.txns.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     rng.shuffle(order);
@@ -133,7 +146,9 @@ TEST(MapFreeKernels, CheckBatchResultAgreesWithMapReference) {
       case 3:
         ++r.makespan;
         break;
-      case 4:  // an object the problem does not know
+      case 4:  // an object the problem does not know, right after a walk
+               // that held it: a slot left from that load must not count
+        (void)chain_makespan(p, order, 0);
         p.objects.erase(p.objects.begin());
         break;
       case 5:  // one txn later: feasible unless the makespan moves
@@ -147,9 +162,11 @@ TEST(MapFreeKernels, CheckBatchResultAgreesWithMapReference) {
     EXPECT_EQ(ref, flat) << "trial " << trial;
     (ref ? accepted : rejected) += 1;
   }
-  // Both verdicts are exercised.
+  // Both verdicts and both sides of the table are exercised.
   EXPECT_GT(accepted, 50);
   EXPECT_GT(rejected, 50);
+  EXPECT_GT(dense_loads, 100);
+  EXPECT_GT(sparse_loads, 100);
 }
 
 TEST(MapFreeKernels, ExecOrderMatchesStableSortOverMap) {
