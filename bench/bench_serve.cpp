@@ -1,4 +1,4 @@
-// Service saturation harness: dtm_serve's serving loop under an offered-
+// Service saturation harness: `dtm_sim serve`'s loop under an offered-
 // load ladder. Each point runs a DtmServer (synthetic source -> admission
 // -> dist-bucket engine) at a fixed offered rate until the duration horizon
 // and drains to quiescence, recording sustained throughput, latency

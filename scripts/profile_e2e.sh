@@ -12,6 +12,14 @@
 # time plus its callees'): a cost spread over many small callees shows
 # there as one entry, where the flat profile splits it.
 #
+# Call-graph shares do not repeat. gprof splits a callee's time among its
+# callers by call counts, so the inclusive share of a function whose
+# callees are shared moves between runs of one build: two runs on
+# serve-dist-cluster put object_availability at 12.0% and at 4.5%, where a
+# steady_clock accumulator read 10-12% of a rep. Use this script to find
+# and count work; size an open item with a steady_clock accumulator around
+# the code in a scratch copy.
+#
 # Usage: scripts/profile_e2e.sh [--build-dir DIR] [--seed N] [--reps N]
 #                               [--top N] WORKLOAD...
 #   --build-dir  where the -pg build lives (default: $TMPDIR or /tmp,
@@ -37,7 +45,7 @@ while [ $# -gt 0 ]; do
     --seed) seed="$2"; shift 2 ;;
     --reps) reps="$2"; shift 2 ;;
     --top) top="$2"; shift 2 ;;
-    -h|--help) sed -n '2,25p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,33p' "$0"; exit 0 ;;
     -*) echo "unknown flag '$1'" >&2; exit 2 ;;
     *) workloads+=("$1"); shift ;;
   esac

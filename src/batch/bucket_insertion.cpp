@@ -19,11 +19,6 @@ constexpr std::uint64_t kTrialSalt = 0xAC71DA7E5EEDBEEFULL;
 
 constexpr std::uint64_t kBasis = 1469598103934665603ULL;
 
-/// Cap before the memo is dropped wholesale. Entries are never invalid
-/// (the key fully determines the value), so eviction is purely a memory
-/// bound and a full clear is the cheapest correct policy.
-constexpr std::size_t kMemoCap = std::size_t{1} << 16;
-
 std::uint64_t row_hash(const BatchTxn& t) {
   std::uint64_t h = hash_mix(0x517E0FULL);
   h = hash_combine(h, static_cast<std::uint64_t>(t.id));
@@ -133,18 +128,8 @@ void BucketInsertionCore::ensure_fresh(const SystemView& view,
 
 Time BucketInsertionCore::estimate(const BatchProblem& p, std::uint64_t fp) {
   ++stats_.probes;
-  last_memo_hit_ = false;
-  const auto it = memo_.find(fp);
-  if (it != memo_.end()) {
-    ++stats_.memo_hits;
-    last_memo_hit_ = true;
-    return it->second;
-  }
   ++stats_.estimates;
-  const Time f = estimate_fa_seeded(*algo_, p, probe_seed(seed_, fp));
-  if (memo_.size() >= kMemoCap) memo_.clear();
-  memo_.emplace(fp, f);
-  return f;
+  return estimate_fa_seeded(*algo_, p, probe_seed(seed_, fp));
 }
 
 Time BucketInsertionCore::probe_cached(const SystemView& view,
@@ -212,7 +197,7 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
                   << i << ": " << cb.p.txns.size() << " cached vs "
                   << lv.members.size() << " members");
     const Time f = probe_cached(view, cb, cand_, extra);
-    last_scan_.push_back({i, f, last_memo_hit_});
+    last_scan_.push_back({i, f});
     if (f <= (Time{1} << i)) return i;
   }
   return top;  // over-horizon tail parks in the top bucket

@@ -14,16 +14,6 @@
 //                     bucket activation/drain. Availability is refreshed
 //                     lazily, once per (step, world-change).
 //
-//   memoized F_A      estimates are keyed by a 64-bit content fingerprint
-//                     of the probed problem (membership + relative
-//                     availability + latency), so a repeated probe costs
-//                     one hash lookup instead of a run of A. Repeats are
-//                     rare in closed and open loops alike: the candidate
-//                     row is new on every arrival and availability moves
-//                     with every assignment, so batch.memo_hit_rate is 0
-//                     on all three bench/e2e batch workloads. A hit needs
-//                     the same candidate probed against unchanged buckets.
-//
 //   level lower bound the scan starts at ceil(log2(LB)) where LB is the
 //                     candidate's single-transaction makespan lower bound
 //                     (core/lower_bound): any feasible schedule of
@@ -34,11 +24,10 @@
 // Byte-identity is the design invariant, not an afterthought: randomized
 // estimates and activation retries draw from RNG streams derived purely
 // from (scheduler seed, salt, problem fingerprint, trial index), so the
-// naive transcription and this core — and any mix of memo hits and misses
-// — produce bit-equal schedules. The naive transcription is the test-side
-// reference (tests/oracle/naive_insertion.hpp); its differential test
-// checks every level choice and every activation problem against this
-// core.
+// naive transcription and this core produce bit-equal schedules. The
+// naive transcription is the test-side reference
+// (tests/oracle/naive_insertion.hpp); its differential test checks every
+// level choice and every activation problem against this core.
 //
 // Activation retries are the core's one parallel surface (ARCHITECTURE.md
 // §8). Trial r's stream depends only on (seed, fingerprint, r), so with
@@ -68,8 +57,10 @@ namespace dtm {
 struct FastPathStats {
   std::int64_t inserts = 0;         ///< choose_level calls
   std::int64_t probes = 0;          ///< F_A estimates requested
-  std::int64_t memo_hits = 0;       ///< estimates answered from the memo
-  std::int64_t estimates = 0;       ///< estimates that actually ran A
+  /// `memo_hits` is always 0 and `estimates` always equals `probes`: every
+  /// probe runs A. Both stay because the bench/e2e drivers read them.
+  std::int64_t memo_hits = 0;
+  std::int64_t estimates = 0;
   std::int64_t levels_skipped = 0;  ///< levels below the lower-bound start
   /// Full problem rebuilds. The core appends rows instead, so this stays 0;
   /// the naive reference counts its per-probe builds here.
@@ -117,15 +108,15 @@ class ActivationGate {
 
 /// Canonical 64-bit content fingerprint of a batch problem: transaction
 /// rows in order, objects in (sorted) order with availability RELATIVE to
-/// p.now, plus the latency factor. Excluding the absolute clock is what
-/// makes memo hits valid across steps: every batch algorithm schedules
-/// relative to p.now, so time-shifted problems have identical relative
-/// schedules.
+/// p.now, plus the latency factor. The F_A probes and the activation
+/// trials draw from streams derived from it, so a problem rebuilt from
+/// scratch (the naive reference) draws what the incremental core draws.
 [[nodiscard]] std::uint64_t problem_fingerprint(const BatchProblem& p);
 
 /// F_A with a dedicated RNG stream: estimate_fa over a fresh Rng(seed).
 /// Derive `seed` from the problem fingerprint so equal problems draw equal
-/// streams (the memoization soundness condition).
+/// streams: the naive reference rebuilds each probed problem and must
+/// reproduce the core's estimate.
 [[nodiscard]] Time estimate_fa_seeded(const BatchScheduler& a,
                                       const BatchProblem& p,
                                       std::uint64_t seed);
@@ -161,7 +152,6 @@ class BucketInsertionCore {
   struct ProbeRecord {
     std::int32_t level = -1;
     Time estimate = 0;
-    bool memo_hit = false;
   };
   [[nodiscard]] const std::vector<ProbeRecord>& last_scan() const {
     return last_scan_;
@@ -237,10 +227,10 @@ class BucketInsertionCore {
   void ensure_fresh(const SystemView& view, CachedBucket& cb,
                     const ExtraAssignments& extra);
   /// F_A(B ∪ {t}) via the cached problem: append candidate in place,
-  /// estimate (memo first), roll back.
+  /// estimate, roll back.
   Time probe_cached(const SystemView& view, CachedBucket& cb,
                     const Candidate& cand, const ExtraAssignments& extra);
-  /// Memoized estimate of `p` under its fingerprint.
+  /// F_A of `p` on the probe stream of its fingerprint `fp`.
   Time estimate(const BatchProblem& p, std::uint64_t fp);
 
   std::shared_ptr<const BatchScheduler> algo_;
@@ -250,10 +240,8 @@ class BucketInsertionCore {
 
   Candidate cand_;
   std::unordered_map<BucketId, CachedBucket> cache_;
-  std::unordered_map<std::uint64_t, Time> memo_;
   std::vector<ProbeRecord> last_scan_;
   Time last_lb_ = 0;
-  bool last_memo_hit_ = false;
   std::vector<std::size_t> probe_inserted_;  ///< rollback scratch
   std::vector<AvailPoint> lb_pts_;           ///< lower-bound scratch
   ActivationGate gate_;

@@ -10,9 +10,9 @@
 // O(b_A log^3(nD)).
 //
 // Insertion runs through the shared incremental core
-// (batch/bucket_insertion.hpp): cached per-bucket problems, memoized F_A
-// estimates, and a lower-bound start level — byte-identical to the naive
-// scan, which lives on as the test-side reference.
+// (batch/bucket_insertion.hpp): cached per-bucket problems and a
+// lower-bound start level — byte-identical to the naive scan, which lives
+// on as the test-side reference.
 #pragma once
 
 #include <memory>

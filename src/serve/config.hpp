@@ -19,7 +19,7 @@ struct ServeConfig {
   double rate = 4.0;
   /// Admission horizon in simulated steps: offers stop at `duration`, then
   /// the service drains to quiescence. 0 = run until externally drained
-  /// (dtm_serve's signal/socket drain, or DtmServer::request_drain).
+  /// (`dtm_sim serve`'s signal/socket drain, or DtmServer::request_drain).
   Time duration = 2048;
   /// Metrics/latency window length in steps.
   Time window = 256;

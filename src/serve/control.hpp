@@ -1,8 +1,8 @@
 // ControlEndpoint — line-oriented local control socket (serve layer;
 // docs/ARCHITECTURE.md §7).
 //
-// dtm_serve listens on an AF_UNIX stream socket so a live service can be
-// observed and steered without signals or restarts:
+// `dtm_sim serve` listens on an AF_UNIX stream socket so a live service
+// can be observed and steered without signals or restarts:
 //
 //   $ echo stats | nc -U /tmp/dtm.sock        # one JSON metrics snapshot
 //   $ echo 'fault drop=0.05,jitter=4' | nc -U /tmp/dtm.sock
@@ -13,7 +13,7 @@
 // per line, one response line per command, no threads. The serve loop
 // calls poll() between pump() slices, so command handling interleaves with
 // simulation at window granularity and never races engine state. Command
-// *semantics* live in the caller's handler (tools/dtm_serve.cpp); this
+// *semantics* live in the caller's handler (tools/dtm_sim.cpp); this
 // class only moves bytes.
 #pragma once
 

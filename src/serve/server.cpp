@@ -185,8 +185,8 @@ void DtmServer::register_metrics() {
   });
   // Routing: exact oracles have no live counters; landmark oracles expose
   // the cluster-query mix and the intra-cluster cache's hit rate — so
-  // `dtm_serve stats` shows what the hierarchical routing layer is actually
-  // doing under load.
+  // `stats` on `dtm_sim serve`'s socket shows what the hierarchical
+  // routing layer is actually doing under load.
   if (const auto* lm =
           dynamic_cast<const LandmarkOracle*>(net_.oracle.get())) {
     metrics_.add("routing", [lm] {

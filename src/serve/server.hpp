@@ -15,7 +15,8 @@
 // that every admitted transaction committed. Fault plans toggle live
 // (set_fault). A (RunSpec, ServeConfig) pair reproduces the same
 // commit_hash run after run; wall-clock pacing, signals and the control
-// socket live in tools/dtm_serve.cpp, which drives this class via pump().
+// socket live in `dtm_sim serve` (tools/dtm_sim.cpp), which drives this
+// class via pump().
 #pragma once
 
 #include <deque>
@@ -89,8 +90,8 @@ class DtmServer final : private ArrivalSource {
 
   /// Processes every event up to simulated step `until` (kNoTime = no
   /// limit). Returns false once the service is fully drained — no further
-  /// pump calls will do anything. The unit of incrementality dtm_serve's
-  /// wall-clock pacing and control polling interleave with.
+  /// pump calls will do anything. The unit of incrementality `dtm_sim
+  /// serve`'s wall-clock pacing and control polling interleave with.
   bool pump(Time until);
 
   /// Drives to completion (duration + drain to quiescence) and returns the

@@ -50,8 +50,10 @@ void Cli::print_registry() {
           Registry::batch_algos());
   section("fault plans (--fault / RunSpec \"fault\")",
           Registry::fault_plans());
-  section("serve configs (dtm_serve --serve / RunSpec \"serve\")",
+  section("serve configs (dtm_sim serve --serve / RunSpec \"serve\")",
           Registry::serve_configs());
+  section("stream configs (dtm_sim stream --stream / RunSpec \"stream\")",
+          Registry::stream_configs());
 }
 
 bool Cli::parse(int argc, char** argv) {

@@ -10,8 +10,8 @@
 //   --warmup N        steps excluded from steady-state measurements
 // — plus whatever flags the binary registers. Unknown flags and numbers
 // with trailing junk are hard errors: a typo aborts instead of silently
-// running defaults. The spec-driven tools (example_dtm_sim, dtm_serve,
-// dtm_stream) build their RunSpec through one helper, resolve_spec.
+// running defaults. The spec-driven tool's modes (dtm_sim run, serve and
+// stream) build their RunSpec through one helper, resolve_spec.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +93,8 @@ class Cli {
   std::optional<std::int64_t> warmup_;
 };
 
-/// The RunSpec flags the spec-driven tools share, as raw text; empty = not
-/// given. Each tool registers the ones it takes.
+/// The RunSpec flags of dtm_sim's modes, as raw text; empty = not given.
+/// Each mode registers the ones it takes.
 struct SpecFlags {
   std::string spec;  ///< --spec: a JSON RunSpec file the others override
   std::string topology, scheduler, workload, fault, serve, stream;
@@ -102,7 +102,7 @@ struct SpecFlags {
   std::string window;  ///< --window: Definition-1 ratio window
 };
 
-/// The RunSpec a tool runs: the --spec file, then every given flag, then
+/// The RunSpec a mode runs: the --spec file, then every given flag, then
 /// --seed, --trials and --threads. The latency factor is raised to
 /// RunSpec::run_latency_factor(), so --dump-spec prints what runs.
 [[nodiscard]] RunSpec resolve_spec(const SpecFlags& flags, const Cli& cli);

@@ -306,7 +306,7 @@ const std::vector<Registry::Entry>& Registry::serve_configs() {
        "max-inflight=256,policy=shed|queue,queue-cap=1024,source=synthetic|"
        "trace,trace=PATH,trace-loop=0,objects=0,k=2,zipf=0,write-frac=1,"
        "burst-every=0,burst-len=0,burst-mult=1,slo-p99=0,seed=...  "
-       "(dtm_serve service shape)"},
+       "(dtm_sim serve service shape)"},
   };
   return kEntries;
 }
@@ -318,7 +318,7 @@ const std::vector<Registry::Entry>& Registry::stream_configs() {
        "write-frac=1,rotate-every=0,period=2048,duty=0.5,low-mult=0.25,"
        "dwell-on=256,dwell-off=768,hi-mult=4,burst=64,target=100000,"
        "duration=0,window=1024,drain-every=256,max-live=0,ratio-every=1,"
-       "seed=...  (dtm_stream run shape)"},
+       "seed=...  (dtm_sim stream run shape)"},
   };
   return kEntries;
 }

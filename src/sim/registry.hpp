@@ -83,11 +83,11 @@ struct RunSpec {
   /// files, which therefore keep meaning "no faults".
   Spec fault{"none", {}};
   /// Service-mode shape: "serve:rate=...,duration=...,admit-rate=...,...".
-  /// Only dtm_serve / make_server consume it; batch binaries carry the
+  /// Only dtm_sim serve / make_server consume it; batch binaries carry the
   /// defaults along untouched. Absent from old JSON spec files.
   Spec serve{"serve", {}};
   /// Streaming-run shape: "stream:profile=...,rate=...,target=...,...".
-  /// Only dtm_stream / make_stream_runner consume it; everything else
+  /// Only dtm_sim stream / make_stream_runner consume it; everything else
   /// carries the defaults along untouched. Absent from old JSON spec files.
   Spec stream{"stream", {}};
   std::int64_t latency_factor = 1;

@@ -36,25 +36,13 @@ class WorkloadSource final : public ArrivalSource {
 
 RunResult run_experiment(const Network& net, Workload& workload,
                          OnlineScheduler& scheduler, const RunOptions& opts) {
-  if (opts.drain_every > 0) {
-    // Draining discards the log; everything that replays it must be off.
-    DTM_REQUIRE(!opts.validate,
-                "drain_every requires validate=false (validation replays "
-                "the full committed schedule)");
-    DTM_REQUIRE(opts.ratio_window == 0,
-                "drain_every requires ratio_window=0");
-    DTM_REQUIRE(!opts.collect_schedule,
-                "drain_every requires collect_schedule=false");
-  }
   WorkloadSource source(workload);
   DriverOptions d;
   d.max_steps = opts.max_steps;
-  d.drain_every = opts.drain_every;
   d.ratio_window = opts.ratio_window;
   Driver driver(net.oracle, workload.objects(), opts.engine, scheduler,
                 source, d);
   (void)driver.run_until();
-  if (opts.drain_every > 0) driver.drain_log();  // whatever the cadence left
 
   const RunTotals& t = driver.totals();
   const SyncEngine& engine = driver.engine();
@@ -65,11 +53,6 @@ RunResult run_experiment(const Network& net, Workload& workload,
   r.active_steps = t.active_steps;
   r.makespan = t.makespan;
   r.latency = t.latency;
-  r.drained = t.drained;
-  r.peak_committed_log = t.peak_committed_log;
-  if (opts.drain_every > 0)
-    DTM_CHECK(r.drained == r.num_txns,
-              "drain lost commits: " << r.drained << " != " << r.num_txns);
   if (opts.validate) {
     const auto err =
         validate_schedule(engine.committed(), engine.origins(), *net.oracle,

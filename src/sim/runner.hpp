@@ -33,11 +33,6 @@ struct RunOptions {
   /// never copied). Averaging loops that only read the headline metrics
   /// turn this off and skip the allocation entirely.
   bool collect_schedule = true;
-  /// When > 0, the driver drains the committed log every this-many
-  /// simulated steps, so the run's memory stays bounded by the cadence
-  /// instead of the workload size. Requires !validate, ratio_window == 0,
-  /// and !collect_schedule (hard errors otherwise). 0 keeps the log.
-  Time drain_every = 0;
 };
 
 struct RunResult {
@@ -57,13 +52,6 @@ struct RunResult {
   /// bound for that window given object positions at its start).
   double windowed_ratio = 0.0;
   std::int64_t num_windows = 0;
-
-  /// Committed entries drained (every commit when RunOptions::drain_every
-  /// > 0, checked against num_txns; 0 otherwise), and the largest the
-  /// retained log ever grew — the bounded-memory evidence the cadence is
-  /// meant to buy.
-  std::int64_t drained = 0;
-  std::int64_t peak_committed_log = 0;
 
   /// The full committed schedule and the object origins — input to the
   /// congestion replay and the gantt/itinerary renderers. Empty when

@@ -4,8 +4,8 @@
 // the hash mixers back the bucket fast path's problem fingerprints and its
 // derived per-(probe, trial) RNG streams (see batch/bucket_insertion.hpp):
 // every randomized draw is seeded from a pure function of the problem
-// content, so skipping a memoized estimate cannot desynchronize later
-// draws.
+// content, so a reference that rebuilds the problem draws the same
+// stream.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ namespace dtm {
 
 /// Seed for an independent RNG stream identified by (base seed, salt,
 /// content key, index). Pure: the same identity always yields the same
-/// stream, which is what makes memoizing seeded estimates sound.
+/// stream.
 [[nodiscard]] constexpr std::uint64_t derive_seed(std::uint64_t base,
                                                   std::uint64_t salt,
                                                   std::uint64_t key,

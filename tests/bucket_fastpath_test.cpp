@@ -222,45 +222,6 @@ TEST(BucketFastPath, IncrementalPathActuallyTakesTheFastRoute) {
   EXPECT_EQ(s.probes, s.memo_hits + s.estimates);
 }
 
-TEST(BucketFastPath, MemoAnswersRepeatedScansWithoutRerunningA) {
-  // Exercise the memo at the core API: an identical scan re-run (the
-  // re-probe shape — nothing inserted, world unchanged) must cost zero
-  // estimator runs, hit the memo on every probe, and choose the same level
-  // with the same estimates.
-  const Network net = make_line(16);
-  ScriptedWorkload wl({origin(0, 0)}, {txn(1, 15, 0, {0})});
-  SyncEngine eng(net.oracle, wl.objects(), {});
-  const auto arrivals = wl.arrivals_at(0);
-  eng.begin_step(arrivals);
-
-  BucketInsertionCore core(coloring(), 0);
-  const auto levels = [](std::int32_t i) {
-    return BucketInsertionCore::LevelView{
-        static_cast<BucketInsertionCore::BucketId>(i), {}};
-  };
-  const ExtraAssignments extra;
-  const std::int32_t first = core.choose_level(eng, eng.txn(1), 8, levels,
-                                               extra);
-  const auto first_scan = core.last_scan();
-  const std::int64_t estimates_after_first = core.stats().estimates;
-  EXPECT_GT(estimates_after_first, 0);
-  EXPECT_EQ(core.stats().memo_hits, 0);
-
-  const std::int32_t second = core.choose_level(eng, eng.txn(1), 8, levels,
-                                                extra);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(core.stats().estimates, estimates_after_first);  // A never re-ran
-  EXPECT_EQ(core.stats().memo_hits,
-            static_cast<std::int64_t>(first_scan.size()));
-  ASSERT_EQ(core.last_scan().size(), first_scan.size());
-  for (std::size_t i = 0; i < first_scan.size(); ++i) {
-    EXPECT_EQ(core.last_scan()[i].level, first_scan[i].level);
-    EXPECT_EQ(core.last_scan()[i].estimate, first_scan[i].estimate);
-    EXPECT_TRUE(core.last_scan()[i].memo_hit);
-  }
-  eng.finish_step();
-}
-
 RunResult run_dist(const Network& net, const FaultPlan& plan, bool lockstep) {
   SyntheticOptions w;
   w.num_objects = 10;

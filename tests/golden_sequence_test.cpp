@@ -156,8 +156,8 @@ TEST(GoldenSequence, MatchesPreRefactorEngineInAllModes) {
 // harness, behind the validating A, and through the naive-insertion
 // differential scheduler — both checking the core against the paper's scan
 // and scheduling from the scan alone. One pinned value per topology: a
-// cached problem gone stale, a memo key collision, or a drifted derived RNG
-// stream flips the hash. line exercises a deterministic A; cluster and star
+// cached problem gone stale or a drifted derived RNG stream flips the
+// hash. line exercises a deterministic A; cluster and star
 // exercise randomized A, where the per-probe / per-trial derived streams
 // carry the identity.
 SyntheticOptions bucket_workload() {
@@ -285,8 +285,8 @@ TEST(GoldenSequence, ServeModePinned) {
   // engine -> latency accounting) over the chaos-armed distributed
   // scheduler must reproduce this exact commit sequence. The hash covers
   // every commit's (id, node, offered, exec), so it pins admission order
-  // and queue wait, not just engine output. Captured from dtm_serve with
-  // the same spec.
+  // and queue wait, not just engine output. Captured from `dtm_sim serve`
+  // with the same spec.
   const std::uint64_t kPin = 1560900743787214076ULL;
   RunSpec spec;
   spec.topology = parse_spec("cluster:alpha=2,beta=3,gamma=4");

@@ -69,8 +69,8 @@ Time LockstepEngine::next_exec_due() const {
 
 RunResult run_lockstep(const Network& net, Workload& workload,
                        OnlineScheduler& scheduler, const RunOptions& opts) {
-  DTM_REQUIRE(opts.drain_every == 0 && opts.ratio_window == 0,
-              "lockstep runs keep the whole log and skip windowed ratios");
+  DTM_REQUIRE(opts.ratio_window == 0,
+              "lockstep runs skip windowed ratios");
   LockstepEngine engine(net.oracle, workload.objects(), opts.engine);
   std::int64_t iterations = 0;
   while (true) {

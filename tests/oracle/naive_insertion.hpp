@@ -6,7 +6,7 @@
 // every probed problem from scratch with ProblemBuilder and estimating it
 // with estimate_fa_seeded under probe_seed(seed, problem_fingerprint) — the
 // stream the core derives for the same content, so the two must agree on
-// every level, memo and lower-bound start notwithstanding. Activation
+// every level, the lower-bound start notwithstanding. Activation
 // problems are fresh builds too.
 //
 // DifferentialBucketScheduler runs Algorithm 2 through a production

@@ -1,8 +1,8 @@
 // Streaming subsystem tests: arrival-profile shapes (including the
 // (rho, b)-adversary's admissibility property), source determinism, the
 // memory-bounded run loop's zero-loss and drain invariants, cross-mode
-// commit-hash identity over the ring calendar, the batch runner's
-// drain_every path, and the "stream:" spec round-trip.
+// commit-hash identity over the ring calendar, and the "stream:" spec
+// round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +10,8 @@
 #include <set>
 #include <vector>
 
-#include "core/greedy_scheduler.hpp"
 #include "net/topology.hpp"
 #include "sim/registry.hpp"
-#include "sim/runner.hpp"
-#include "sim/workload.hpp"
 #include "stream/stream_runner.hpp"
 #include "stream/stream_source.hpp"
 #include "util/check.hpp"
@@ -245,60 +242,6 @@ TEST(StreamRunner, WindowResidencyStaysBoundedOnLongRuns) {
   EXPECT_GT(r.ratio_windows, 10);
   EXPECT_LE(r.peak_open_windows, 6);
   EXPECT_LT(r.peak_window_txns, r.commits / 2);
-}
-
-// ---------------------------------------------------------------------------
-// Batch runner drain_every
-
-TEST(RunnerDrain, DrainedRunMatchesRetainedRunHeadlines) {
-  const Network net = make_clique(8);
-  SyntheticOptions w;
-  w.num_objects = 32;
-  w.k = 2;
-  w.rounds = 6;
-  w.gap = 2;
-  w.seed = 5;
-
-  SyntheticWorkload retained_wl(net, w);
-  GreedyScheduler retained_sched;
-  const RunResult retained =
-      run_experiment(net, retained_wl, retained_sched, {});
-
-  SyntheticWorkload drained_wl(net, w);
-  GreedyScheduler drained_sched;
-  RunOptions opts;
-  opts.validate = false;
-  opts.collect_schedule = false;
-  opts.drain_every = 4;
-  const RunResult drained = run_experiment(net, drained_wl, drained_sched,
-                                           opts);
-
-  EXPECT_EQ(drained.num_txns, retained.num_txns);
-  EXPECT_EQ(drained.makespan, retained.makespan);
-  EXPECT_EQ(drained.active_steps, retained.active_steps);
-  EXPECT_DOUBLE_EQ(drained.latency.mean(), retained.latency.mean());
-  EXPECT_EQ(drained.drained, drained.num_txns);
-  EXPECT_GT(drained.peak_committed_log, 0);
-  EXPECT_LT(drained.peak_committed_log, drained.num_txns);
-  EXPECT_TRUE(drained.committed.empty());
-}
-
-TEST(RunnerDrain, IncompatibleOptionsAreHardErrors) {
-  const Network net = make_clique(4);
-  SyntheticOptions w;
-  w.num_objects = 8;
-  w.rounds = 1;
-  SyntheticWorkload wl(net, w);
-  GreedyScheduler sched;
-  RunOptions opts;
-  opts.drain_every = 4;  // validate still defaults to true
-  EXPECT_THROW((void)run_experiment(net, wl, sched, opts), CheckError);
-  opts.validate = false;
-  opts.collect_schedule = true;
-  EXPECT_THROW((void)run_experiment(net, wl, sched, opts), CheckError);
-  opts.collect_schedule = false;
-  opts.ratio_window = 16;
-  EXPECT_THROW((void)run_experiment(net, wl, sched, opts), CheckError);
 }
 
 // ---------------------------------------------------------------------------
