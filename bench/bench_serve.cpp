@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     o.emplace("latency_max", Json(r.latency.max()));
     o.emplace("windows", Json(r.windows));
     o.emplace("peak_committed_log", Json(r.peak_committed_log));
-    arr.push_back(Json(std::move(o)));
+    arr.emplace_back(std::move(o));
   }
   Json::Object root;
   root.emplace("schema", Json("dtm-bench-serve-v1"));

@@ -1,8 +1,10 @@
 #include "batch/batch_problem.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iterator>
+#include <numeric>
 #include <string>
 
 namespace dtm {
@@ -202,6 +204,93 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   }
   DTM_CHECK(r.makespan == max_exec - p.now,
             "makespan " << r.makespan << " != " << max_exec - p.now);
+}
+
+namespace {
+
+/// The most users of one object whose orders the chain bound enumerates.
+constexpr std::size_t kChainBoundExact = 4;
+
+/// The chain bound of the object whose availability is `c`, used by
+/// transactions at `nodes` (one entry per user).
+Time chain_bound_of(const BatchProblem& p, const BatchObject& c,
+                    std::span<const NodeId> nodes) {
+  const std::size_t k = nodes.size();
+  if (k == 0) return 0;
+  if (k > kChainBoundExact) {
+    // Every order starts at some user's arrival; each later user runs at
+    // least one step after the one before it.
+    Time first = kNoCutoff;
+    for (const NodeId u : nodes)
+      first = std::min(first, std::max(p.now, p.arrival(c, u)));
+    return first + static_cast<Time>(k - 1) - p.now;
+  }
+  // The earliest schedule along a fixed order runs each user at its chain
+  // arrival; the bound is the least last exec over every order.
+  std::array<std::size_t, kChainBoundExact> ix{};
+  std::iota(ix.begin(), ix.begin() + static_cast<std::ptrdiff_t>(k), 0);
+  Time best = kNoCutoff;
+  do {
+    BatchObject cur = c;
+    for (std::size_t j = 0; j < k && cur.ready < best; ++j) {
+      const NodeId u = nodes[ix[j]];
+      cur = {c.id, u, std::max(p.now, p.arrival(cur, u)), true};
+    }
+    best = std::min(best, cur.ready);
+  } while (std::next_permutation(
+      ix.begin(), ix.begin() + static_cast<std::ptrdiff_t>(k)));
+  return best - p.now;
+}
+
+}  // namespace
+
+Time object_chain_bound(const BatchProblem& p, ObjId o) {
+  // A repeated object row: the last one counts, as in the cursor table.
+  const auto row =
+      std::find_if(p.objects.rbegin(), p.objects.rend(),
+                   [o](const BatchObject& c) { return c.id == o; });
+  static thread_local std::vector<NodeId> nodes;
+  nodes.clear();
+  for (const BatchTxn& t : p.txns)
+    if (std::find(t.objects.begin(), t.objects.end(), o) != t.objects.end())
+      nodes.push_back(t.node);
+  if (nodes.empty()) return 0;
+  DTM_CHECK(row != p.objects.rend(), "object " << o << " missing from problem");
+  return chain_bound_of(p, *row, nodes);
+}
+
+Time chain_lower_bound(const BatchProblem& p) {
+  struct Use {
+    ObjId obj;
+    std::size_t txn;
+    bool operator<(const Use& b) const {
+      return obj != b.obj ? obj < b.obj : txn < b.txn;
+    }
+    bool operator==(const Use& b) const = default;
+  };
+  struct Scratch {
+    std::vector<Use> uses;
+    std::vector<NodeId> nodes;
+  };
+  static thread_local Scratch s;
+  s.uses.clear();
+  for (std::size_t i = 0; i < p.txns.size(); ++i)
+    for (const ObjId o : p.txns[i].objects) s.uses.push_back({o, i});
+  std::sort(s.uses.begin(), s.uses.end());
+  // A transaction listing an object twice is one user of it.
+  s.uses.erase(std::unique(s.uses.begin(), s.uses.end()), s.uses.end());
+
+  CursorTable& cur = CursorTable::local();
+  cur.load(p.objects);
+  Time bound = 0;
+  for (std::size_t a = 0; a < s.uses.size();) {
+    const ObjId o = s.uses[a].obj;
+    s.nodes.clear();
+    for (; a < s.uses.size() && s.uses[a].obj == o; ++a)
+      s.nodes.push_back(p.txns[s.uses[a].txn].node);
+    bound = std::max(bound, chain_bound_of(p, cur.find(o), s.nodes));
+  }
+  return bound;
 }
 
 }  // namespace dtm

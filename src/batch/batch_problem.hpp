@@ -145,6 +145,24 @@ void check_permutation(std::span<const std::size_t> order, std::size_t n);
 /// for n transactions, plus O(1) per object use.
 void check_batch_result(const BatchProblem& p, const BatchResult& r);
 
+/// The chain bound of object `o`: the least step at which any schedule that
+/// passes check_batch_result can have run every transaction using `o`,
+/// minus p.now. A transaction listing `o` twice is one user; two users at
+/// one node run one step apart. Exact over every order of up to four
+/// users (the least chain finish by `arrival` over 4! = 24 orders); above
+/// that, the earliest arrival plus (users − 1). 0 when no transaction uses
+/// `o`. Valid because every user runs no earlier than the chain arrival
+/// along the schedule's order of `o`'s users, and `arrival` never decreases
+/// as `ready` grows. O(m + n·k) for m object rows and n transactions of up
+/// to k objects.
+[[nodiscard]] Time object_chain_bound(const BatchProblem& p, ObjId o);
+
+/// A certified lower bound on the makespan of every schedule of `p` that
+/// passes check_batch_result: the maximum of object_chain_bound over the
+/// objects p's transactions use (0 without transactions). One sort of the
+/// (object, transaction) uses, O(U log U) for U uses.
+[[nodiscard]] Time chain_lower_bound(const BatchProblem& p);
+
 /// `r`'s execution time of every p.txns[i], index-aligned into `out` (the
 /// last assignment wins for a repeated id). Throws CheckError if a
 /// transaction is unassigned.

@@ -75,36 +75,48 @@ Time chain_makespan(const BatchProblem& p,
   return walk(p, order, cutoff, [](std::size_t, Time) {});
 }
 
+namespace {
+
+/// The order buffer of OrderedChainBatch::schedule and makespan, per
+/// thread. A policy fills it and the walk reads it; neither calls back into
+/// another ordered chain algorithm, so one buffer serves both.
+std::vector<std::size_t>& order_scratch() {
+  static thread_local std::vector<std::size_t> order;
+  return order;
+}
+
+}  // namespace
+
 BatchResult OrderedChainBatch::schedule(const BatchProblem& p,
                                         Rng& rng) const {
-  return chain_evaluate(p, policy_(p, rng));
+  std::vector<std::size_t>& order = order_scratch();
+  policy_(p, rng, order);
+  return chain_evaluate(p, order);
 }
 
 Time OrderedChainBatch::makespan(const BatchProblem& p, Rng& rng,
                                  Time cutoff) const {
-  if (cutoff > 0) return chain_makespan(p, policy_(p, rng), cutoff);
+  std::vector<std::size_t>& order = order_scratch();
+  if (cutoff > 0) {
+    policy_(p, rng, order);
+    return chain_makespan(p, order, cutoff);
+  }
   // No order's makespan is below cutoff <= 0: take the draws, skip the walk.
   if (draws_)
     draws_(p, rng);
   else if (randomized_)
-    (void)policy_(p, rng);
+    policy_(p, rng, order);
   return 0;
 }
 
 namespace {
 
-std::vector<std::size_t> identity_order(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
-
-/// Sorts transaction indices by a key functor (stable, ties by txn id).
-/// Each key is computed once, then (key, id, index) rows are sorted: a
-/// total order, so the unstable sort reproduces the stable one exactly.
+/// Sorts transaction indices by a key functor (stable, ties by txn id) into
+/// `out`. Each key is computed once, then (key, id, index) rows are sorted:
+/// a total order, so the unstable sort reproduces the stable one exactly.
 template <typename KeyFn>
-std::vector<std::size_t> order_by_key(const BatchProblem& p,
-                                      const KeyFn& key) {
+void order_by_key(const BatchProblem& p, const KeyFn& key,
+                  std::vector<std::size_t>& out) {
   using Key = decltype(key(p.txns[0]));
   struct Row {
     Key key;
@@ -121,9 +133,8 @@ std::vector<std::size_t> order_by_key(const BatchProblem& p,
     if (a.id != b.id) return a.id < b.id;
     return a.index < b.index;
   });
-  std::vector<std::size_t> order(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) order[i] = rows[i].index;
-  return order;
+  out.resize(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) out[i] = rows[i].index;
 }
 
 }  // namespace
@@ -132,8 +143,9 @@ std::unique_ptr<OrderedChainBatch> OrderedChainBatch::key_ordered(
     std::string policy_name, TxnKey key) {
   auto a = std::make_unique<OrderedChainBatch>(
       std::move(policy_name),
-      [key = std::move(key)](const BatchProblem& p, Rng&) {
-        return order_by_key(p, key);
+      [key = std::move(key)](const BatchProblem& p, Rng&,
+                             std::vector<std::size_t>& out) {
+        order_by_key(p, key, out);
       });
   a->suffix_tight_ = true;
   return a;
@@ -141,41 +153,88 @@ std::unique_ptr<OrderedChainBatch> OrderedChainBatch::key_ordered(
 
 namespace {
 
-/// Per-thread scratch of group_shuffled: which groups the current call has
-/// seen (a stamp per group id) and each group's shuffled rank (a dense
-/// table by group id).
+/// Per-thread scratch of group_shuffled. Rank 0 holds the nodes below
+/// `first`; the shuffled groups take ranks 1..G.
 struct GroupScratch {
+  struct Row {
+    NodeId member;
+    TxnId id;
+    std::size_t index;
+  };
   std::vector<std::uint32_t> seen;  ///< per group id: last call that saw it
   std::uint32_t call = 0;
+  std::vector<std::size_t> rank;    ///< per group id: its rank this call
+  std::vector<NodeId> group;        ///< per txn row: its group, -1 below first
   std::vector<NodeId> groups;       ///< distinct groups of this call
   std::vector<std::size_t> perm;    ///< shuffled positions into groups
-  std::vector<std::int64_t> rank;   ///< per group id: shuffled position
+  std::vector<std::size_t> start;   ///< per rank: its first row
+  std::vector<Row> rows;            ///< the txn rows by rank
 
-  /// Collects the distinct groups (>= 0) of p's transactions, in first-
-  /// seen order, and shuffles positions: the draws of the whole order.
-  void draw(const BatchProblem& p, const OrderedChainBatch::NodeFn& group,
-            Rng& rng) {
+  /// Finds each row's group and the distinct groups (in first-seen order),
+  /// and shuffles positions: the draws of the whole order.
+  void draw(const BatchProblem& p, NodeId first, NodeId beta, Rng& rng) {
     if (++call == 0) {  // stamps wrapped: forget every old one
       std::fill(seen.begin(), seen.end(), 0);
       call = 1;
     }
+    group.resize(p.txns.size());
     groups.clear();
-    for (const BatchTxn& t : p.txns) {
-      const NodeId g = group(t.node);
-      if (g < 0) continue;
-      const auto gi = static_cast<std::size_t>(g);
+    for (std::size_t i = 0; i < p.txns.size(); ++i) {
+      const NodeId u = p.txns[i].node;
+      group[i] = u < first ? NodeId{-1} : (u - first) / beta;
+      if (group[i] < 0) continue;
+      const auto gi = static_cast<std::size_t>(group[i]);
       if (gi >= seen.size()) {
         seen.resize(gi + 1, 0);
         rank.resize(gi + 1);
       }
       if (seen[gi] == call) continue;
       seen[gi] = call;
-      groups.push_back(g);
+      groups.push_back(group[i]);
     }
     // Shuffling positions draws exactly what shuffling the ids would.
     perm.resize(groups.size());
     std::iota(perm.begin(), perm.end(), 0);
     rng.shuffle(perm);
+  }
+
+  /// draw(), then the order: a counting sort of the rows by rank, then
+  /// each rank's rows sorted by (member, id, index).
+  void order(const BatchProblem& p, NodeId first, NodeId beta, Rng& rng,
+             std::vector<std::size_t>& out) {
+    draw(p, first, beta, rng);
+    // The shuffle permuted positions of the ascending group ids:
+    // groups[perm[i]] of the sorted list gets rank i + 1.
+    std::sort(groups.begin(), groups.end());
+    for (std::size_t i = 0; i < perm.size(); ++i)
+      rank[static_cast<std::size_t>(groups[perm[i]])] = i + 1;
+    const auto rank_of = [&](std::size_t i) {
+      return group[i] < 0 ? 0 : rank[static_cast<std::size_t>(group[i])];
+    };
+    const std::size_t n = p.txns.size();
+    start.assign(groups.size() + 2, 0);
+    for (std::size_t i = 0; i < n; ++i) ++start[rank_of(i) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    rows.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId u = p.txns[i].node;
+      const NodeId member = group[i] < 0 ? u : u - first - group[i] * beta;
+      rows[start[rank_of(i)]++] = {member, p.txns[i].id, i};
+    }
+    // Each start[r] has advanced to the end of rank r's rows.
+    std::size_t lo = 0;
+    for (std::size_t r = 0; r <= groups.size(); ++r) {
+      std::sort(rows.begin() + static_cast<std::ptrdiff_t>(lo),
+                rows.begin() + static_cast<std::ptrdiff_t>(start[r]),
+                [](const Row& a, const Row& b) {
+                  if (a.member != b.member) return a.member < b.member;
+                  if (a.id != b.id) return a.id < b.id;
+                  return a.index < b.index;
+                });
+      lo = start[r];
+    }
+    out.resize(n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = rows[i].index;
   }
 };
 
@@ -187,30 +246,19 @@ GroupScratch& group_scratch() {
 }  // namespace
 
 std::unique_ptr<OrderedChainBatch> OrderedChainBatch::group_shuffled(
-    std::string policy_name, NodeFn group, NodeFn member) {
+    std::string policy_name, NodeId first, NodeId beta) {
+  DTM_REQUIRE(first >= 0 && beta >= 1,
+              "group_shuffled needs first >= 0 and beta >= 1, got first "
+                  << first << ", beta " << beta);
   auto a = std::make_unique<OrderedChainBatch>(
       std::move(policy_name),
-      [group, member](const BatchProblem& p, Rng& rng) {
-        GroupScratch& s = group_scratch();
-        s.draw(p, group, rng);
-        // The shuffle permuted positions of the ascending group ids:
-        // groups[perm[i]] of the sorted list gets rank i.
-        std::sort(s.groups.begin(), s.groups.end());
-        for (std::size_t i = 0; i < s.perm.size(); ++i)
-          s.rank[static_cast<std::size_t>(s.groups[s.perm[i]])] =
-              static_cast<std::int64_t>(i);
-        // One int64 key, rank * 2^32 + member: (rank, member) order, with
-        // a node outside every group at rank -1.
-        return order_by_key(p, [&](const BatchTxn& t) {
-          const NodeId g = group(t.node);
-          const std::int64_t r =
-              g < 0 ? -1 : s.rank[static_cast<std::size_t>(g)];
-          return r * (std::int64_t{1} << 32) + member(t.node);
-        });
+      [first, beta](const BatchProblem& p, Rng& rng,
+                    std::vector<std::size_t>& out) {
+        group_scratch().order(p, first, beta, rng, out);
       },
       /*is_randomized=*/true);
-  a->draws_ = [group = std::move(group)](const BatchProblem& p, Rng& rng) {
-    group_scratch().draw(p, group, rng);
+  a->draws_ = [first, beta](const BatchProblem& p, Rng& rng) {
+    group_scratch().draw(p, first, beta, rng);
   };
   return a;
 }
@@ -225,7 +273,8 @@ std::unique_ptr<BatchScheduler> make_line_batch() {
 
 std::unique_ptr<BatchScheduler> make_clique_batch() {
   return std::make_unique<OrderedChainBatch>(
-      "clique-load", [](const BatchProblem& p, Rng&) {
+      "clique-load",
+      [](const BatchProblem& p, Rng&, std::vector<std::size_t>& out) {
         // Heaviest transactions (sum of their objects' user counts) first:
         // hot objects start their chains immediately instead of idling.
         // An object's load is the length of its run in the sorted list of
@@ -234,14 +283,18 @@ std::unique_ptr<BatchScheduler> make_clique_batch() {
         for (const auto& t : p.txns)
           uses.insert(uses.end(), t.objects.begin(), t.objects.end());
         std::sort(uses.begin(), uses.end());
-        return order_by_key(p, [&](const BatchTxn& t) {
-          std::int64_t w = 0;
-          for (const ObjId o : t.objects) {
-            const auto [lo, hi] = std::equal_range(uses.begin(), uses.end(), o);
-            w += hi - lo;
-          }
-          return -w;
-        });
+        order_by_key(
+            p,
+            [&](const BatchTxn& t) {
+              std::int64_t w = 0;
+              for (const ObjId o : t.objects) {
+                const auto [lo, hi] =
+                    std::equal_range(uses.begin(), uses.end(), o);
+                w += hi - lo;
+              }
+              return -w;
+            },
+            out);
       });
 }
 
@@ -249,18 +302,13 @@ std::unique_ptr<BatchScheduler> make_cluster_batch(NodeId beta) {
   // Random permutation of cliques (the randomized step of [SPAA'17]);
   // within a clique the bridge node (member 0) goes first so inter-clique
   // transfers leave as early as possible.
-  return OrderedChainBatch::group_shuffled(
-      "cluster-random", [beta](NodeId u) { return u / beta; },
-      [beta](NodeId u) { return u % beta; });
+  return OrderedChainBatch::group_shuffled("cluster-random", 0, beta);
 }
 
 std::unique_ptr<BatchScheduler> make_star_batch(NodeId beta) {
   // Center first; then rays in random order, each walked center-outward —
   // objects funnel through the hub once per ray.
-  return OrderedChainBatch::group_shuffled(
-      "star-random",
-      [beta](NodeId u) { return u != 0 ? (u - 1) / beta : NodeId{-1}; },
-      [beta](NodeId u) { return u != 0 ? (u - 1) % beta : NodeId{0}; });
+  return OrderedChainBatch::group_shuffled("star-random", 1, beta);
 }
 
 std::unique_ptr<BatchScheduler> make_grid_snake_batch(
@@ -299,17 +347,20 @@ std::unique_ptr<BatchScheduler> make_hypercube_gray_batch() {
 
 std::unique_ptr<BatchScheduler> make_tsp_batch() {
   return std::make_unique<OrderedChainBatch>(
-      "tsp-nn", [](const BatchProblem& p, Rng&) {
+      "tsp-nn",
+      [](const BatchProblem& p, Rng&, std::vector<std::size_t>& tour) {
         // Nearest-neighbor tour over transaction nodes, starting from the
         // busiest object's position (Zhang et al. route objects along TSP
         // tours; this is the standard constructive heuristic for it).
         const std::size_t n = p.txns.size();
-        auto order = identity_order(n);
-        if (n <= 2) return order;
+        if (n <= 2) {
+          tour.resize(n);
+          std::iota(tour.begin(), tour.end(), 0);
+          return;
+        }
         NodeId pos = p.objects.empty() ? p.txns[0].node : p.objects[0].node;
         std::vector<bool> used(n, false);
-        std::vector<std::size_t> tour;
-        tour.reserve(n);
+        tour.clear();
         for (std::size_t step = 0; step < n; ++step) {
           std::size_t best = n;
           Weight best_d = kInfWeight;
@@ -326,7 +377,6 @@ std::unique_ptr<BatchScheduler> make_tsp_batch() {
           tour.push_back(best);
           pos = p.txns[best].node;
         }
-        return tour;
       });
 }
 

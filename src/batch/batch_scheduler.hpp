@@ -80,15 +80,15 @@ class BatchScheduler {
                                   Time cutoff = kNoCutoff);
 
 /// A batch scheduler defined by an ordering policy over the problem's
-/// transactions. The policy returns a permutation of indices into p.txns.
+/// transactions. The policy fills a permutation of indices into p.txns
+/// into a caller-owned buffer, which schedule() and makespan() keep per
+/// thread, so an order costs no allocation once the buffer has grown.
 class OrderedChainBatch : public BatchScheduler {
  public:
-  using OrderPolicy = std::function<std::vector<std::size_t>(
-      const BatchProblem&, Rng&)>;
+  using OrderPolicy = std::function<void(const BatchProblem&, Rng&,
+                                         std::vector<std::size_t>&)>;
   /// A fixed per-transaction sort key: a function of the row alone.
   using TxnKey = std::function<std::int64_t(const BatchTxn&)>;
-  /// A function of a transaction's node (group_shuffled).
-  using NodeFn = std::function<NodeId(NodeId)>;
 
   OrderedChainBatch(std::string policy_name, OrderPolicy policy,
                     bool is_randomized = false)
@@ -104,15 +104,19 @@ class OrderedChainBatch : public BatchScheduler {
   [[nodiscard]] static std::unique_ptr<OrderedChainBatch> key_ordered(
       std::string policy_name, TxnKey key);
 
-  /// Randomized chain order over groups of nodes (cluster cliques, star
-  /// rays): the distinct groups of the problem's transactions, ascending,
-  /// are shuffled with `rng`; transactions go in (group rank, member) order,
-  /// ties by txn id. group(node) < 0 puts a node ahead of every group (the
-  /// star's center); member(node) must lie in [0, 2^32). The draws depend
-  /// only on the number of distinct groups, so makespan() with a cutoff
-  /// <= 0 counts them and shuffles: no sort and no walk.
+  /// Randomized chain order over groups of `beta` consecutive nodes from
+  /// node `first` on (cluster cliques: first 0; star rays: first 1): node
+  /// u >= first is member (u - first) % beta of group (u - first) / beta.
+  /// The distinct groups of the problem's transactions, ascending, are
+  /// shuffled with `rng`; transactions go in (group rank, member) order,
+  /// ties by txn id, and nodes below `first` (the star's center) go ahead
+  /// of every group, in (node, id) order. The order is a counting sort by
+  /// rank, then a sort of each group's (member, id, index) rows, all on
+  /// per-thread scratch: no allocation once warmed. The draws depend only
+  /// on the number of distinct groups, so makespan() with a cutoff <= 0
+  /// counts them and shuffles: no sort and no walk.
   [[nodiscard]] static std::unique_ptr<OrderedChainBatch> group_shuffled(
-      std::string policy_name, NodeFn group, NodeFn member);
+      std::string policy_name, NodeId first, NodeId beta);
 
   [[nodiscard]] BatchResult schedule(const BatchProblem& p,
                                      Rng& rng) const override;

@@ -75,6 +75,11 @@ std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp) {
   return derive_seed(seed, kProbeSalt, fp);
 }
 
+std::uint64_t trial_seed(std::uint64_t seed, std::uint64_t fp,
+                         std::int64_t r) {
+  return derive_seed(seed, kTrialSalt, fp, static_cast<std::uint64_t>(r));
+}
+
 BucketInsertionCore::BucketInsertionCore(
     std::shared_ptr<const BatchScheduler> algo, std::uint64_t seed,
     std::int32_t threads)
@@ -154,11 +159,16 @@ Time BucketInsertionCore::probe_cached(const SystemView& view,
     cb.p.objects.insert(it, bo);
   }
 
-  std::uint64_t avail_fp = kBasis;
-  for (const BatchObject& o : cb.p.objects)
-    avail_fp = avail_chain(avail_fp, o, cb.p.now);
-  const std::uint64_t fp = finish_fp(hash_combine(cb.txn_fp, cand.row_hash),
-                                     avail_fp, cb.p.latency_factor);
+  // A deterministic A never reads its Rng, so only a randomized one needs
+  // the fingerprint that seeds the probe stream.
+  std::uint64_t fp = 0;
+  if (algo_->randomized()) {
+    std::uint64_t avail_fp = kBasis;
+    for (const BatchObject& o : cb.p.objects)
+      avail_fp = avail_chain(avail_fp, o, cb.p.now);
+    fp = finish_fp(hash_combine(cb.txn_fp, cand.row_hash), avail_fp,
+                   cb.p.latency_factor);
+  }
   const Time f = estimate(cb.p, fp);
 
   // Rollback, highest position first (recorded positions are strictly
@@ -275,15 +285,24 @@ void ActivationGate::record(std::size_t rows, bool fanned,
 BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
                                                 const BatchScheduler& runner,
                                                 std::int32_t retries) {
-  const std::uint64_t fp = problem_fingerprint(p);
+  // A deterministic runner never reads its Rng: its one trial needs no
+  // fingerprint to seed it.
+  const bool randomized = runner.randomized();
+  const std::uint64_t fp = randomized ? problem_fingerprint(p) : 0;
   const auto trial = [&](std::int64_t r) {
-    Rng rng(derive_seed(seed_, kTrialSalt, fp, static_cast<std::uint64_t>(r)));
+    Rng rng(trial_seed(seed_, fp, r));
     return runner.schedule(p, rng);
   };
-  const std::int32_t trials = runner.randomized() ? std::max(retries, 1) : 1;
+  const std::int32_t trials = randomized ? std::max(retries, 1) : 1;
   const auto serial = [&] {
     BatchResult best = trial(0);
-    for (std::int32_t r = 1; r < trials; ++r) {
+    if (trials == 1) return best;
+    // No schedule is shorter than the chain bound, and a later trial wins
+    // only when strictly shorter: once the best meets the bound, the
+    // remaining trials cannot change the winner. Their streams depend on
+    // (seed, fp, r) alone, so skipping them changes no other draw.
+    const Time bound = chain_lower_bound(p);
+    for (std::int32_t r = 1; r < trials && best.makespan > bound; ++r) {
       BatchResult alt = trial(r);
       if (alt.makespan < best.makespan) best = std::move(alt);
     }
@@ -311,6 +330,9 @@ BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
   } else {
     best = serial();
   }
+  // Per nominal trial in both modes, although the serial path may stop
+  // early at the chain bound: the gate compares what one activation costs
+  // each way.
   const std::chrono::duration<double> spent =
       std::chrono::steady_clock::now() - t0;
   gate_.record(p.txns.size(), fan, spent.count() / trials);

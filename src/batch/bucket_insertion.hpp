@@ -34,10 +34,12 @@
 // threads > 1 the retries may run concurrently and merge as
 // min-by-(makespan, trial index), exactly the serial strict-< scan.
 // Whether they do is measured, not modelled: ActivationGate runs each size
-// class in whichever mode has cost less wall time per trial. The level
-// scan is serial. The gate only chooses where trials run, so decisions,
-// schedules and every FastPathStats counter except `fanouts` are equal at
-// every thread count.
+// class in whichever mode has cost less wall time per trial. The serial
+// scan stops once its best meets the problem's chain bound
+// (chain_lower_bound), which no trial can beat. The level scan is serial.
+// The gate only chooses where trials run, so decisions, schedules and
+// every FastPathStats counter except `fanouts` are equal at every thread
+// count.
 #pragma once
 
 #include <cstddef>
@@ -93,7 +95,10 @@ class ActivationGate {
 
   /// Whether the next activation of a `rows`-row problem should fan out.
   [[nodiscard]] bool fan_out(std::size_t rows) const;
-  /// Folds in one activation's measured wall time per trial.
+  /// Folds in one activation's measured wall time per trial: per NOMINAL
+  /// trial (the retries asked for) in both modes, although a serial
+  /// activation may stop at the chain bound, so the gate compares what one
+  /// activation costs each way.
   void record(std::size_t rows, bool fanned, double seconds_per_trial);
 
  private:
@@ -125,6 +130,11 @@ class ActivationGate {
 /// scheduler seed: every F_A estimate of the insertion scan runs
 /// estimate_fa_seeded with it.
 [[nodiscard]] std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp);
+
+/// The seed of activation trial `r` of a problem with fingerprint `fp`
+/// under a scheduler seed: run_activation runs trial r on Rng(trial_seed).
+[[nodiscard]] std::uint64_t trial_seed(std::uint64_t seed, std::uint64_t fp,
+                                       std::int64_t r);
 
 class BucketInsertionCore {
  public:
@@ -184,10 +194,14 @@ class BucketInsertionCore {
       const ExtraAssignments& extra);
 
   /// Best-of-`retries` schedule of `p` under `runner` (the suffix-wrapped
-  /// algorithm when the scheduler enforces the suffix property). Each trial
-  /// draws from an independent stream derived from the problem fingerprint
-  /// and the trial index; deterministic runners run once. With threads > 1
-  /// the gate decides whether the trials run concurrently.
+  /// algorithm when the scheduler enforces the suffix property): the first
+  /// trial of least makespan. Trial r draws from
+  /// Rng(trial_seed(seed, fingerprint, r)); a deterministic runner runs
+  /// once, with no fingerprint. With threads > 1 the gate decides whether
+  /// the trials run concurrently. Run serially, the trials stop once the
+  /// best makespan meets chain_lower_bound(p), which no later trial can
+  /// beat, so both paths return the same schedule; fanned out, every trial
+  /// runs.
   [[nodiscard]] BatchResult run_activation(const BatchProblem& p,
                                            const BatchScheduler& runner,
                                            std::int32_t retries);

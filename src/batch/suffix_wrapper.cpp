@@ -1,6 +1,7 @@
 #include "batch/suffix_wrapper.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace dtm {
 
@@ -87,6 +88,21 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
     // suffix spans the current makespan.
     const BatchTxn& z = p.txns[order[n - 1]];
     const Time span_now = exec[order[n - 1]] - p.now;
+    // If some object of z has a chain bound that reaches the makespan, no
+    // candidate of this pass is strictly shorter: a suffix keeps z, and the
+    // object's chain cannot finish before its bound from the prefix's
+    // availability either. Asked only once a candidate passes z's arrival
+    // test, so a pass that never gets there pays nothing.
+    std::optional<bool> moot;
+    const auto pass_is_moot = [&] {
+      if (!moot) {
+        moot = std::any_of(z.objects.begin(), z.objects.end(),
+                           [&](ObjId o) {
+                             return object_chain_bound(p, o) >= span_now;
+                           });
+      }
+      return *moot;
+    };
     sorted_objects(p.objects, avail);
     // Longest proper suffix first, as in the paper.
     for (std::size_t start = 1; start < n && budget > 0; ++start) {
@@ -96,9 +112,10 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
       for (std::size_t i = start; i < n; ++i)
         sub.txns[i - start] = p.txns[order[i]];
       --budget;
-      // If z cannot execute earlier than it does, no schedule of this
-      // suffix is strictly shorter: the candidate costs only its draws.
-      if (earliest_exec(p, z, avail) - p.now >= span_now) {
+      // If z cannot execute earlier than it does, or the pass is moot, no
+      // schedule of this suffix is strictly shorter: the candidate costs
+      // only its draws.
+      if (earliest_exec(p, z, avail) - p.now >= span_now || pass_is_moot()) {
         (void)inner_->makespan(sub, rng, 0);
         continue;
       }

@@ -15,6 +15,12 @@
 //     walk's rule; by the triangle inequality no schedule does better)
 //     already reaches the makespan, the candidate cannot win and A is
 //     asked for its draws alone (makespan() with cutoff 0);
+//   - when some object of z has a chain bound (object_chain_bound of the
+//     whole problem) that reaches the makespan, the pass is moot: every
+//     suffix keeps z, so that object's chain cannot finish sooner, and
+//     every candidate of the pass takes the draws-only path too. The
+//     bound is asked for at the pass's first candidate that survives z's
+//     arrival test, and at most once per pass;
 //   - every other candidate is scored by makespan() with the current
 //     makespan as cutoff, and only an adopted one is built.
 // For a suffix_tight() A (key-ordered chain algorithms) every re-run

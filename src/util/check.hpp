@@ -2,7 +2,10 @@
 //
 // DTM_CHECK fires in every build type: model invariants (schedule validity,
 // coloring validity, cover properties) must hold in release benchmarks too,
-// because a silently-invalid schedule would fabricate results.
+// because a silently-invalid schedule would fabricate results. Its message
+// names the expression and the source location, for whoever debugs the
+// model. DTM_REQUIRE checks preconditions and external input (flags, specs,
+// files), whose message is all a user should read.
 #pragma once
 
 #include <sstream>
@@ -11,8 +14,7 @@
 
 namespace dtm {
 
-/// Thrown when a library invariant is violated. Carries the failing
-/// expression, source location, and a caller-supplied message.
+/// Thrown when a library invariant or a precondition is violated.
 class CheckError : public std::logic_error {
  public:
   explicit CheckError(const std::string& what) : std::logic_error(what) {}
@@ -26,6 +28,12 @@ namespace detail {
   os << "DTM_CHECK failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
   throw CheckError(os.str());
+}
+
+[[noreturn]] inline void require_fail(const char* expr,
+                                      const std::string& msg) {
+  throw CheckError(msg.empty() ? "requirement failed: " + std::string(expr)
+                               : msg);
 }
 
 }  // namespace detail
@@ -43,5 +51,14 @@ namespace detail {
     }                                                                    \
   } while (0)
 
-/// Cheap precondition check on public API boundaries.
-#define DTM_REQUIRE(cond, ...) DTM_CHECK(cond, __VA_ARGS__)
+/// Cheap precondition check on public API boundaries and external input.
+/// Throws CheckError whose text is the streamed message alone, or
+/// "requirement failed: <cond>" without one: no source location.
+#define DTM_REQUIRE(cond, ...)                                           \
+  do {                                                                   \
+    if (!(cond)) {                                                       \
+      std::ostringstream dtm_require_os_;                                \
+      dtm_require_os_ << "" __VA_ARGS__;                                 \
+      ::dtm::detail::require_fail(#cond, dtm_require_os_.str());         \
+    }                                                                    \
+  } while (0)

@@ -1,7 +1,8 @@
 // Zero-allocation regression pins for the messaging hot path (PERF.md §8),
 // the draws-only suffix candidate of the batch layer (PERF.md §14), the
-// announced trail mirror of the §V tracking (PERF.md §15) and the batch
-// layer's chain walk and schedule validator (PERF.md §16).
+// announced trail mirror of the §V tracking (PERF.md §15), the batch
+// layer's chain walk and schedule validator (PERF.md §16) and the walked
+// cluster and star order (PERF.md §17).
 //
 // Built with -DDTM_ALLOC_TRACK=ON these tests assert, via the counting
 // operator new/delete hooks, that the steady-state send → drain loop — the
@@ -159,21 +160,21 @@ TEST(AllocPin, SpilledReplyPoolRoundTripIsAllocationFree) {
       << " allocs / " << kMeasuredSteps << " steps)";
 }
 
-TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
-  // A suffix candidate that cannot win costs only A's draws: makespan()
-  // with cutoff 0. For the group-shuffled cluster and star orders that is
-  // a stamp-table count of the distinct groups plus a shuffle, all on
-  // thread-local scratch, so once warmed it must not touch the allocator.
-  struct Case {
-    Network net;
-    std::unique_ptr<BatchScheduler> algo;
-    std::vector<BatchProblem> problems;
-  };
-  std::vector<Case> cases;
+/// The cluster and star As, each with eight random problems over six
+/// objects of 4, 4 + step, ..., 4 + 7·step one-object transactions.
+struct GroupOrderCase {
+  Network net;
+  std::unique_ptr<BatchScheduler> algo;
+  std::vector<BatchProblem> problems;
+};
+
+std::vector<GroupOrderCase> group_order_cases(std::uint64_t seed,
+                                              TxnId step) {
+  std::vector<GroupOrderCase> cases;
   cases.push_back({make_cluster(4, 4, 8), make_cluster_batch(4), {}});
   cases.push_back({make_star(4, 3), make_star_batch(3), {}});
-  Rng draw(17);
-  for (Case& c : cases) {
+  Rng draw(seed);
+  for (GroupOrderCase& c : cases) {
     const NodeId nodes = c.net.num_nodes();
     for (int i = 0; i < 8; ++i) {
       BatchProblem p;
@@ -183,17 +184,26 @@ TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
         p.objects.push_back(
             {o, static_cast<NodeId>(draw.uniform_int(0, nodes - 1)), 5,
              false});
-      for (TxnId t = 0; t < 4 + 2 * i; ++t)
+      for (TxnId t = 0; t < 4 + step * i; ++t)
         p.txns.push_back(
             {t, static_cast<NodeId>(draw.uniform_int(0, nodes - 1)),
              {static_cast<ObjId>(draw.uniform_int(0, 5))}});
       c.problems.push_back(std::move(p));
     }
   }
+  return cases;
+}
+
+TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
+  // A suffix candidate that cannot win costs only A's draws: makespan()
+  // with cutoff 0. For the group-shuffled cluster and star orders that is
+  // a stamp-table count of the distinct groups plus a shuffle, all on
+  // thread-local scratch, so once warmed it must not touch the allocator.
+  const std::vector<GroupOrderCase> cases = group_order_cases(17, 2);
   Rng rng(3);
   const auto sweep = [&] {
     Time sum = 0;
-    for (const Case& c : cases)
+    for (const GroupOrderCase& c : cases)
       for (const BatchProblem& p : c.problems)
         sum += c.algo->makespan(p, rng, 0);
     return sum;
@@ -211,6 +221,35 @@ TEST(AllocPin, DrawOnlyMakespanIsAllocationFree) {
   if (!alloc_tracking_enabled())
     GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
   EXPECT_EQ(allocs, 0) << "draw-only makespan() allocated";
+  EXPECT_EQ(bytes, 0);
+}
+
+TEST(AllocPin, GroupOrderMakespanIsAllocationFree) {
+  // Every F_A probe and walked suffix candidate of the cluster and star As
+  // builds the group-shuffled order (a counting sort by rank on thread-
+  // local scratch) into the thread's order buffer and walks it. Once one
+  // pass has grown the scratch to the largest problem, neither allocates.
+  const std::vector<GroupOrderCase> cases = group_order_cases(41, 3);
+  Rng rng(3);
+  const auto sweep = [&] {
+    Time sum = 0;
+    for (const GroupOrderCase& c : cases)
+      for (const BatchProblem& p : c.problems)
+        for (const Time cutoff : {Time{1}, Time{8}, kNoCutoff})
+          sum += c.algo->makespan(p, rng, cutoff);
+    return sum;
+  };
+  EXPECT_GT(sweep(), 0);  // warm-up: scratch grows to the largest problem
+
+  AllocScope scope;
+  Time sum = 0;
+  for (int i = 0; i < 16; ++i) sum += sweep();
+  const std::int64_t allocs = scope.allocs();
+  const std::int64_t bytes = scope.bytes();
+  EXPECT_GT(sum, 0);
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_EQ(allocs, 0) << "walked group-order makespan() allocated";
   EXPECT_EQ(bytes, 0);
 }
 

@@ -16,6 +16,8 @@
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
+#include "batch/suffix_wrapper.hpp"
+#include "oracle/all_trials.hpp"
 #include "oracle/lockstep.hpp"
 #include "oracle/naive_insertion.hpp"
 
@@ -311,6 +313,90 @@ TEST(BucketFastPath, SeededEstimateIsAPureFunctionOfSeed) {
   const Time a = estimate_fa_seeded(*algo, p, 42);
   const Time b = estimate_fa_seeded(*algo, p, 42);
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Activation trials
+
+// The serial scan stops at the chain bound and the fanned-out merge runs
+// every trial; both must return what running every trial returns, for the
+// bare and the suffix-wrapped randomized As, at one thread and at two
+// (where the gate runs some activations each way).
+TEST(BucketFastPath, ActivationMatchesEveryTrialReference) {
+  struct Case {
+    Network net;
+    std::shared_ptr<const BatchScheduler> algo;
+  };
+  std::vector<Case> cases;
+  cases.push_back({make_cluster(4, 4, 8), nullptr});
+  cases.back().algo = Registry::make_batch_algo("cluster", cases.back().net);
+  cases.push_back({make_star(4, 3), nullptr});
+  cases.back().algo = Registry::make_batch_algo("star", cases.back().net);
+  cases.push_back({make_cluster(3, 4, 6), make_local_search_batch(3)});
+  constexpr std::uint64_t kSeed = 77;
+  Rng draw(13);
+  for (const Case& c : cases) {
+    const SuffixWrapper wrapped(c.algo);
+    for (const std::int32_t threads : {1, 2}) {
+      BucketInsertionCore core(c.algo, kSeed, threads);
+      for (int trial = 0; trial < 40; ++trial) {
+        const BatchProblem p = testing::random_batch_problem(
+            c.net, draw, 1 + trial % 14, 2 + trial % 7, trial % 5 == 0);
+        const BatchScheduler& runner =
+            trial % 2 == 0 ? *c.algo
+                           : static_cast<const BatchScheduler&>(wrapped);
+        testing::expect_same_result(
+            core.run_activation(p, runner, 3),
+            oracle::all_trials_activation(p, runner, kSeed, 3));
+      }
+    }
+  }
+}
+
+/// Counts schedule() calls; randomized() can be forced on, so that a
+/// deterministic A is retried like a randomized one.
+class CountingRunner final : public BatchScheduler {
+ public:
+  CountingRunner(std::shared_ptr<const BatchScheduler> inner, bool randomized)
+      : inner_(std::move(inner)), randomized_(randomized) {}
+  [[nodiscard]] BatchResult schedule(const BatchProblem& p,
+                                     Rng& rng) const override {
+    ++calls;
+    return inner_->schedule(p, rng);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool randomized() const override { return randomized_; }
+
+  mutable std::int64_t calls = 0;
+
+ private:
+  std::shared_ptr<const BatchScheduler> inner_;
+  bool randomized_;
+};
+
+// One transaction always meets the chain bound (it runs at its earliest
+// exec), so of retries=3 only the first trial runs. A fully serial A on
+// two independent transactions misses the bound by a step in every trial,
+// so all three run.
+TEST(BucketFastPath, ActivationStopsAtTheChainBound) {
+  const Network net = make_cluster(2, 3, 4);
+  BatchProblem p;
+  p.oracle = net.oracle.get();
+  p.now = 4;
+  p.objects = {{0, 1, 2, false}, {1, 5, 4, true}};
+  p.txns = {{7, 4, {0, 1}}};
+  BucketInsertionCore core(Registry::make_batch_algo("cluster", net), 5, 1);
+  const CountingRunner cluster(Registry::make_batch_algo("cluster", net),
+                               /*randomized=*/true);
+  const BatchResult one = core.run_activation(p, cluster, 3);
+  EXPECT_EQ(one.makespan, chain_lower_bound(p));
+  EXPECT_EQ(cluster.calls, 1);
+
+  p.txns = {{7, 4, {0}}, {8, 5, {1}}};
+  const CountingRunner serial(make_sequential_batch(), /*randomized=*/true);
+  const BatchResult both = core.run_activation(p, serial, 3);
+  EXPECT_EQ(both.makespan, chain_lower_bound(p) + 1);
+  EXPECT_EQ(serial.calls, 3);
 }
 
 // The activation gate's choices, from fed costs (seconds per trial).

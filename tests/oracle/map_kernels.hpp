@@ -198,11 +198,12 @@ std::vector<std::size_t> order_by_key(const BatchProblem& p, KeyFn key) {
 
 inline std::unique_ptr<BatchScheduler> make_clique_batch() {
   return std::make_unique<OrderedChainBatch>(
-      "ref-clique-load", [](const BatchProblem& p, Rng&) {
+      "ref-clique-load",
+      [](const BatchProblem& p, Rng&, std::vector<std::size_t>& out) {
         std::map<ObjId, std::int64_t> load;
         for (const auto& t : p.txns)
           for (const ObjId o : t.objects) ++load[o];
-        return oracle::order_by_key(p, [&](const BatchTxn& t) {
+        out = oracle::order_by_key(p, [&](const BatchTxn& t) {
           std::int64_t w = 0;
           for (const ObjId o : t.objects) w += load[o];
           return -w;
@@ -213,7 +214,7 @@ inline std::unique_ptr<BatchScheduler> make_clique_batch() {
 inline std::unique_ptr<BatchScheduler> make_cluster_batch(NodeId beta) {
   return std::make_unique<OrderedChainBatch>(
       "ref-cluster-random",
-      [beta](const BatchProblem& p, Rng& rng) {
+      [beta](const BatchProblem& p, Rng& rng, std::vector<std::size_t>& out) {
         std::map<NodeId, NodeId> clique_rank;
         for (const auto& t : p.txns) clique_rank.emplace(t.node / beta, 0);
         std::vector<NodeId> cliques;
@@ -221,7 +222,7 @@ inline std::unique_ptr<BatchScheduler> make_cluster_batch(NodeId beta) {
         rng.shuffle(cliques);
         for (std::size_t i = 0; i < cliques.size(); ++i)
           clique_rank[cliques[i]] = static_cast<NodeId>(i);
-        return oracle::order_by_key(p, [&](const BatchTxn& t) {
+        out = oracle::order_by_key(p, [&](const BatchTxn& t) {
           return std::pair(clique_rank[t.node / beta], t.node % beta);
         });
       },
@@ -231,7 +232,7 @@ inline std::unique_ptr<BatchScheduler> make_cluster_batch(NodeId beta) {
 inline std::unique_ptr<BatchScheduler> make_star_batch(NodeId beta) {
   return std::make_unique<OrderedChainBatch>(
       "ref-star-random",
-      [beta](const BatchProblem& p, Rng& rng) {
+      [beta](const BatchProblem& p, Rng& rng, std::vector<std::size_t>& out) {
         std::map<NodeId, NodeId> ray_rank;
         for (const auto& t : p.txns)
           if (t.node != 0) ray_rank.emplace((t.node - 1) / beta, 0);
@@ -240,7 +241,7 @@ inline std::unique_ptr<BatchScheduler> make_star_batch(NodeId beta) {
         rng.shuffle(rays);
         for (std::size_t i = 0; i < rays.size(); ++i)
           ray_rank[rays[i]] = static_cast<NodeId>(i);
-        return oracle::order_by_key(p, [&](const BatchTxn& t) {
+        out = oracle::order_by_key(p, [&](const BatchTxn& t) {
           if (t.node == 0) return std::pair<NodeId, NodeId>(-1, 0);
           return std::pair(ray_rank[(t.node - 1) / beta], (t.node - 1) % beta);
         });

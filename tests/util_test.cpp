@@ -24,6 +24,21 @@ TEST(Check, ThrowsWithMessage) {
 
 TEST(Check, PassesSilently) { DTM_CHECK(2 + 2 == 4); }
 
+TEST(Check, RequireThrowsThePlainMessage) {
+  const auto what = [](auto fail) {
+    try {
+      fail();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no CheckError");
+  };
+  EXPECT_EQ(what([] { DTM_REQUIRE(1 == 2, "bad input " << 42); }),
+            "bad input 42");
+  EXPECT_EQ(what([] { DTM_REQUIRE(1 == 2); }), "requirement failed: 1 == 2");
+  DTM_REQUIRE(2 + 2 == 4, "never streamed");
+}
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
